@@ -21,13 +21,15 @@ Closed-form baselines:
   removed by a null-space correction before clamping.
 
 Controller instances own their warm-start and hold-previous-input state;
-the underlying *_step functions are pure.
+the underlying *_step functions are pure. Every step evaluates its state
+once (``evaluate``) and returns that evaluation in its log, so the
+simulator can log and integrate from it without rebuilding the chain.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -73,9 +75,28 @@ class Reference:
         return cls(y_ref=lambda t: y, dy_ref=lambda t: zero, ddy_ref=lambda t: zero)
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """The chain evaluated once at a state: dynamics terms (with the guarded
+    factor of M, made on first use) and the task-space snapshot, both from
+    one pose and motion pass."""
+
+    state: RobotState
+    terms: DynamicsTerms
+    ts: TaskState
+
+
+def evaluate(model: RobotModel, state: RobotState) -> Evaluation:
+    """Dynamics terms and task state at ``state`` from one chain pass."""
+    terms = bias_terms(model, state)
+    ts = task_state(model, state, pose=terms.pose, motion=terms.motion)
+    return Evaluation(state=state, terms=terms, ts=ts)
+
+
 @dataclass
 class ControlStepLog:
-    """Per-step diagnostics; u always lies inside the input box."""
+    """Per-step diagnostics; u always lies inside the input box.
+    ``evaluation`` is the step's evaluation of its state, when it made one."""
 
     u: np.ndarray
     mu: np.ndarray
@@ -85,6 +106,7 @@ class ControlStepLog:
     qp_status: str
     solve_time: float
     saturated: np.ndarray
+    evaluation: Evaluation | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -123,8 +145,8 @@ def lie_terms(model: RobotModel, state: RobotState,
     if terms is None:
         terms = bias_terms(model, state)
     if ts is None:
-        ts = task_state(model, state)
-    minv_cols = solve_inertia(terms.M, np.column_stack([terms.h, model.B]))
+        ts = task_state(model, state, pose=terms.pose, motion=terms.motion)
+    minv_cols = solve_inertia(terms, np.column_stack([terms.h, model.B]))
     lf2y = -ts.J @ minv_cols[:, 0] + ts.dJ @ state.dq
     lglfy = ts.J @ minv_cols[:, 1:]
     return lf2y, lglfy
@@ -162,21 +184,26 @@ def _saturation_mask(u: np.ndarray, model: RobotModel) -> np.ndarray:
 class _StepData:
     """Shared per-step evaluations."""
 
-    terms: DynamicsTerms
-    ts: TaskState
+    evaluation: Evaluation
     y_ref: np.ndarray
     dy_ref: np.ndarray
     ddy_ref: np.ndarray
     err: TaskError
 
+    @property
+    def terms(self) -> DynamicsTerms:
+        return self.evaluation.terms
+
+    @property
+    def ts(self) -> TaskState:
+        return self.evaluation.ts
+
 
 def _evaluate_step(model: RobotModel, state: RobotState, ref: Reference) -> _StepData:
-    terms = bias_terms(model, state)
-    ts = task_state(model, state)
+    ev = evaluate(model, state)
     y_ref, dy_ref, ddy_ref = ref.at(state.t)
-    err = TaskError(e=ts.y - y_ref, de=ts.dy - dy_ref)
-    return _StepData(terms=terms, ts=ts, y_ref=y_ref, dy_ref=dy_ref,
-                     ddy_ref=ddy_ref, err=err)
+    err = TaskError(e=ev.ts.y - y_ref, de=ev.ts.dy - dy_ref)
+    return _StepData(evaluation=ev, y_ref=y_ref, dy_ref=dy_ref, ddy_ref=ddy_ref, err=err)
 
 
 def clf_qp_step(model: RobotModel, state: RobotState, ref: Reference, gains,
@@ -320,7 +347,7 @@ def _finish_qp_step(model, data, clf, sol, u_slice, mu_of, delta_of, u_hold, sta
     if sol.status is QpStatus.INFEASIBLE:
         u = u_hold if u_hold is not None else np.zeros(model.m)
         u = _clamp(u, model)
-        qdd = solve_inertia(data.terms.M, model.B @ u - data.terms.h)
+        qdd = solve_inertia(data.terms, model.B @ u - data.terms.h)
         mu = data.ts.J @ qdd + data.ts.dJ @ state.dq - data.ddy_ref
         delta = np.nan
     else:
@@ -330,7 +357,7 @@ def _finish_qp_step(model, data, clf, sol, u_slice, mu_of, delta_of, u_hold, sta
     v, vdot = _certificate_values(clf, data.err, mu)
     log = ControlStepLog(u=u, mu=mu, delta=delta, V=v, Vdot=vdot,
                          qp_status=sol.status.value, solve_time=sol.solve_time,
-                         saturated=_saturation_mask(u, model))
+                         saturated=_saturation_mask(u, model), evaluation=data.evaluation)
     return u, log, sol
 
 
@@ -366,7 +393,7 @@ def uic_step(model: RobotModel, state: RobotState, ref: Reference, gains,
 def _impedance_torque(model, state, data, gains, uic: bool) -> np.ndarray:
     jac, djac = data.ts.J, data.ts.dJ
     terms = data.terms
-    minv_jt = solve_inertia(terms.M, jac.T)
+    minv_jt = solve_inertia(terms, jac.T)
     lam_inv = jac @ minv_jt
     lam = np.linalg.inv(lam_inv + LAMBDA_REG * np.eye(model.task_dim))
 
@@ -388,17 +415,18 @@ def _impedance_torque(model, state, data, gains, uic: bool) -> np.ndarray:
 
 def _finish_closed_form(model, state, data, clf, u_cmd):
     u = _clamp(u_cmd, model)
-    qdd = solve_inertia(data.terms.M, model.B @ u - data.terms.h)
+    qdd = solve_inertia(data.terms, model.B @ u - data.terms.h)
     mu = data.ts.J @ qdd + data.ts.dJ @ state.dq - data.ddy_ref
     v, vdot = _certificate_values(clf, data.err, mu)
     log = ControlStepLog(u=u, mu=mu, delta=0.0, V=v, Vdot=vdot,
                          qp_status="ClosedForm", solve_time=0.0,
-                         saturated=_saturation_mask(u, model))
+                         saturated=_saturation_mask(u, model), evaluation=data.evaluation)
     return u, log
 
 
 class _ControllerBase:
-    """Owns hold/warm-start state for one simulation thread."""
+    """Owns hold/warm-start state for one episode at a time; ``reset``
+    clears it between episodes."""
 
     name = ""
     uses_qp = False

@@ -10,7 +10,6 @@ the same ellipse at constant angular rate, two full cycles per episode.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +26,6 @@ SETPOINT_T_END = 10.0
 DIVERGENCE_FACTOR = 2.0          # |e| beyond this multiple of L means divergence
 SPEED_LIMIT = 1e3                # rad/s; joint-space divergence guard
 INFEASIBLE_WINDOW = 1.0          # s of persistent infeasibility before failing
-
-THREADS_ENV = "CLFQP_THREADS"
 
 
 @dataclass(frozen=True)
@@ -216,13 +213,6 @@ def _persistent_infeasibility(traj: Trajectory, cfg: SimConfig) -> str:
     return ""
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def setpoint_suite(robot, controller: str, thetas=THETA_GRID,
                    sim_overrides: dict | None = None
                    ) -> tuple[MetricSummary, list[Trajectory]]:
@@ -248,7 +238,7 @@ def setpoint_suite(robot, controller: str, thetas=THETA_GRID,
         return EpisodeResult(parameter=theta, trajectory=traj, metric=err_cm,
                              failed=failed, failure_reason=traj.failure_reason)
 
-    results = _map_ordered(episode, thetas)
+    results = [episode(theta) for theta in thetas]
     summary.episodes = results
     return summary, [r.trajectory for r in results]
 
@@ -278,19 +268,9 @@ def tracking_suite(robot, controller: str, omegas=OMEGA_GRID,
         return EpisodeResult(parameter=omega, trajectory=traj, metric=mse,
                              failed=failed, failure_reason=traj.failure_reason)
 
-    results = _map_ordered(episode, omegas)
+    results = [episode(omega) for omega in omegas]
     summary.episodes = results
     return summary, [r.trajectory for r in results]
-
-
-def _map_ordered(fn, values):
-    """Run episodes (possibly in parallel) and collect in grid order."""
-    values = list(values)
-    workers = _threads()
-    if workers == 1 or len(values) <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, values))
 
 
 # ---------------------------------------------------------------------------

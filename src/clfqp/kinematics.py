@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import pinv
-from .multibody import RobotModel, RobotState, chain_motion, chain_pose, cross3
+from .multibody import (ChainMotion, ChainPose, RobotModel, RobotState, chain_motion,
+                        chain_pose, cross3)
 
 
 def task_rows(model: RobotModel) -> np.ndarray:
@@ -72,10 +73,18 @@ class TaskState:
     N: np.ndarray
 
 
-def task_state(model: RobotModel, state: RobotState) -> TaskState:
-    """Evaluate the full task-space snapshot at a robot state."""
-    pose = chain_pose(model, state.q)
-    motion = chain_motion(pose, state.dq)
+def task_state(model: RobotModel, state: RobotState, pose: ChainPose | None = None,
+               motion: ChainMotion | None = None) -> TaskState:
+    """Evaluate the full task-space snapshot at a robot state.
+
+    ``pose`` and ``motion`` may carry the chain passes already made at this
+    state (for example those kept by ``bias_terms``); missing ones are
+    computed here.
+    """
+    if pose is None:
+        pose = chain_pose(model, state.q)
+    if motion is None:
+        motion = chain_motion(pose, state.dq)
     rows = task_rows(model)
     jac = _full_jacobian(pose)[rows]
     dj = _dj_full(pose, motion)[rows]

@@ -14,6 +14,13 @@ origin at the link's joint and the link extends along local -z, so q = 0 is
 a straight chain hanging along gravity. The inertia matrix comes from the
 composite-rigid-body recursion and the bias forces from recursive
 Newton-Euler passes, both evaluated in world coordinates.
+
+``bias_terms`` keeps the pose and motion pass it was computed from, so the
+task-space maps at the same state reuse them instead of rebuilding the
+chain. The inertia guard (eigenvalue condition check against COND_LIMIT)
+and the Cholesky factorisation run once per evaluated M: the terms keep
+the guarded factor, and every ``solve_inertia`` given those terms reuses
+it.
 """
 
 from __future__ import annotations
@@ -73,17 +80,27 @@ class RobotState:
 @dataclass(frozen=True)
 class DynamicsTerms:
     """The dynamics quintuple at one state: inertia matrix plus the four
-    generalized-force vectors (Coriolis, damping, stiffness, gravity)."""
+    generalized-force vectors (Coriolis, damping, stiffness, gravity).
+
+    ``pose`` and ``motion`` are the chain passes the terms were computed
+    from, when known."""
 
     M: np.ndarray
     c_vec: np.ndarray
     d_vec: np.ndarray
     k_vec: np.ndarray
     g_vec: np.ndarray
+    pose: ChainPose | None = field(default=None, repr=False, compare=False)
+    motion: ChainMotion | None = field(default=None, repr=False, compare=False)
 
     @property
     def h(self) -> np.ndarray:
         return self.c_vec + self.d_vec + self.k_vec + self.g_vec
+
+    @cached_property
+    def factor(self):
+        """Guarded Cholesky factor of M, made on first use."""
+        return factor_inertia(self.M)
 
 
 _BALL_AXES = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
@@ -182,6 +199,8 @@ class _CompiledChain:
     inertia_local: np.ndarray  # (n, 3) diagonal about COM
     ee_local: np.ndarray       # (3,)  end-effector point in last element frame
     gravity: np.ndarray        # (3,)
+    axis_outer: np.ndarray     # (n, 3, 3) axis axis' per element
+    axis_skew: np.ndarray      # (n, 3, 3) cross-product matrix of each axis
 
 
 def _compile_chain(model: RobotModel) -> _CompiledChain:
@@ -200,10 +219,12 @@ def _compile_chain(model: RobotModel) -> _CompiledChain:
         prev_tip = np.array([0.0, 0.0, -link.length])
     ee = (np.asarray(model.ee_offset, dtype=float) if model.ee_offset is not None
           else prev_tip)
+    axes = np.array(axes)
     return _CompiledChain(
-        offsets=np.array(offsets), axes=np.array(axes), mass=np.array(mass),
+        offsets=np.array(offsets), axes=axes, mass=np.array(mass),
         com_local=np.array(com), inertia_local=np.array(inertia),
-        ee_local=ee, gravity=np.asarray(model.gravity, dtype=float))
+        ee_local=ee, gravity=np.asarray(model.gravity, dtype=float),
+        axis_outer=axes[:, :, None] * axes[:, None, :], axis_skew=_skew(axes))
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,15 +239,20 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rodrigues(axis: np.ndarray, angle: float) -> np.ndarray:
-    x, y, z = axis
-    c, s = np.cos(angle), np.sin(angle)
-    v = 1.0 - c
-    return np.array([
-        [c + x * x * v, x * y * v - z * s, x * z * v + y * s],
-        [y * x * v + z * s, c + y * y * v, y * z * v - x * s],
-        [z * x * v - y * s, z * y * v + x * s, c + z * z * v],
-    ])
+_DIAG = np.arange(3)
+
+
+def _rodrigues_stack(ch: _CompiledChain, angles: np.ndarray) -> np.ndarray:
+    """Elementary rotation of every element, (n, 3, 3): R = c I + (1 - c) a a'
+    + s [a]x about each element's axis a.
+
+    Each entry is (a_i a_j) (1 - c) + [a]x_ij s, plus c on the diagonal:
+    the products and sums of the per-entry Rodrigues formula, so the result
+    is bitwise that of evaluating the formula one DOF at a time."""
+    c, s = np.cos(angles), np.sin(angles)
+    rot = ch.axis_outer * (1.0 - c)[:, None, None] + ch.axis_skew * s[:, None, None]
+    rot[:, _DIAG, _DIAG] += c[:, None]
+    return rot
 
 
 @dataclass
@@ -247,18 +273,17 @@ class ChainPose:
 def chain_pose(model: RobotModel, q: np.ndarray) -> ChainPose:
     """Forward pass: world placement of every element at configuration q."""
     ch = model._chain
-    n = ch.axes.shape[0]
-    axes_w = np.empty((n, 3))
-    origins = np.empty((n, 3))
-    rot = np.empty((n, 3, 3))
+    # Only the running product stays sequential; its order fixes the rounding.
     r = np.eye(3)
-    p = np.zeros(3)
-    for k in range(n):
-        p = p + r @ ch.offsets[k]
-        axes_w[k] = r @ ch.axes[k]
-        r = r @ _rodrigues(ch.axes[k], q[k])
-        origins[k] = p
-        rot[k] = r
+    frames = [r]
+    for elementary in _rodrigues_stack(ch, q):
+        r = r @ elementary
+        frames.append(r)
+    frames = np.array(frames)
+    rot = frames[1:]
+    rot_prev = frames[:-1]     # parent frame of each element, identity first
+    axes_w = (rot_prev @ ch.axes[:, :, None])[:, :, 0]
+    origins = np.cumsum((rot_prev @ ch.offsets[:, :, None])[:, :, 0], axis=0)
     com_w = origins + np.einsum("kij,kj->ki", rot, ch.com_local)
     inertia_w = np.einsum("kij,kj,klj->kil", rot, ch.inertia_local, rot)
     ee = origins[-1] + rot[-1] @ ch.ee_local
@@ -373,7 +398,7 @@ def bias_terms(model: RobotModel, state: RobotState) -> DynamicsTerms:
     c_vec = _inverse_dynamics_zero_qdd(pose, motion, with_gravity=False)
     g_vec = _inverse_dynamics_zero_qdd(pose, None, with_gravity=True)
     return DynamicsTerms(M=mass, c_vec=c_vec, d_vec=model.D_s * state.dq,
-                         k_vec=model.K_s * state.q, g_vec=g_vec)
+                         k_vec=model.K_s * state.q, g_vec=g_vec, pose=pose, motion=motion)
 
 
 def h_vector(model: RobotModel, state: RobotState) -> np.ndarray:
@@ -381,13 +406,23 @@ def h_vector(model: RobotModel, state: RobotState) -> np.ndarray:
     return bias_terms(model, state).h
 
 
-def solve_inertia(mass: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs by Cholesky, guarding against a degenerate M."""
+def factor_inertia(mass: np.ndarray):
+    """Cholesky factor of M, guarding against a degenerate M."""
     w = np.linalg.eigvalsh(mass)
     if w[0] <= 0.0 or w[-1] / w[0] > COND_LIMIT:
         raise IllConditioned(
             f"inertia matrix condition {w[-1] / max(w[0], 1e-300):.2e} exceeds {COND_LIMIT:.0e}")
-    factor = scipy.linalg.cho_factor(mass, lower=True, check_finite=False)
+    return scipy.linalg.cho_factor(mass, lower=True, check_finite=False)
+
+
+def solve_inertia(mass: np.ndarray | DynamicsTerms, rhs: np.ndarray) -> np.ndarray:
+    """Solve M x = rhs by Cholesky, guarding against a degenerate M.
+
+    ``mass`` is M itself or the DynamicsTerms holding it; terms keep their
+    guarded factor, so repeated solves with one evaluation skip the guard
+    and the factorisation.
+    """
+    factor = mass.factor if isinstance(mass, DynamicsTerms) else factor_inertia(mass)
     return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
@@ -396,11 +431,12 @@ def forward_dynamics(model: RobotModel, state: RobotState, u: np.ndarray,
     """Joint accelerations qdd = M^-1 (B u - h).
 
     Input bounds are the controllers' business, not enforced here. Passing
-    precomputed terms avoids re-evaluating the chain.
+    precomputed terms avoids re-evaluating the chain and reuses their
+    guarded factor of M.
     """
     if terms is None:
         terms = bias_terms(model, state)
-    return solve_inertia(terms.M, model.B @ np.asarray(u, dtype=float) - terms.h)
+    return solve_inertia(terms, model.B @ np.asarray(u, dtype=float) - terms.h)
 
 
 def gravitational_potential(model: RobotModel, q: np.ndarray) -> float:

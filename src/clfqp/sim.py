@@ -4,6 +4,12 @@ Control inputs update every ``control_decimation`` physics steps and are
 held constant in between (zero-order hold). State and per-step diagnostics
 are logged at the control rate; a non-finite state aborts the run and the
 partial trajectory is returned with a failure marker.
+
+Each state is evaluated once. A controller step returns its evaluation of
+the state in its log; the logged task position and velocity come from it,
+and the first physics step after the control update reuses its dynamics
+terms (RK4 stage k1, or the semi-implicit update), including the guarded
+Cholesky factor of M, so the inertia guard runs once per evaluated M.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 from .controllers import ControlStepLog, Reference
 from .kinematics import task_rows, task_state
-from .multibody import RobotModel, RobotState, bias_terms, forward_dynamics
+from .multibody import DynamicsTerms, RobotModel, RobotState, bias_terms, forward_dynamics
 
 INTEGRATORS = ("rk4", "semi-implicit-euler")
 
@@ -44,23 +50,26 @@ class SimConfig:
 
 
 def step(model: RobotModel, state: RobotState, u: np.ndarray,
-         cfg: SimConfig) -> RobotState:
+         cfg: SimConfig, terms: DynamicsTerms | None = None) -> RobotState:
     """Advance one physics step under a constant input.
 
     The semi-implicit integrator treats the diagonal joint damping term
     implicitly (velocity update solves (M + dt D) v' = M v + dt (Bu - rest)),
     which stays stable for damping far stiffer than an explicit step allows.
+    ``terms``, if given, are the dynamics already evaluated at ``state``; the
+    step then starts from them instead of re-evaluating the chain.
     """
     dt = cfg.dt_physics
     q, dq = state.q, state.dq
     if cfg.integrator == "semi-implicit-euler":
-        terms = bias_terms(model, state)
+        if terms is None:
+            terms = bias_terms(model, state)
         rest = terms.c_vec + terms.k_vec + terms.g_vec
         lhs = terms.M + dt * np.diag(model.D_s)
         dq_next = np.linalg.solve(lhs, terms.M @ dq + dt * (model.B @ u - rest))
         q_next = q + dt * dq_next
     else:
-        k1d = forward_dynamics(model, state, u)
+        k1d = forward_dynamics(model, state, u, terms=terms)
         k1q = dq
         k2d = forward_dynamics(model, RobotState(q + 0.5 * dt * k1q, dq + 0.5 * dt * k1d,
                                                  state.t), u)
@@ -165,7 +174,9 @@ def run(model: RobotModel, controller, reference: Reference, cfg: SimConfig,
     try:
         for k in range(n_ctrl):
             u, log = controller.step(state, reference)
-            ts = task_state(model, state)
+            ev = log.evaluation
+            shared = ev is not None and ev.state is state
+            ts = ev.ts if shared else task_state(model, state)
             y_ref_k = np.asarray(reference.y_ref(state.t), dtype=float)
             traj.t[k] = state.t
             traj.q[k] = state.q
@@ -185,8 +196,10 @@ def run(model: RobotModel, controller, reference: Reference, cfg: SimConfig,
                 reason = stop_condition(state, ts.y - y_ref_k)
                 if reason:
                     raise _EarlyStop(reason)
+            terms = ev.terms if shared else None
             for _ in range(cfg.control_decimation):
-                state = step(model, state, u, cfg)
+                state = step(model, state, u, cfg, terms=terms)
+                terms = None
     except NonFinite as exc:
         traj.failed = True
         traj.failure_reason = str(exc)

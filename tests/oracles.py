@@ -143,3 +143,44 @@ def christoffel_coriolis(mass_fn, q, dq, h=1e-6):
             for k in range(n):
                 C[i, j] += 0.5 * (dM[i, j, k] + dM[i, k, j] - dM[k, j, i]) * dq[k]
     return C
+
+
+def _rodrigues(axis, angle):
+    x, y, z = axis
+    c, s = np.cos(angle), np.sin(angle)
+    v = 1.0 - c
+    return np.array([
+        [c + x * x * v, x * y * v - z * s, x * z * v + y * s],
+        [y * x * v + z * s, c + y * y * v, y * z * v - x * s],
+        [z * x * v - y * s, z * y * v + x * s, c + z * z * v],
+    ])
+
+
+def loop_chain_pose(chain, q):
+    """World placement of every elementary DOF, one Rodrigues rotation per
+    DOF in a Python loop. ``chain`` holds the per-DOF arrays of a compiled
+    robot (offsets, axes, mass, com_local, inertia_local, ee_local, gravity);
+    the result maps each ChainPose field name to its array."""
+    n = chain.axes.shape[0]
+    axes_w = np.empty((n, 3))
+    origins = np.empty((n, 3))
+    rot = np.empty((n, 3, 3))
+    r = np.eye(3)
+    p = np.zeros(3)
+    for k in range(n):
+        p = p + r @ chain.offsets[k]
+        axes_w[k] = r @ chain.axes[k]
+        r = r @ _rodrigues(chain.axes[k], q[k])
+        origins[k] = p
+        rot[k] = r
+    return {
+        "axes_w": axes_w,
+        "origins": origins,
+        "rot": rot,
+        "com_w": origins + np.einsum("kij,kj->ki", rot, chain.com_local),
+        "inertia_w": np.einsum("kij,kj,klj->kil", rot, chain.inertia_local, rot),
+        "mass": chain.mass,
+        "ee": origins[-1] + rot[-1] @ chain.ee_local,
+        "gravity": chain.gravity,
+        "offsets_w": np.diff(origins, axis=0, prepend=np.zeros((1, 3))),
+    }

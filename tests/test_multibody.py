@@ -1,11 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from clfqp import multibody, sim
+from clfqp.controllers import Reference, make_controller
 from clfqp.multibody import (
+    ChainPose,
     DynamicsTerms,
     IllConditioned,
     RobotState,
     bias_terms,
+    chain_pose,
     forward_dynamics,
     gravitational_potential,
     h_vector,
@@ -13,8 +19,9 @@ from clfqp.multibody import (
     solve_inertia,
     total_energy,
 )
+from clfqp.robots import GainSet, builtin_registry
 
-from oracles import christoffel_coriolis, fd_gradient, two_link_mass_matrix
+from oracles import christoffel_coriolis, fd_gradient, loop_chain_pose, two_link_mass_matrix
 from toys import ball_chain, pendulum, rk4_rollout, two_link, two_link_params
 
 
@@ -45,6 +52,20 @@ class TestMassMatrix:
             for _ in range(10):
                 m = mass_matrix(model, rng.uniform(-1.0, 1.0, model.n))
                 assert np.linalg.eigvalsh(m)[0] > 0.0
+
+
+class TestChainPose:
+    @pytest.mark.parametrize("name", ["finger", "helix", "spirob", "ball_chain", "two_link"])
+    def test_matches_per_dof_loop(self, name):
+        toys = {"ball_chain": ball_chain, "two_link": two_link}
+        model = toys[name]() if name in toys else builtin_registry()[name].load()[0]
+        rng = np.random.default_rng(3)
+        for scale in (1e-3, 0.5, 1.0, 4.0):
+            q = rng.uniform(-scale, scale, model.n)
+            pose = chain_pose(model, q)
+            expected = loop_chain_pose(model._chain, q)
+            for f in dataclasses.fields(ChainPose):
+                assert np.array_equal(getattr(pose, f.name), expected[f.name]), f.name
 
 
 class TestBiasTerms:
@@ -154,6 +175,52 @@ class TestForwardDynamics:
     def test_ill_conditioned_raises(self):
         with pytest.raises(IllConditioned):
             solve_inertia(np.diag([1.0, 1e-14]), np.ones(2))
+
+
+class TestInertiaGuard:
+    """The condition guard runs once per evaluated M and still fires on every
+    path that solves with M."""
+
+    model = two_link()
+    state = RobotState(np.array([0.3, -0.2]), np.array([0.5, -0.1]))
+
+    @pytest.fixture
+    def strict(self, monkeypatch):
+        # any M that is not a multiple of the identity now fails the guard
+        monkeypatch.setattr(multibody, "COND_LIMIT", 1.0)
+
+    def test_guard_runs_once_per_evaluation(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        terms = bias_terms(self.model, self.state)
+        first = solve_inertia(terms, np.ones(2))
+        second = solve_inertia(terms, np.eye(2))
+        assert len(calls) == 1
+        assert np.array_equal(first, solve_inertia(terms.M, np.ones(2)))
+        assert np.array_equal(second, solve_inertia(terms.M, np.eye(2)))
+
+    def test_forward_dynamics(self, strict):
+        model, state = self.model, self.state
+        with pytest.raises(IllConditioned):
+            forward_dynamics(model, state, np.zeros(2))
+        with pytest.raises(IllConditioned):
+            forward_dynamics(model, state, np.zeros(2), terms=bias_terms(model, state))
+
+    def test_sim_step(self, strict):
+        model, state = self.model, self.state
+        with pytest.raises(IllConditioned):
+            sim.step(model, state, np.zeros(2), sim.SimConfig())
+        with pytest.raises(IllConditioned):
+            sim.step(model, state, np.zeros(2), sim.SimConfig(), terms=bias_terms(model, state))
+
+    @pytest.mark.parametrize("controller", ["clf-qp", "ic"])
+    def test_controller_step(self, strict, controller):
+        gains = GainSet(kp=100.0, eps=0.1, w1=1.0, w2=0.1, w3=0.05, w4=0.05,
+                        rho=1000.0, d_null=1.0)
+        ctrl = make_controller(controller, self.model, gains)
+        with pytest.raises(IllConditioned):
+            ctrl.step(self.state, Reference.setpoint(np.array([0.2, -0.1])))
 
 
 class TestEnergy:
