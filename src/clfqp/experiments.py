@@ -16,7 +16,7 @@ import numpy as np
 
 from .controllers import Reference, make_controller
 from .multibody import RobotModel, RobotState
-from .robots import GainSet, RobotSpecFile, builtin_registry
+from .robots import RobotSpecFile, builtin_registry
 from .sim import SimConfig, Trajectory, run
 
 THETA_GRID = tuple(t * np.pi for t in (0.0, 0.5, 1.0, 1.5))
@@ -144,28 +144,24 @@ class MetricSummary:
         return text
 
 
-def _resolve_robot(robot) -> tuple[RobotModel, dict[str, GainSet], dict]:
-    """Accept a builtin name or a RobotSpecFile; return model, gains, and
-    the spec's simulation preferences."""
+def _resolve_spec(robot) -> RobotSpecFile:
+    """Accept a builtin name or a RobotSpecFile; return the spec."""
     if isinstance(robot, RobotSpecFile):
-        spec = robot
-    else:
-        registry = builtin_registry()
-        if robot not in registry:
-            raise KeyError(f"unknown robot {robot!r}; built-ins: {sorted(registry)}")
-        spec = registry[robot]
-    model, gains = spec.load()
-    return model, gains, dict(spec.data.get("sim", {}))
+        return robot
+    registry = builtin_registry()
+    if robot not in registry:
+        raise KeyError(f"unknown robot {robot!r}; built-ins: {sorted(registry)}")
+    return registry[robot]
 
 
 def sim_config_for(robot, t_end: float, overrides: dict | None = None) -> SimConfig:
     """SimConfig from the robot spec's sim section plus overrides.
 
-    An explicit t_end override departs from the benchmark protocol and is
-    meant for smoke tests; it is echoed in the output metadata like any
-    other override.
+    Only the spec document is read; the model is not built. An explicit
+    t_end override departs from the benchmark protocol and is meant for
+    smoke tests; it is echoed in the output metadata like any other override.
     """
-    _, _, prefs = _resolve_robot(robot)
+    prefs = dict(_resolve_spec(robot).data.get("sim", {}))
     prefs.update(overrides or {})
     return SimConfig(dt_physics=float(prefs.get("dt_physics", 1e-3)),
                      control_decimation=int(prefs.get("control_decimation", 1)),
@@ -217,14 +213,15 @@ def setpoint_suite(robot, controller: str, thetas=THETA_GRID,
                    sim_overrides: dict | None = None
                    ) -> tuple[MetricSummary, list[Trajectory]]:
     """Run the set-point episodes; final error is |y(t_end) - y_ref| in cm."""
-    model, gains, _ = _resolve_robot(robot)
+    spec = _resolve_spec(robot)
+    model, gains = spec.load()
     params = EllipseParams.for_robot(model)
     for theta in thetas:
         target = np.linalg.norm(ellipse_point(params, theta))
         reach = model.L if model.name != "spirob" else 0.75 * model.L + params.a
         if target > reach + 1e-9:
             raise ValueError(f"set point at {target:.3f} m exceeds reach {reach:.3f} m")
-    cfg = sim_config_for(robot, SETPOINT_T_END, sim_overrides)
+    cfg = sim_config_for(spec, SETPOINT_T_END, sim_overrides)
     summary = MetricSummary(robot=model.name, controller=controller, experiment="setpoint")
 
     def episode(theta):
@@ -248,13 +245,14 @@ def tracking_suite(robot, controller: str, omegas=OMEGA_GRID,
                    ) -> tuple[MetricSummary, list[Trajectory]]:
     """Run the tracking episodes (two cycles each); metric is the mean over
     control-rate samples of |y - y_ref|^2 in cm^2."""
-    model, gains, _ = _resolve_robot(robot)
+    spec = _resolve_spec(robot)
+    model, gains = spec.load()
     params = EllipseParams.for_robot(model)
     summary = MetricSummary(robot=model.name, controller=controller, experiment="tracking")
 
     def episode(omega):
         t_end = 4.0 * np.pi / omega
-        cfg = sim_config_for(robot, t_end, sim_overrides)
+        cfg = sim_config_for(spec, t_end, sim_overrides)
         ref = ellipse_trajectory(params, omega, model.task_dim)
         meta = dict(robot=model.name, controller=controller,
                     experiment="tracking", omega=omega)

@@ -17,10 +17,19 @@ Newton-Euler passes, both evaluated in world coordinates.
 
 ``bias_terms`` keeps the pose and motion pass it was computed from, so the
 task-space maps at the same state reuse them instead of rebuilding the
-chain. The inertia guard (eigenvalue condition check against COND_LIMIT)
-and the Cholesky factorisation run once per evaluated M: the terms keep
-the guarded factor, and every ``solve_inertia`` given those terms reuses
-it.
+chain. One state evaluation runs the pose pass, the motion pass, the
+composite-rigid-body pass and a single Newton-Euler pass that carries the
+Coriolis and the gravity loads side by side on a leading axis; each is a
+fixed handful of array operations, whatever the chain length.
+
+The inertia guard and the Cholesky factorisation run once per evaluated M:
+the terms keep the guarded factor, and every ``solve_inertia`` given those
+terms reuses it. Both call LAPACK (``dpotrf``, ``dpotrs``, ``dtrtri``)
+directly. The guard rejects an M that is not positive definite or whose
+condition number exceeds COND_LIMIT; it first tries the cheap upper bound
+cond(M) <= trace(M) ||L^-1||_F^2 from the factor L, and only when that bound
+does not settle the question runs the exact eigenvalue check. Both
+integrators in ``sim`` run the guard once per evaluated M.
 """
 
 from __future__ import annotations
@@ -29,10 +38,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 GRAVITY_DEFAULT = (0.0, 0.0, -9.81)
 COND_LIMIT = 1e12
+# The trace bound settles the guard only when it is within this fraction of
+# COND_LIMIT, which leaves room for its rounding error near the limit.
+_BOUND_MARGIN = 0.5
 
 
 class IllConditioned(RuntimeError):
@@ -201,6 +213,9 @@ class _CompiledChain:
     gravity: np.ndarray        # (3,)
     axis_outer: np.ndarray     # (n, 3, 3) axis axis' per element
     axis_skew: np.ndarray      # (n, 3, 3) cross-product matrix of each axis
+    f_gravity: np.ndarray      # (n, 3) gravity load -m g on each body
+    spatial_rest: np.ndarray   # (n, 6, 6) zeros but m I in the lower-right block
+    lower: np.ndarray          # (n, n) bool, lower triangle with the diagonal
 
 
 def _compile_chain(model: RobotModel) -> _CompiledChain:
@@ -220,26 +235,33 @@ def _compile_chain(model: RobotModel) -> _CompiledChain:
     ee = (np.asarray(model.ee_offset, dtype=float) if model.ee_offset is not None
           else prev_tip)
     axes = np.array(axes)
+    mass = np.array(mass)
+    gravity = np.asarray(model.gravity, dtype=float)
     return _CompiledChain(
-        offsets=np.array(offsets), axes=axes, mass=np.array(mass),
+        offsets=np.array(offsets), axes=axes, mass=mass,
         com_local=np.array(com), inertia_local=np.array(inertia),
-        ee_local=ee, gravity=np.asarray(model.gravity, dtype=float),
-        axis_outer=axes[:, :, None] * axes[:, None, :], axis_skew=_skew(axes))
+        ee_local=ee, gravity=gravity,
+        axis_outer=axes[:, :, None] * axes[:, None, :], axis_skew=_skew(axes),
+        f_gravity=-mass[:, None] * gravity[None, :],
+        spatial_rest=np.pad(mass[:, None, None] * np.eye(3), ((0, 0), (3, 0), (3, 0))),
+        lower=np.tri(len(axes), dtype=bool))
+
+
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise 3-vector cross product; much cheaper than np.cross for the
-    small stacked arrays used throughout the recursions."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+    """Cross product over the last axis, broadcasting the leading ones; much
+    cheaper than np.cross for the small stacked arrays of the recursions.
+
+    Component i is a[i+1] b[i+2] - a[i+2] b[i+1] (indices mod 3), the same
+    products and differences as the component-wise formula."""
+    return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
 
 
 _DIAG = np.arange(3)
+_EYE3 = np.eye(3)
 
 
 def _rodrigues_stack(ch: _CompiledChain, angles: np.ndarray) -> np.ndarray:
@@ -274,7 +296,7 @@ def chain_pose(model: RobotModel, q: np.ndarray) -> ChainPose:
     """Forward pass: world placement of every element at configuration q."""
     ch = model._chain
     # Only the running product stays sequential; its order fixes the rounding.
-    r = np.eye(3)
+    r = _EYE3
     frames = [r]
     for elementary in _rodrigues_stack(ch, q):
         r = r @ elementary
@@ -287,7 +309,9 @@ def chain_pose(model: RobotModel, q: np.ndarray) -> ChainPose:
     com_w = origins + np.einsum("kij,kj->ki", rot, ch.com_local)
     inertia_w = np.einsum("kij,kj,klj->kil", rot, ch.inertia_local, rot)
     ee = origins[-1] + rot[-1] @ ch.ee_local
-    offsets_w = np.diff(origins, axis=0, prepend=np.zeros((1, 3)))
+    offsets_w = np.empty_like(origins)    # np.diff from a zero origin
+    offsets_w[0] = origins[0]
+    np.subtract(origins[1:], origins[:-1], out=offsets_w[1:])
     return ChainPose(axes_w=axes_w, origins=origins, rot=rot, com_w=com_w,
                      inertia_w=inertia_w, mass=ch.mass, ee=ee,
                      gravity=ch.gravity, offsets_w=offsets_w)
@@ -309,94 +333,93 @@ def chain_motion(pose: ChainPose, dq: np.ndarray) -> ChainMotion:
     spin = pose.axes_w * dq[:, None]
     omega = np.cumsum(spin, axis=0)
     omega_prev = omega - spin
-    domega = np.cumsum(cross3(omega_prev, spin), axis=0)
-    domega_prev = domega - cross3(omega_prev, spin)
+    w_spin = cross3(omega_prev, spin)
+    domega = np.cumsum(w_spin, axis=0)
+    domega_prev = domega - w_spin
 
     d = pose.offsets_w
-    v_origin = np.cumsum(cross3(omega_prev, d), axis=0)
-    a_origin = np.cumsum(
-        cross3(domega_prev, d) + cross3(omega_prev, cross3(omega_prev, d)),
-        axis=0)
+    w_d = cross3(omega_prev, d)
+    v_origin = np.cumsum(w_d, axis=0)
+    a_origin = np.cumsum(cross3(domega_prev, d) + cross3(omega_prev, w_d), axis=0)
 
     arm = pose.com_w - pose.origins
-    v_com = v_origin + cross3(omega, arm)
-    a_com = a_origin + cross3(domega, arm) + cross3(omega, cross3(omega, arm))
+    w_arm = cross3(omega, arm)
+    v_com = v_origin + w_arm
+    a_com = a_origin + cross3(domega, arm) + cross3(omega, w_arm)
     return ChainMotion(omega=omega, domega=domega, v_origin=v_origin,
                        a_origin=a_origin, v_com=v_com, a_com=a_com)
 
 
+# Row-major entries of [v]x: the component of v each takes (3 is a zero
+# column for the diagonal) and its sign.
+_SKEW_SRC = np.array([3, 2, 1, 2, 3, 0, 1, 0, 3])
+_SKEW_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+
+
 def _skew(v: np.ndarray) -> np.ndarray:
     """Stacked skew matrices for an (n, 3) array."""
-    n = v.shape[0]
-    s = np.zeros((n, 3, 3))
-    s[:, 0, 1] = -v[:, 2]
-    s[:, 0, 2] = v[:, 1]
-    s[:, 1, 0] = v[:, 2]
-    s[:, 1, 2] = -v[:, 0]
-    s[:, 2, 0] = -v[:, 1]
-    s[:, 2, 1] = v[:, 0]
-    return s
+    padded = np.concatenate((v, np.zeros((v.shape[0], 1))), axis=1)
+    return (padded.take(_SKEW_SRC, 1) * _SKEW_SIGN).reshape(-1, 3, 3)
 
 
-def _mass_matrix_from_pose(pose: ChainPose) -> np.ndarray:
-    n = pose.axes_w.shape[0]
-    s_motion = np.hstack([pose.axes_w, cross3(pose.origins, pose.axes_w)])
+def _mass_matrix_from_pose(pose: ChainPose, ch: _CompiledChain) -> np.ndarray:
+    s_motion = np.concatenate((pose.axes_w, cross3(pose.origins, pose.axes_w)), axis=1)
 
     cx = _skew(pose.com_w)
     m = pose.mass[:, None, None]
-    spatial = np.zeros((n, 6, 6))
-    spatial[:, :3, :3] = pose.inertia_w + m * np.einsum("kij,klj->kil", cx, cx)
-    spatial[:, :3, 3:] = m * cx
-    spatial[:, 3:, :3] = -m * cx
-    spatial[:, 3:, 3:] = m * np.eye(3)
+    m_cx = m * cx
+    spatial = ch.spatial_rest.copy()    # m I already in the lower-right block
+    np.add(pose.inertia_w, m * np.einsum("kij,klj->kil", cx, cx), out=spatial[:, :3, :3])
+    spatial[:, :3, 3:] = m_cx
+    np.negative(m_cx, out=spatial[:, 3:, :3])
 
     composite = np.cumsum(spatial[::-1], axis=0)[::-1]
     f = np.einsum("kij,kj->ki", composite, s_motion)
     full = f @ s_motion.T
-    mass = np.tril(full) + np.tril(full, -1).T
-    return mass
+    # Mirror the lower triangle; + 0.0 turns a -0.0 entry into +0.0.
+    return np.where(ch.lower, full, full.T) + 0.0
 
 
 def mass_matrix(model: RobotModel, q: np.ndarray) -> np.ndarray:
     """Joint-space inertia matrix via the composite-rigid-body recursion."""
-    return _mass_matrix_from_pose(chain_pose(model, np.asarray(q, dtype=float)))
+    return _mass_matrix_from_pose(chain_pose(model, np.asarray(q, dtype=float)),
+                                  model._chain)
 
 
-def _inverse_dynamics_zero_qdd(pose: ChainPose, motion: ChainMotion | None,
-                               with_gravity: bool) -> np.ndarray:
-    """Joint torques from Newton-Euler with qdd = 0.
-
-    With motion=None the chain is at rest and only gravity loads appear.
-    """
-    if motion is None:
-        f_body = -pose.mass[:, None] * pose.gravity[None, :] * (1.0 if with_gravity else 0.0)
-        n_body = np.zeros_like(f_body)
-    else:
-        g = pose.gravity if with_gravity else np.zeros(3)
-        f_body = pose.mass[:, None] * (motion.a_com - g[None, :])
-        iw = pose.inertia_w
-        n_body = (np.einsum("kij,kj->ki", iw, motion.domega)
-                  + cross3(motion.omega, np.einsum("kij,kj->ki", iw, motion.omega)))
-
-    moment_origin = n_body + cross3(pose.com_w, f_body)
-    f_sub = np.cumsum(f_body[::-1], axis=0)[::-1]
-    m_sub = np.cumsum(moment_origin[::-1], axis=0)[::-1]
+def _inverse_dynamics_zero_qdd(pose: ChainPose, motion: ChainMotion,
+                               f_gravity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coriolis and gravity joint torques from one Newton-Euler pass with
+    qdd = 0, run on a leading axis of length 2: the Coriolis half moves with
+    ``motion`` under zero gravity, the gravity half is at rest under the
+    body loads ``f_gravity`` (-m g)."""
+    iw = pose.inertia_w
+    n = iw.shape[0]
+    loads = np.empty((2, 2, n, 3))    # (force, moment) x (Coriolis, gravity)
+    f_body, moment_origin = loads
+    np.multiply(pose.mass[:, None], motion.a_com, out=f_body[0])
+    f_body[1] = f_gravity
+    moment_origin[...] = cross3(pose.com_w, f_body)
+    moment_origin[0] += (np.einsum("kij,kj->ki", iw, motion.domega)
+                         + cross3(motion.omega, np.einsum("kij,kj->ki", iw, motion.omega)))
+    moment_origin[1] += 0.0    # the rest pass adds a zero body moment
+    f_sub, m_sub = np.cumsum(loads[:, :, ::-1], axis=2)[:, :, ::-1]
     n_joint = m_sub - cross3(pose.origins, f_sub)
-    return np.einsum("ki,ki->k", pose.axes_w, n_joint)
+    return (np.einsum("ki,ki->k", pose.axes_w, n_joint[0]),
+            np.einsum("ki,ki->k", pose.axes_w, n_joint[1]))
 
 
 def bias_terms(model: RobotModel, state: RobotState) -> DynamicsTerms:
     """All dynamics terms at a state.
 
     Coriolis forces come from a Newton-Euler pass with zero acceleration and
-    zero gravity, gravity from a rest pass; damping and stiffness are the
-    diagonal restoring forces D_s qd and K_s q.
+    zero gravity, gravity from a rest pass (both in one stacked pass);
+    damping and stiffness are the diagonal restoring forces D_s qd and K_s q.
     """
+    ch = model._chain
     pose = chain_pose(model, state.q)
     motion = chain_motion(pose, state.dq)
-    mass = _mass_matrix_from_pose(pose)
-    c_vec = _inverse_dynamics_zero_qdd(pose, motion, with_gravity=False)
-    g_vec = _inverse_dynamics_zero_qdd(pose, None, with_gravity=True)
+    mass = _mass_matrix_from_pose(pose, ch)
+    c_vec, g_vec = _inverse_dynamics_zero_qdd(pose, motion, ch.f_gravity)
     return DynamicsTerms(M=mass, c_vec=c_vec, d_vec=model.D_s * state.dq,
                          k_vec=model.K_s * state.q, g_vec=g_vec, pose=pose, motion=motion)
 
@@ -406,13 +429,32 @@ def h_vector(model: RobotModel, state: RobotState) -> np.ndarray:
     return bias_terms(model, state).h
 
 
-def factor_inertia(mass: np.ndarray):
-    """Cholesky factor of M, guarding against a degenerate M."""
+def factor_inertia(mass: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of M (upper triangle zero), guarding against a
+    degenerate M.
+
+    M is rejected with IllConditioned unless it is positive definite with
+    condition number at most COND_LIMIT, the rule of the exact eigenvalue
+    check. Since trace(M) >= lambda_max and ||L^-1||_F^2 = trace(M^-1) >=
+    1 / lambda_min, the bound trace(M) ||L^-1||_F^2 is never below cond(M);
+    when it lies within _BOUND_MARGIN * COND_LIMIT, M passes without an
+    eigenvalue decomposition. Otherwise, or when the factorisation or the
+    triangular inverse fails, the eigenvalue check decides, and a failed
+    factorisation never returns a factor.
+    """
+    factor, info = dpotrf(mass, lower=1)
+    if info == 0:
+        inv, inv_info = dtrtri(factor, lower=1)
+        inv = inv.ravel("K")
+        if inv_info == 0 and np.trace(mass) * (inv @ inv) <= _BOUND_MARGIN * COND_LIMIT:
+            return factor
     w = np.linalg.eigvalsh(mass)
     if w[0] <= 0.0 or w[-1] / w[0] > COND_LIMIT:
         raise IllConditioned(
             f"inertia matrix condition {w[-1] / max(w[0], 1e-300):.2e} exceeds {COND_LIMIT:.0e}")
-    return scipy.linalg.cho_factor(mass, lower=True, check_finite=False)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"inertia matrix factorisation failed (potrf info {info})")
+    return factor
 
 
 def solve_inertia(mass: np.ndarray | DynamicsTerms, rhs: np.ndarray) -> np.ndarray:
@@ -423,7 +465,10 @@ def solve_inertia(mass: np.ndarray | DynamicsTerms, rhs: np.ndarray) -> np.ndarr
     and the factorisation.
     """
     factor = mass.factor if isinstance(mass, DynamicsTerms) else factor_inertia(mass)
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    x, info = dpotrs(factor, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
 
 
 def forward_dynamics(model: RobotModel, state: RobotState, u: np.ndarray,

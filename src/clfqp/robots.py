@@ -81,9 +81,13 @@ class RobotSpecFile:
         return _build_model(self.data, source=self.name)
 
 
+# libyaml's parser when PyYAML was built with it; same safe constructors.
+_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _parse_document(text: str, source: str) -> dict:
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_SafeLoader)
     except yaml.YAMLError as exc:
         raise ParseError(f"{source}: invalid YAML: {exc}") from exc
     if not isinstance(data, dict):

@@ -9,7 +9,8 @@ Each state is evaluated once. A controller step returns its evaluation of
 the state in its log; the logged task position and velocity come from it,
 and the first physics step after the control update reuses its dynamics
 terms (RK4 stage k1, or the semi-implicit update), including the guarded
-Cholesky factor of M, so the inertia guard runs once per evaluated M.
+Cholesky factor of M, so the inertia guard runs once per evaluated M under
+either integrator.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ def step(model: RobotModel, state: RobotState, u: np.ndarray,
 
     The semi-implicit integrator treats the diagonal joint damping term
     implicitly (velocity update solves (M + dt D) v' = M v + dt (Bu - rest)),
-    which stays stable for damping far stiffer than an explicit step allows.
+    which stays stable for damping far stiffer than an explicit step allows;
+    M itself still passes the inertia guard first, as in the RK4 step.
     ``terms``, if given, are the dynamics already evaluated at ``state``; the
     step then starts from them instead of re-evaluating the chain.
     """
@@ -64,6 +66,7 @@ def step(model: RobotModel, state: RobotState, u: np.ndarray,
     if cfg.integrator == "semi-implicit-euler":
         if terms is None:
             terms = bias_terms(model, state)
+        terms.factor  # inertia guard on M; the update below solves with M + dt D
         rest = terms.c_vec + terms.k_vec + terms.g_vec
         lhs = terms.M + dt * np.diag(model.D_s)
         dq_next = np.linalg.solve(lhs, terms.M @ dq + dt * (model.B @ u - rest))

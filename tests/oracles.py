@@ -184,3 +184,67 @@ def loop_chain_pose(chain, q):
         "gravity": chain.gravity,
         "offsets_w": np.diff(origins, axis=0, prepend=np.zeros((1, 3))),
     }
+
+
+def ten_cross_chain_motion(pose, dq):
+    """Velocity pass at (q, dq) with qdd = 0, written with one np.cross per
+    cross product it needs (ten, three of them repeated); returns a dict
+    keyed by ChainMotion field name."""
+    spin = pose.axes_w * dq[:, None]
+    omega = np.cumsum(spin, axis=0)
+    omega_prev = omega - spin
+    domega = np.cumsum(np.cross(omega_prev, spin), axis=0)
+    domega_prev = domega - np.cross(omega_prev, spin)
+    d = pose.offsets_w
+    v_origin = np.cumsum(np.cross(omega_prev, d), axis=0)
+    a_origin = np.cumsum(
+        np.cross(domega_prev, d) + np.cross(omega_prev, np.cross(omega_prev, d)), axis=0)
+    arm = pose.com_w - pose.origins
+    v_com = v_origin + np.cross(omega, arm)
+    a_com = a_origin + np.cross(domega, arm) + np.cross(omega, np.cross(omega, arm))
+    return {"omega": omega, "domega": domega, "v_origin": v_origin,
+            "a_origin": a_origin, "v_com": v_com, "a_com": a_com}
+
+
+def two_pass_inverse_dynamics(pose, motion, with_gravity):
+    """Joint torques from Newton-Euler with qdd = 0, one pass per call:
+    the moving chain without gravity, or (motion=None) the chain at rest
+    under gravity."""
+    if motion is None:
+        f_body = -pose.mass[:, None] * pose.gravity[None, :] * (1.0 if with_gravity else 0.0)
+        n_body = np.zeros_like(f_body)
+    else:
+        g = pose.gravity if with_gravity else np.zeros(3)
+        f_body = pose.mass[:, None] * (motion.a_com - g[None, :])
+        iw = pose.inertia_w
+        n_body = (np.einsum("kij,kj->ki", iw, motion.domega)
+                  + np.cross(motion.omega, np.einsum("kij,kj->ki", iw, motion.omega)))
+    moment_origin = n_body + np.cross(pose.com_w, f_body)
+    f_sub = np.cumsum(f_body[::-1], axis=0)[::-1]
+    m_sub = np.cumsum(moment_origin[::-1], axis=0)[::-1]
+    n_joint = m_sub - np.cross(pose.origins, f_sub)
+    return np.einsum("ki,ki->k", pose.axes_w, n_joint)
+
+
+def tril_mass_matrix(pose):
+    """Composite-rigid-body inertia matrix, symmetrised by mirroring its
+    lower triangle with np.tril."""
+    n = pose.axes_w.shape[0]
+    s_motion = np.hstack([pose.axes_w, np.cross(pose.origins, pose.axes_w)])
+    cx = np.zeros((n, 3, 3))
+    cx[:, 0, 1] = -pose.com_w[:, 2]
+    cx[:, 0, 2] = pose.com_w[:, 1]
+    cx[:, 1, 0] = pose.com_w[:, 2]
+    cx[:, 1, 2] = -pose.com_w[:, 0]
+    cx[:, 2, 0] = -pose.com_w[:, 1]
+    cx[:, 2, 1] = pose.com_w[:, 0]
+    m = pose.mass[:, None, None]
+    spatial = np.zeros((n, 6, 6))
+    spatial[:, :3, :3] = pose.inertia_w + m * np.einsum("kij,klj->kil", cx, cx)
+    spatial[:, :3, 3:] = m * cx
+    spatial[:, 3:, :3] = -m * cx
+    spatial[:, 3:, 3:] = m * np.eye(3)
+    composite = np.cumsum(spatial[::-1], axis=0)[::-1]
+    f = np.einsum("kij,kj->ki", composite, s_motion)
+    full = f @ s_motion.T
+    return np.tril(full) + np.tril(full, -1).T

@@ -6,12 +6,16 @@ import pytest
 from clfqp import multibody, sim
 from clfqp.controllers import Reference, make_controller
 from clfqp.multibody import (
+    COND_LIMIT,
+    ChainMotion,
     ChainPose,
     DynamicsTerms,
     IllConditioned,
     RobotState,
     bias_terms,
     chain_pose,
+    cross3,
+    factor_inertia,
     forward_dynamics,
     gravitational_potential,
     h_vector,
@@ -21,8 +25,29 @@ from clfqp.multibody import (
 )
 from clfqp.robots import GainSet, builtin_registry
 
-from oracles import christoffel_coriolis, fd_gradient, loop_chain_pose, two_link_mass_matrix
+from oracles import (
+    christoffel_coriolis,
+    fd_gradient,
+    loop_chain_pose,
+    ten_cross_chain_motion,
+    tril_mass_matrix,
+    two_link_mass_matrix,
+    two_pass_inverse_dynamics,
+)
 from toys import ball_chain, pendulum, rk4_rollout, two_link, two_link_params
+
+MODELS = ["finger", "helix", "spirob", "ball_chain", "two_link"]
+
+
+def load_model(name):
+    toys = {"ball_chain": ball_chain, "two_link": two_link}
+    return toys[name]() if name in toys else builtin_registry()[name].load()[0]
+
+
+def bitwise_equal(a, b) -> bool:
+    """Same shape and the same float64 bit patterns, signed zeros included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestMassMatrix:
@@ -55,10 +80,9 @@ class TestMassMatrix:
 
 
 class TestChainPose:
-    @pytest.mark.parametrize("name", ["finger", "helix", "spirob", "ball_chain", "two_link"])
+    @pytest.mark.parametrize("name", MODELS)
     def test_matches_per_dof_loop(self, name):
-        toys = {"ball_chain": ball_chain, "two_link": two_link}
-        model = toys[name]() if name in toys else builtin_registry()[name].load()[0]
+        model = load_model(name)
         rng = np.random.default_rng(3)
         for scale in (1e-3, 0.5, 1.0, 4.0):
             q = rng.uniform(-scale, scale, model.n)
@@ -66,6 +90,47 @@ class TestChainPose:
             expected = loop_chain_pose(model._chain, q)
             for f in dataclasses.fields(ChainPose):
                 assert np.array_equal(getattr(pose, f.name), expected[f.name]), f.name
+
+
+class TestCross3:
+    @pytest.mark.parametrize("n", [1, 4, 36])
+    def test_matches_np_cross_bitwise(self, n):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((2, n, 3))
+        b = rng.standard_normal((n, 3))
+        # zeros of both signs and repeated components exercise signed zeros
+        a[0, 0] = (0.0, -0.0, 1.0)
+        b[-1] = (-0.0, 0.0, 0.0)
+        for x, y in ((a[0], b), (a[1], b[0]), (a, b), (b, a[1]), (b[0], a)):
+            assert bitwise_equal(cross3(x, y), np.cross(x, y))
+
+
+class TestReshapedDynamics:
+    """The merged cross products, the stacked Newton-Euler pass and the
+    masked symmetrisation reproduce their one-pass-per-term forms bit for
+    bit, signed zeros included."""
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_matches_unmerged_passes(self, name):
+        model = load_model(name)
+        rng = np.random.default_rng(12)
+        for scale in (0.0, 1e-3, 0.5, 1.0, 4.0):
+            q = rng.uniform(-scale, scale, model.n)
+            for dq in (np.zeros(model.n), rng.uniform(-3.0 * scale, 3.0 * scale, model.n)):
+                terms = bias_terms(model, RobotState(q, dq))
+                pose = chain_pose(model, q)
+                motion = ten_cross_chain_motion(pose, dq)
+                for f in dataclasses.fields(ChainMotion):
+                    assert bitwise_equal(getattr(terms.motion, f.name), motion[f.name]), f.name
+                motion = terms.motion
+                expected = dict(
+                    M=tril_mass_matrix(pose),
+                    c_vec=two_pass_inverse_dynamics(pose, motion, with_gravity=False),
+                    d_vec=model.D_s * dq,
+                    k_vec=model.K_s * q,
+                    g_vec=two_pass_inverse_dynamics(pose, None, with_gravity=True))
+                for key, value in expected.items():
+                    assert bitwise_equal(getattr(terms, key), value), (key, scale)
 
 
 class TestBiasTerms:
@@ -190,15 +255,67 @@ class TestInertiaGuard:
         monkeypatch.setattr(multibody, "COND_LIMIT", 1.0)
 
     def test_guard_runs_once_per_evaluation(self, monkeypatch):
-        calls = []
+        factor_calls, eig_calls = [], []
+        factor = multibody.factor_inertia
         eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        monkeypatch.setattr(multibody, "factor_inertia",
+                            lambda m: factor_calls.append(1) or factor(m))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eig_calls.append(1) or eigvalsh(a))
         terms = bias_terms(self.model, self.state)
         first = solve_inertia(terms, np.ones(2))
         second = solve_inertia(terms, np.eye(2))
-        assert len(calls) == 1
+        assert len(factor_calls) == 1
+        # the trace bound settles a well-conditioned M without eigenvalues
+        assert eig_calls == []
         assert np.array_equal(first, solve_inertia(terms.M, np.ones(2)))
         assert np.array_equal(second, solve_inertia(terms.M, np.eye(2)))
+
+    @pytest.mark.parametrize("n", [2, 6, 27])
+    def test_raises_exactly_when_eigenvalue_rule_does(self, n):
+        rng = np.random.default_rng(n)
+        conds = list(np.logspace(0.0, 16.0, 33))
+        conds += [COND_LIMIT * (1.0 + r) for r in (-0.1, -1e-3, -1e-6, -1e-9, 0.0,
+                                                   1e-9, 1e-6, 1e-3, 0.1)]
+        conds += [multibody._BOUND_MARGIN * COND_LIMIT * (1.0 + r) for r in (-1e-3, 0.0, 1e-3)]
+        for cond in conds:
+            basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            spectrum = np.exp(rng.uniform(0.0, np.log(cond), n))
+            spectrum[:2] = (1.0, cond)
+            m = (basis * spectrum) @ basis.T
+            m = 0.5 * (m + m.T)
+            w = np.linalg.eigvalsh(m)
+            if w[0] <= 0.0 or w[-1] / w[0] > COND_LIMIT:
+                with pytest.raises(IllConditioned):
+                    factor_inertia(m)
+            else:
+                low = factor_inertia(m)
+                assert np.array_equal(low, np.tril(low))
+                assert np.allclose(low @ low.T, m, rtol=1e-12, atol=1e-12 * w[-1])
+
+    def test_indefinite_and_singular_raise(self):
+        basis, _ = np.linalg.qr(np.random.default_rng(13).standard_normal((4, 4)))
+        for spectrum in ([2.0, 1.0, 0.5, -0.5], [1.0, 1.0, 1.0, 0.0], [-1.0, -2.0, -3.0, -4.0]):
+            with pytest.raises(IllConditioned):
+                factor_inertia((basis * spectrum) @ basis.T)
+
+    def test_failed_factorisation_never_returns_a_factor(self, monkeypatch):
+        m = bias_terms(self.model, self.state).M
+        monkeypatch.setattr(multibody, "dpotrf", lambda a, lower: (np.zeros_like(a), 1))
+        # M itself is well conditioned, so the eigenvalue check passes it
+        with pytest.raises(np.linalg.LinAlgError):
+            factor_inertia(m)
+        with pytest.raises(IllConditioned):
+            factor_inertia(np.diag([1.0, 1e-14]))
+
+    def test_failed_inverse_falls_back_to_eigenvalues(self, monkeypatch):
+        m = bias_terms(self.model, self.state).M
+        expected = factor_inertia(m)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        monkeypatch.setattr(multibody, "dtrtri", lambda c, lower: (c, 1))
+        assert np.array_equal(factor_inertia(m), expected)
+        assert len(calls) == 1
 
     def test_forward_dynamics(self, strict):
         model, state = self.model, self.state
@@ -207,12 +324,14 @@ class TestInertiaGuard:
         with pytest.raises(IllConditioned):
             forward_dynamics(model, state, np.zeros(2), terms=bias_terms(model, state))
 
-    def test_sim_step(self, strict):
+    @pytest.mark.parametrize("integrator", sim.INTEGRATORS)
+    def test_sim_step(self, strict, integrator):
         model, state = self.model, self.state
+        cfg = sim.SimConfig(integrator=integrator)
         with pytest.raises(IllConditioned):
-            sim.step(model, state, np.zeros(2), sim.SimConfig())
+            sim.step(model, state, np.zeros(2), cfg)
         with pytest.raises(IllConditioned):
-            sim.step(model, state, np.zeros(2), sim.SimConfig(), terms=bias_terms(model, state))
+            sim.step(model, state, np.zeros(2), cfg, terms=bias_terms(model, state))
 
     @pytest.mark.parametrize("controller", ["clf-qp", "ic"])
     def test_controller_step(self, strict, controller):

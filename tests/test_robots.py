@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import yaml
 
 from clfqp.robots import (
     GainSet,
@@ -106,6 +107,12 @@ class TestParsing:
     def test_invalid_yaml(self):
         with pytest.raises(ParseError):
             loads_robot("links: [unclosed")
+        with pytest.raises(ParseError, match="invalid YAML"):
+            loads_robot(MINIMAL + "bounds: {min: [0.0\n")
+
+    def test_builtin_specs_parse_like_safe_load(self):
+        for name, spec in builtin_registry().items():
+            assert spec.data == yaml.safe_load(spec.text), name
 
     def test_wrong_schema_version(self):
         with pytest.raises(ParseError, match="schema_version"):
@@ -168,8 +175,6 @@ class TestRouting:
         act = {k: dict(v) for k, v in doc["actuation"].items()}
         act["spiral_cables"]["spiral_rates_deg"] = [0.0, 0.0, 0.0]
         doc = dict(doc, actuation=act)
-        import yaml
-
         with pytest.raises(ValidationError, match="rank"):
             loads_robot(yaml.safe_dump(doc))
 
