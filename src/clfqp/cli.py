@@ -23,7 +23,8 @@ EXIT_FAILED_CONVERGENCE = 2
 EXIT_USAGE = 64
 EXIT_VALIDATION = 65
 
-SIM_KEYS = {"dt_physics": float, "control_decimation": int, "integrator": str}
+SIM_KEYS = {"dt_physics": float, "control_decimation": int, "integrator": str,
+            "t_end": float}
 GAIN_KEYS = {"kp": float, "eps": float, "w1": float, "w2": float, "w3": float,
              "w4": float, "rho": float, "d_null": float}
 

@@ -77,20 +77,28 @@ class Reference:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """The chain evaluated once at a state: dynamics terms (with the guarded
-    factor of M, made on first use) and the task-space snapshot, both from
-    one pose and motion pass."""
+    """The chain of ``model`` evaluated once at a state: dynamics terms
+    (with the guarded factor of M, made on first use) and the task-space
+    snapshot, both from one pose and motion pass."""
 
     state: RobotState
     terms: DynamicsTerms
     ts: TaskState
+    model: RobotModel
 
 
 def evaluate(model: RobotModel, state: RobotState) -> Evaluation:
-    """Dynamics terms and task state at ``state`` from one chain pass."""
+    """Dynamics terms and task state at ``state`` from one chain pass.
+
+    An evaluation the state carries (a lockstep run attaches one row of its
+    stacked pass) is returned instead when it was made for this very state
+    and model."""
+    ev = state.evaluation
+    if ev is not None and ev.state is state and ev.model is model:
+        return ev
     terms = bias_terms(model, state)
     ts = task_state(model, state, pose=terms.pose, motion=terms.motion)
-    return Evaluation(state=state, terms=terms, ts=ts)
+    return Evaluation(state=state, terms=terms, ts=ts, model=model)
 
 
 @dataclass
@@ -368,49 +376,61 @@ def _certificate_values(clf, err, mu):
     return clf_value(clf, err), a0 + float(a1 @ mu)
 
 
+def actuation_maps(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B^+ and I - B B^+, the projector onto the joint torques B cannot
+    produce; fixed per robot, so the closed-form controllers make them once."""
+    b_pinv = pinv(b)
+    return b_pinv, np.eye(b.shape[0]) - b @ b_pinv
+
+
 def impedance_step(model: RobotModel, state: RobotState, ref: Reference, gains,
-                   clf: ClfData | None = None) -> tuple[np.ndarray, ControlStepLog]:
+                   clf: ClfData | None = None,
+                   maps: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> tuple[np.ndarray, ControlStepLog]:
     """Operational-space impedance law with full potential cancellation.
 
     Computes the task wrench f = Lambda ydd_des + h_task from PD error
     dynamics (kd = 2 sqrt(kp)), then clamps u = B^+ (J'f + D qd + K q + g)
-    to the input box.
+    to the input box. ``maps`` are ``actuation_maps(model.B)``, when known.
     """
     data = _evaluate_step(model, state, ref)
-    u_cmd = _impedance_torque(model, state, data, gains, uic=False)
+    maps = actuation_maps(model.B) if maps is None else maps
+    u_cmd = _impedance_torque(model, state, data, gains, maps, uic=False)
     return _finish_closed_form(model, state, data, clf, u_cmd)
 
 
 def uic_step(model: RobotModel, state: RobotState, ref: Reference, gains,
-             clf: ClfData | None = None) -> tuple[np.ndarray, ControlStepLog]:
+             clf: ClfData | None = None,
+             maps: tuple[np.ndarray, np.ndarray] | None = None
+             ) -> tuple[np.ndarray, ControlStepLog]:
     """Impedance law with unactuated torque components removed through the
-    null-space correction tau_null = -[(I - Ip) N]^+ (I - Ip) J'f."""
+    null-space correction tau_null = -[(I - Ip) N]^+ (I - Ip) J'f, where
+    Ip = B B^+. ``maps`` are ``actuation_maps(model.B)``, when known."""
     data = _evaluate_step(model, state, ref)
-    u_cmd = _impedance_torque(model, state, data, gains, uic=True)
+    maps = actuation_maps(model.B) if maps is None else maps
+    u_cmd = _impedance_torque(model, state, data, gains, maps, uic=True)
     return _finish_closed_form(model, state, data, clf, u_cmd)
 
 
-def _impedance_torque(model, state, data, gains, uic: bool) -> np.ndarray:
+def _impedance_torque(model, state, data, gains, maps, uic: bool) -> np.ndarray:
     jac, djac = data.ts.J, data.ts.dJ
     terms = data.terms
+    b_pinv, blocked = maps
     minv_jt = solve_inertia(terms, jac.T)
     lam_inv = jac @ minv_jt
     lam = np.linalg.inv(lam_inv + LAMBDA_REG * np.eye(model.task_dim))
 
     ydd_des = data.ddy_ref - gains.kd * data.err.de - gains.kp * data.err.e
-    h_task = pinv(jac).T @ terms.c_vec - lam @ (djac @ state.dq)
+    h_task = data.ts.J_pinv.T @ terms.c_vec - lam @ (djac @ state.dq)
     wrench = lam @ ydd_des + h_task
 
     tau_task = jac.T @ wrench
     if uic:
-        # projector onto the actuated torque subspace range(B)
-        i_p = model.B @ pinv(model.B)
         nproj = data.ts.N
-        blocked = (np.eye(model.n) - i_p)
         tau_null = -pinv(blocked @ nproj) @ (blocked @ tau_task)
         tau_task = tau_task + nproj @ tau_null
     tau = tau_task + terms.d_vec + terms.k_vec + terms.g_vec
-    return pinv(model.B) @ tau
+    return b_pinv @ tau
 
 
 def _finish_closed_form(model, state, data, clf, u_cmd):
@@ -494,15 +514,20 @@ class IcQpController(_ControllerBase):
 class ImpedanceController(_ControllerBase):
     name = "ic"
 
+    def __init__(self, model, gains):
+        self.maps = actuation_maps(model.B)
+        super().__init__(model, gains)
+
     def step(self, state, ref):
-        return impedance_step(self.model, state, ref, self.gains, clf=self.clf)
+        return impedance_step(self.model, state, ref, self.gains, clf=self.clf,
+                              maps=self.maps)
 
 
-class UnderactuatedImpedanceController(_ControllerBase):
+class UnderactuatedImpedanceController(ImpedanceController):
     name = "uic"
 
     def step(self, state, ref):
-        return uic_step(self.model, state, ref, self.gains, clf=self.clf)
+        return uic_step(self.model, state, ref, self.gains, clf=self.clf, maps=self.maps)
 
 
 CONTROLLER_CLASSES = {

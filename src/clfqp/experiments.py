@@ -5,6 +5,12 @@ export of trajectories.
 Set points sit on an ellipse in the xz-plane (semi axes L/3 and L/8, tilted
 45 degrees, center offset from the base along the tilt); tracking sweeps
 the same ellipse at constant angular rate, two full cycles per episode.
+
+A suite call hands all its episodes, one controller each, to one lockstep
+``sim.run``: their states are evaluated and integrated as the rows of one
+stacked chain pass per step, and each episode leaves the batch at its own
+t_end (tracking rates differ in length), on its stop condition or on a
+non-finite state. Every episode is bitwise what it would be run alone.
 """
 
 from __future__ import annotations
@@ -169,12 +175,9 @@ def sim_config_for(robot, t_end: float, overrides: dict | None = None) -> SimCon
                      t_end=float(prefs.get("t_end", t_end)))
 
 
-def _divergence_stop(model: RobotModel, dt_ctrl: float):
-    """Stop-condition closure: task divergence, joint-speed blowup, or
-    persistently infeasible control."""
+def _divergence_stop(model: RobotModel):
+    """Stop-condition closure: task divergence or joint-speed blowup."""
     limit = DIVERGENCE_FACTOR * model.L
-    state_box = {"infeasible": 0}
-    window = max(1, int(round(INFEASIBLE_WINDOW / dt_ctrl)))
 
     def check(state: RobotState, task_error: np.ndarray) -> str:
         if np.linalg.norm(task_error) > limit:
@@ -183,19 +186,23 @@ def _divergence_stop(model: RobotModel, dt_ctrl: float):
             return f"joint speed beyond {SPEED_LIMIT:.0e} rad/s"
         return ""
 
-    return check, state_box, window
+    return check
 
 
-def _run_episode(model, gains, controller_name, reference, cfg, meta) -> Trajectory:
-    controller = make_controller(controller_name, model, gains[controller_name])
-    check, _, _ = _divergence_stop(model, cfg.dt_physics * cfg.control_decimation)
-    traj = run(model, controller, reference, cfg, stop_condition=check, metadata=meta)
-    if not traj.failed:
-        reason = _persistent_infeasibility(traj, cfg)
-        if reason:
-            traj.failed = True
-            traj.failure_reason = reason
-    return traj
+def _run_episodes(model, gains, controller_name, references, cfgs, metas) -> list[Trajectory]:
+    """Run one suite's episodes in lockstep, one controller each; an episode
+    that ran to t_end fails when its QP stayed infeasible too long."""
+    controllers = [make_controller(controller_name, model, gains[controller_name])
+                   for _ in references]
+    trajs = run(model, controllers, references, cfgs, stop_condition=_divergence_stop(model),
+                metadata=metas)
+    for traj, cfg in zip(trajs, cfgs):
+        if not traj.failed:
+            reason = _persistent_infeasibility(traj, cfg)
+            if reason:
+                traj.failed = True
+                traj.failure_reason = reason
+    return trajs
 
 
 def _persistent_infeasibility(traj: Trajectory, cfg: SimConfig) -> str:
@@ -223,21 +230,19 @@ def setpoint_suite(robot, controller: str, thetas=THETA_GRID,
             raise ValueError(f"set point at {target:.3f} m exceeds reach {reach:.3f} m")
     cfg = sim_config_for(spec, SETPOINT_T_END, sim_overrides)
     summary = MetricSummary(robot=model.name, controller=controller, experiment="setpoint")
+    refs = [setpoint_reference(params, theta, model.task_dim) for theta in thetas]
+    metas = [dict(robot=model.name, controller=controller, experiment="setpoint",
+                  theta=theta) for theta in thetas]
+    trajs = _run_episodes(model, gains, controller, refs, [cfg] * len(refs), metas)
 
-    def episode(theta):
-        ref = setpoint_reference(params, theta, model.task_dim)
-        meta = dict(robot=model.name, controller=controller,
-                    experiment="setpoint", theta=theta)
-        traj = _run_episode(model, gains, controller, ref, cfg, meta)
+    for theta, traj in zip(thetas, trajs):
         target = _embed(ellipse_point(params, theta), model.task_dim)
         err_cm = float(np.linalg.norm(traj.final_task_position() - target) * 100.0)
         failed = traj.failed or not np.isfinite(err_cm)
-        return EpisodeResult(parameter=theta, trajectory=traj, metric=err_cm,
-                             failed=failed, failure_reason=traj.failure_reason)
-
-    results = [episode(theta) for theta in thetas]
-    summary.episodes = results
-    return summary, [r.trajectory for r in results]
+        summary.episodes.append(EpisodeResult(parameter=theta, trajectory=traj, metric=err_cm,
+                                              failed=failed,
+                                              failure_reason=traj.failure_reason))
+    return summary, trajs
 
 
 def tracking_suite(robot, controller: str, omegas=OMEGA_GRID,
@@ -249,26 +254,23 @@ def tracking_suite(robot, controller: str, omegas=OMEGA_GRID,
     model, gains = spec.load()
     params = EllipseParams.for_robot(model)
     summary = MetricSummary(robot=model.name, controller=controller, experiment="tracking")
+    cfgs = [sim_config_for(spec, 4.0 * np.pi / omega, sim_overrides) for omega in omegas]
+    refs = [ellipse_trajectory(params, omega, model.task_dim) for omega in omegas]
+    metas = [dict(robot=model.name, controller=controller, experiment="tracking",
+                  omega=omega) for omega in omegas]
+    trajs = _run_episodes(model, gains, controller, refs, cfgs, metas)
 
-    def episode(omega):
-        t_end = 4.0 * np.pi / omega
-        cfg = sim_config_for(spec, t_end, sim_overrides)
-        ref = ellipse_trajectory(params, omega, model.task_dim)
-        meta = dict(robot=model.name, controller=controller,
-                    experiment="tracking", omega=omega)
-        traj = _run_episode(model, gains, controller, ref, cfg, meta)
+    for omega, traj in zip(omegas, trajs):
         if len(traj):
             err = (traj.y - traj.y_ref) * 100.0
             mse = float(np.mean(np.sum(err ** 2, axis=1)))
         else:
             mse = float("nan")
         failed = traj.failed or not np.isfinite(mse)
-        return EpisodeResult(parameter=omega, trajectory=traj, metric=mse,
-                             failed=failed, failure_reason=traj.failure_reason)
-
-    results = [episode(omega) for omega in omegas]
-    summary.episodes = results
-    return summary, [r.trajectory for r in results]
+        summary.episodes.append(EpisodeResult(parameter=omega, trajectory=traj, metric=mse,
+                                              failed=failed,
+                                              failure_reason=traj.failure_reason))
+    return summary, trajs
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,24 @@ composite-rigid-body pass and a single Newton-Euler pass that carries the
 Coriolis and the gravity loads side by side on a leading axis; each is a
 fixed handful of array operations, whatever the chain length.
 
+The recursions take leading batch axes: ``chain_pose``, ``chain_motion``,
+the mass matrix, the Newton-Euler pass, ``bias_terms`` and
+``forward_dynamics`` accept q and dq of shape (..., n), so the states of
+several episodes (one row each) are evaluated in one pass, and without a
+leading axis they run on the shapes of one state. The passes stay the
+composite-rigid-body and Newton-Euler recursions (Featherstone, Rigid Body
+Dynamics Algorithms, 2008); only the axes they run over grow. Every row
+comes out bitwise as evaluated alone: the elementwise operations, cumsum,
+the einsums and the stacked matmuls keep each row's operations and order,
+and a matrix-vector product over rows is written ``matvec(a, x)``, i.e.
+(a @ x[..., None])[..., 0], whose rows keep the bits of a @ x (x @ a.T and
+an einsum over the batch do not).
+
 The inertia guard and the Cholesky factorisation run once per evaluated M:
 the terms keep the guarded factor, and every ``solve_inertia`` given those
 terms reuses it. Both call LAPACK (``dpotrf``, ``dpotrs``, ``dtrtri``)
-directly. The guard rejects an M that is not positive definite or whose
+directly, and for terms stacked along a leading axis they run row by row.
+The guard rejects an M that is not positive definite or whose
 condition number exceeds COND_LIMIT; it first tries the cheap upper bound
 cond(M) <= trace(M) ||L^-1||_F^2 from the factor L, and only when that bound
 does not settle the question runs the exact eigenvalue check. Both
@@ -76,16 +90,22 @@ class Joint:
 
 @dataclass(frozen=True)
 class RobotState:
-    """Joint positions [rad], velocities [rad/s], and time [s]."""
+    """Joint positions [rad], velocities [rad/s], and time [s].
+
+    ``evaluation`` may carry a ``controllers.Evaluation`` made beforehand
+    for exactly this state (a lockstep run evaluates all its episodes'
+    states in one stacked pass); it is used only while its ``state`` is this
+    very object."""
 
     q: np.ndarray
     dq: np.ndarray
     t: float = 0.0
+    evaluation: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         object.__setattr__(self, "dq", np.asarray(self.dq, dtype=float))
-        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.dq))):
+        if not (np.isfinite(self.q).all() and np.isfinite(self.dq).all()):
             raise ValueError("state entries must be finite")
 
 
@@ -111,8 +131,18 @@ class DynamicsTerms:
 
     @cached_property
     def factor(self):
-        """Guarded Cholesky factor of M, made on first use."""
-        return factor_inertia(self.M)
+        """Guarded Cholesky factor of M, made on first use. Terms stacked
+        along one leading axis hold the list of their rows' factors."""
+        if self.M.ndim == 2:
+            return factor_inertia(self.M)
+        return [row.factor for row in self.rows]
+
+    @cached_property
+    def rows(self) -> list[DynamicsTerms]:
+        """The terms of each row of terms stacked along one leading axis,
+        made once, so a row's factor serves the row and the stack alike."""
+        return [DynamicsTerms(*row)
+                for row in zip(self.M, self.c_vec, self.d_vec, self.k_vec, self.g_vec)]
 
 
 _BALL_AXES = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
@@ -260,26 +290,34 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
 
 
+def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x over the leading axes of either, for x of shape (..., k): each
+    row is bitwise the one-row product a @ x (``x @ a.T`` and an einsum are
+    not)."""
+    return (a @ x[..., None])[..., 0]
+
+
 _DIAG = np.arange(3)
 _EYE3 = np.eye(3)
 
 
 def _rodrigues_stack(ch: _CompiledChain, angles: np.ndarray) -> np.ndarray:
-    """Elementary rotation of every element, (n, 3, 3): R = c I + (1 - c) a a'
-    + s [a]x about each element's axis a.
+    """Elementary rotation of every element, (..., n, 3, 3): R = c I
+    + (1 - c) a a' + s [a]x about each element's axis a.
 
     Each entry is (a_i a_j) (1 - c) + [a]x_ij s, plus c on the diagonal:
     the products and sums of the per-entry Rodrigues formula, so the result
     is bitwise that of evaluating the formula one DOF at a time."""
     c, s = np.cos(angles), np.sin(angles)
-    rot = ch.axis_outer * (1.0 - c)[:, None, None] + ch.axis_skew * s[:, None, None]
-    rot[:, _DIAG, _DIAG] += c[:, None]
+    rot = ch.axis_outer * (1.0 - c)[..., None, None] + ch.axis_skew * s[..., None, None]
+    rot[..., _DIAG, _DIAG] += c[..., None]
     return rot
 
 
 @dataclass
 class ChainPose:
-    """World-frame kinematics of every elementary DOF at a configuration."""
+    """World-frame kinematics of every elementary DOF at a configuration;
+    all fields but ``mass`` and ``gravity`` lead with its batch axes."""
 
     axes_w: np.ndarray    # (n, 3) joint axes
     origins: np.ndarray   # (n, 3) joint origins
@@ -293,25 +331,32 @@ class ChainPose:
 
 
 def chain_pose(model: RobotModel, q: np.ndarray) -> ChainPose:
-    """Forward pass: world placement of every element at configuration q."""
+    """Forward pass: world placement of every element at configuration q,
+    of shape (..., n); every field gains the same leading axes."""
     ch = model._chain
     # Only the running product stays sequential; its order fixes the rounding.
+    # It steps along the elements (first axis after the swap), each product
+    # covering every leading index; the swap back restores the axis order.
+    rots = _rodrigues_stack(ch, q).swapaxes(0, -3)
     r = _EYE3
+    if rots.ndim > 3:      # the identity frame takes the leading axes
+        r = np.empty(rots.shape[1:])
+        r[...] = _EYE3
     frames = [r]
-    for elementary in _rodrigues_stack(ch, q):
+    for elementary in rots:
         r = r @ elementary
         frames.append(r)
-    frames = np.array(frames)
-    rot = frames[1:]
-    rot_prev = frames[:-1]     # parent frame of each element, identity first
-    axes_w = (rot_prev @ ch.axes[:, :, None])[:, :, 0]
-    origins = np.cumsum((rot_prev @ ch.offsets[:, :, None])[:, :, 0], axis=0)
-    com_w = origins + np.einsum("kij,kj->ki", rot, ch.com_local)
-    inertia_w = np.einsum("kij,kj,klj->kil", rot, ch.inertia_local, rot)
-    ee = origins[-1] + rot[-1] @ ch.ee_local
+    frames = np.ascontiguousarray(np.array(frames).swapaxes(0, -3))
+    rot = frames[..., 1:, :, :]
+    rot_prev = frames[..., :-1, :, :]     # parent frame of each element, identity first
+    axes_w = (rot_prev @ ch.axes[:, :, None])[..., 0]
+    origins = np.cumsum((rot_prev @ ch.offsets[:, :, None])[..., 0], axis=-2)
+    com_w = origins + np.einsum("...kij,kj->...ki", rot, ch.com_local)
+    inertia_w = np.einsum("...kij,kj,...klj->...kil", rot, ch.inertia_local, rot)
+    ee = origins[..., -1, :] + rot[..., -1, :, :] @ ch.ee_local
     offsets_w = np.empty_like(origins)    # np.diff from a zero origin
-    offsets_w[0] = origins[0]
-    np.subtract(origins[1:], origins[:-1], out=offsets_w[1:])
+    offsets_w[..., 0, :] = origins[..., 0, :]
+    np.subtract(origins[..., 1:, :], origins[..., :-1, :], out=offsets_w[..., 1:, :])
     return ChainPose(axes_w=axes_w, origins=origins, rot=rot, com_w=com_w,
                      inertia_w=inertia_w, mass=ch.mass, ee=ee,
                      gravity=ch.gravity, offsets_w=offsets_w)
@@ -319,7 +364,8 @@ def chain_pose(model: RobotModel, q: np.ndarray) -> ChainPose:
 
 @dataclass
 class ChainMotion:
-    """World-frame velocity pass at (q, dq), with zero joint acceleration."""
+    """World-frame velocity pass at (q, dq), with zero joint acceleration;
+    every field leads with the batch axes of (q, dq)."""
 
     omega: np.ndarray       # (n, 3) link angular velocities
     domega: np.ndarray      # (n, 3) angular accelerations for qdd = 0
@@ -330,17 +376,18 @@ class ChainMotion:
 
 
 def chain_motion(pose: ChainPose, dq: np.ndarray) -> ChainMotion:
-    spin = pose.axes_w * dq[:, None]
-    omega = np.cumsum(spin, axis=0)
+    """Velocity pass at the pose's configuration with velocities dq, (..., n)."""
+    spin = pose.axes_w * dq[..., None]
+    omega = np.cumsum(spin, axis=-2)
     omega_prev = omega - spin
     w_spin = cross3(omega_prev, spin)
-    domega = np.cumsum(w_spin, axis=0)
+    domega = np.cumsum(w_spin, axis=-2)
     domega_prev = domega - w_spin
 
     d = pose.offsets_w
     w_d = cross3(omega_prev, d)
-    v_origin = np.cumsum(w_d, axis=0)
-    a_origin = np.cumsum(cross3(domega_prev, d) + cross3(omega_prev, w_d), axis=0)
+    v_origin = np.cumsum(w_d, axis=-2)
+    a_origin = np.cumsum(cross3(domega_prev, d) + cross3(omega_prev, w_d), axis=-2)
 
     arm = pose.com_w - pose.origins
     w_arm = cross3(omega, arm)
@@ -357,27 +404,29 @@ _SKEW_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
-    """Stacked skew matrices for an (n, 3) array."""
-    padded = np.concatenate((v, np.zeros((v.shape[0], 1))), axis=1)
-    return (padded.take(_SKEW_SRC, 1) * _SKEW_SIGN).reshape(-1, 3, 3)
+    """Stacked skew matrices for an (..., 3) array."""
+    padded = np.concatenate((v, np.zeros(v.shape[:-1] + (1,))), axis=-1)
+    return (padded.take(_SKEW_SRC, -1) * _SKEW_SIGN).reshape(v.shape[:-1] + (3, 3))
 
 
 def _mass_matrix_from_pose(pose: ChainPose, ch: _CompiledChain) -> np.ndarray:
-    s_motion = np.concatenate((pose.axes_w, cross3(pose.origins, pose.axes_w)), axis=1)
+    s_motion = np.concatenate((pose.axes_w, cross3(pose.origins, pose.axes_w)), axis=-1)
 
     cx = _skew(pose.com_w)
     m = pose.mass[:, None, None]
     m_cx = m * cx
-    spatial = ch.spatial_rest.copy()    # m I already in the lower-right block
-    np.add(pose.inertia_w, m * np.einsum("kij,klj->kil", cx, cx), out=spatial[:, :3, :3])
-    spatial[:, :3, 3:] = m_cx
-    np.negative(m_cx, out=spatial[:, 3:, :3])
+    spatial = np.empty(cx.shape[:-2] + (6, 6))
+    spatial[...] = ch.spatial_rest      # m I already in the lower-right block
+    np.add(pose.inertia_w, m * np.einsum("...kij,...klj->...kil", cx, cx),
+           out=spatial[..., :3, :3])
+    spatial[..., :3, 3:] = m_cx
+    np.negative(m_cx, out=spatial[..., 3:, :3])
 
-    composite = np.cumsum(spatial[::-1], axis=0)[::-1]
-    f = np.einsum("kij,kj->ki", composite, s_motion)
-    full = f @ s_motion.T
+    composite = np.cumsum(spatial[..., ::-1, :, :], axis=-3)[..., ::-1, :, :]
+    f = np.einsum("...kij,...kj->...ki", composite, s_motion)
+    full = f @ s_motion.swapaxes(-1, -2)
     # Mirror the lower triangle; + 0.0 turns a -0.0 entry into +0.0.
-    return np.where(ch.lower, full, full.T) + 0.0
+    return np.where(ch.lower, full, full.swapaxes(-1, -2)) + 0.0
 
 
 def mass_matrix(model: RobotModel, q: np.ndarray) -> np.ndarray:
@@ -393,23 +442,24 @@ def _inverse_dynamics_zero_qdd(pose: ChainPose, motion: ChainMotion,
     ``motion`` under zero gravity, the gravity half is at rest under the
     body loads ``f_gravity`` (-m g)."""
     iw = pose.inertia_w
-    n = iw.shape[0]
-    loads = np.empty((2, 2, n, 3))    # (force, moment) x (Coriolis, gravity)
+    loads = np.empty((2, 2) + iw.shape[:-2] + (3,))   # (force, moment) x (Coriolis, gravity)
     f_body, moment_origin = loads
     np.multiply(pose.mass[:, None], motion.a_com, out=f_body[0])
     f_body[1] = f_gravity
     moment_origin[...] = cross3(pose.com_w, f_body)
-    moment_origin[0] += (np.einsum("kij,kj->ki", iw, motion.domega)
-                         + cross3(motion.omega, np.einsum("kij,kj->ki", iw, motion.omega)))
+    moment_origin[0] += (np.einsum("...kij,...kj->...ki", iw, motion.domega)
+                         + cross3(motion.omega,
+                                  np.einsum("...kij,...kj->...ki", iw, motion.omega)))
     moment_origin[1] += 0.0    # the rest pass adds a zero body moment
-    f_sub, m_sub = np.cumsum(loads[:, :, ::-1], axis=2)[:, :, ::-1]
+    f_sub, m_sub = np.cumsum(loads[..., ::-1, :], axis=-2)[..., ::-1, :]
     n_joint = m_sub - cross3(pose.origins, f_sub)
-    return (np.einsum("ki,ki->k", pose.axes_w, n_joint[0]),
-            np.einsum("ki,ki->k", pose.axes_w, n_joint[1]))
+    return (np.einsum("...ki,...ki->...k", pose.axes_w, n_joint[0]),
+            np.einsum("...ki,...ki->...k", pose.axes_w, n_joint[1]))
 
 
 def bias_terms(model: RobotModel, state: RobotState) -> DynamicsTerms:
-    """All dynamics terms at a state.
+    """All dynamics terms at a state: a RobotState, or any object whose q
+    and dq share a shape (..., n), stacked terms then.
 
     Coriolis forces come from a Newton-Euler pass with zero acceleration and
     zero gravity, gravity from a rest pass (both in one stacked pass);
@@ -462,9 +512,16 @@ def solve_inertia(mass: np.ndarray | DynamicsTerms, rhs: np.ndarray) -> np.ndarr
 
     ``mass`` is M itself or the DynamicsTerms holding it; terms keep their
     guarded factor, so repeated solves with one evaluation skip the guard
-    and the factorisation.
+    and the factorisation. Terms stacked along one leading axis solve each
+    row of ``rhs`` with that row's factor.
     """
     factor = mass.factor if isinstance(mass, DynamicsTerms) else factor_inertia(mass)
+    if isinstance(factor, list):
+        return np.array([_potrs(row, b) for row, b in zip(factor, rhs)])
+    return _potrs(factor, rhs)
+
+
+def _potrs(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     x, info = dpotrs(factor, rhs, lower=1)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of potrs")
@@ -477,11 +534,12 @@ def forward_dynamics(model: RobotModel, state: RobotState, u: np.ndarray,
 
     Input bounds are the controllers' business, not enforced here. Passing
     precomputed terms avoids re-evaluating the chain and reuses their
-    guarded factor of M.
+    guarded factor of M. A state stacked along a leading axis takes one
+    input row per state row.
     """
     if terms is None:
         terms = bias_terms(model, state)
-    return solve_inertia(terms, model.B @ np.asarray(u, dtype=float) - terms.h)
+    return solve_inertia(terms, matvec(model.B, np.asarray(u, dtype=float)) - terms.h)
 
 
 def gravitational_potential(model: RobotModel, q: np.ndarray) -> float:

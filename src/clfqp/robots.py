@@ -19,11 +19,10 @@ from importlib import resources
 import numpy as np
 import yaml
 
+from .controllers import CONTROLLER_NAMES
 from .multibody import Joint, Link, RobotModel
 
 SCHEMA_VERSION = 1
-
-CONTROLLER_NAMES = ("clf-qp", "soft-id-clf-qp", "ic", "uic", "ic-qp")
 
 # Per-key fallbacks; a weight a controller row does not list is simply not
 # part of that controller's objective.

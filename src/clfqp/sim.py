@@ -10,7 +10,23 @@ the state in its log; the logged task position and velocity come from it,
 and the first physics step after the control update reuses its dynamics
 terms (RK4 stage k1, or the semi-implicit update), including the guarded
 Cholesky factor of M, so the inertia guard runs once per evaluated M under
-either integrator.
+either integrator. The RK4 stage states are plain arrays held to the rule
+RobotState enforces: their entries must be finite.
+
+Several episodes of one model run in lockstep when ``run`` is given lists
+(one controller, reference and config per episode, the configs differing
+at most in t_end). Their states stack into the rows of one (B, n) array,
+and the chain recursions run over that leading axis: each control step
+evaluates every live episode's state in one stacked pass and hands each
+controller its row through the state (``RobotState.evaluation``); every
+physics step advances all rows in one call of ``step``, with the inertia
+guard and the Cholesky solve per row. Each controller still steps its own
+episode, and each episode leaves the batch on its own: at its t_end, on its
+stop condition, or on a non-finite state. Stacking changes no bit of any
+row: matrix-vector products over rows are written (A @ x[..., None])[..., 0],
+the form whose every row is bitwise the one-row A @ x, and the LAPACK calls
+stay per row. An episode run alone, or left alone in its batch, goes on
+unstacked, on the shapes of one state, where a step costs less.
 """
 
 from __future__ import annotations
@@ -20,9 +36,10 @@ from typing import Callable
 
 import numpy as np
 
-from .controllers import ControlStepLog, Reference
-from .kinematics import task_rows, task_state
-from .multibody import DynamicsTerms, RobotModel, RobotState, bias_terms, forward_dynamics
+from .controllers import ControlStepLog, Evaluation, Reference
+from .kinematics import TaskState, task_rows, task_state
+from .multibody import (DynamicsTerms, RobotModel, RobotState, bias_terms, forward_dynamics,
+                        matvec)
 
 INTEGRATORS = ("rk4", "semi-implicit-euler")
 
@@ -50,8 +67,41 @@ class SimConfig:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
 
 
-def step(model: RobotModel, state: RobotState, u: np.ndarray,
-         cfg: SimConfig, terms: DynamicsTerms | None = None) -> RobotState:
+@dataclass(frozen=True)
+class StateBatch:
+    """The states of several episodes at one time: row i of q and dq, each
+    (B, n), is episode i. Entries are not checked on construction; a batch
+    returned by ``step`` names in ``failure`` the NonFinite reason of each
+    row that left the finite range ("" for the others, empty when none did).
+    An RK4 stage state is held the same way, with or without rows."""
+
+    q: np.ndarray
+    dq: np.ndarray
+    t: float = 0.0
+    failure: tuple[str, ...] = ()
+
+
+def _stage(q: np.ndarray, dq: np.ndarray) -> StateBatch:
+    # The rule RobotState enforces on every state, for every row at once.
+    if not (np.isfinite(q).all() and np.isfinite(dq).all()):
+        raise ValueError("state entries must be finite")
+    return StateBatch(q, dq)
+
+
+def _failures(q: np.ndarray, dq: np.ndarray, t: float):
+    """None when every row of a stepped state may go on; otherwise the
+    NonFinite reason of each row, "" for the rows that may."""
+    finite = np.isfinite(q).all(-1) & np.isfinite(dq).all(-1)
+    # Abort runaway states before squared terms overflow downstream.
+    huge = np.maximum(np.abs(q).max(-1), np.abs(dq).max(-1)) > 1e12
+    if finite.all() and not huge.any():
+        return None
+    return np.where(finite, np.where(huge, f"state magnitude exceeded 1e12 at t={t:.6f}", ""),
+                    f"non-finite state at t={t:.6f}")
+
+
+def step(model: RobotModel, state: RobotState | StateBatch, u: np.ndarray,
+         cfg: SimConfig, terms: DynamicsTerms | None = None) -> RobotState | StateBatch:
     """Advance one physics step under a constant input.
 
     The semi-implicit integrator treats the diagonal joint damping term
@@ -60,6 +110,12 @@ def step(model: RobotModel, state: RobotState, u: np.ndarray,
     M itself still passes the inertia guard first, as in the RK4 step.
     ``terms``, if given, are the dynamics already evaluated at ``state``; the
     step then starts from them instead of re-evaluating the chain.
+
+    A StateBatch advances every row at once, with one row of ``u`` per row
+    and ``terms`` stacked the same way; each row comes out bitwise as a
+    step of its own would give it. A row leaving the finite range raises no
+    NonFinite but is named in the returned batch's ``failure``; a non-finite
+    RK4 stage state raises ValueError for any row, as a RobotState would.
     """
     dt = cfg.dt_physics
     q, dq = state.q, state.dq
@@ -69,27 +125,28 @@ def step(model: RobotModel, state: RobotState, u: np.ndarray,
         terms.factor  # inertia guard on M; the update below solves with M + dt D
         rest = terms.c_vec + terms.k_vec + terms.g_vec
         lhs = terms.M + dt * np.diag(model.D_s)
-        dq_next = np.linalg.solve(lhs, terms.M @ dq + dt * (model.B @ u - rest))
+        rhs = matvec(terms.M, dq) + dt * (matvec(model.B, u) - rest)
+        dq_next = np.linalg.solve(lhs, rhs[..., None])[..., 0]
         q_next = q + dt * dq_next
     else:
         k1d = forward_dynamics(model, state, u, terms=terms)
         k1q = dq
-        k2d = forward_dynamics(model, RobotState(q + 0.5 * dt * k1q, dq + 0.5 * dt * k1d,
-                                                 state.t), u)
+        k2d = forward_dynamics(model, _stage(q + 0.5 * dt * k1q, dq + 0.5 * dt * k1d), u)
         k2q = dq + 0.5 * dt * k1d
-        k3d = forward_dynamics(model, RobotState(q + 0.5 * dt * k2q, dq + 0.5 * dt * k2d,
-                                                 state.t), u)
+        k3d = forward_dynamics(model, _stage(q + 0.5 * dt * k2q, dq + 0.5 * dt * k2d), u)
         k3q = dq + 0.5 * dt * k2d
-        k4d = forward_dynamics(model, RobotState(q + dt * k3q, dq + dt * k3d, state.t), u)
+        k4d = forward_dynamics(model, _stage(q + dt * k3q, dq + dt * k3d), u)
         k4q = dq + dt * k3d
         q_next = q + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
         dq_next = dq + dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-    if not (np.all(np.isfinite(q_next)) and np.all(np.isfinite(dq_next))):
-        raise NonFinite(f"non-finite state at t={state.t + dt:.6f}")
-    # Abort runaway states before squared terms overflow downstream.
-    if max(np.max(np.abs(q_next)), np.max(np.abs(dq_next))) > 1e12:
-        raise NonFinite(f"state magnitude exceeded 1e12 at t={state.t + dt:.6f}")
-    return RobotState(q=q_next, dq=dq_next, t=state.t + dt)
+    t_next = state.t + dt
+    failures = _failures(q_next, dq_next, t_next)
+    if isinstance(state, StateBatch):
+        return StateBatch(q_next, dq_next, t_next,
+                          () if failures is None else tuple(failures.tolist()))
+    if failures is not None:
+        raise NonFinite(str(failures))
+    return RobotState(q=q_next, dq=dq_next, t=t_next)
 
 
 @dataclass
@@ -151,14 +208,26 @@ def run(model: RobotModel, controller, reference: Reference, cfg: SimConfig,
 
     ``stop_condition(state, task_error)`` may return a failure reason to
     abort early (used by the benchmark suites for divergence detection).
-    """
-    state = cfg.initial_state if cfg.initial_state is not None else model.rest_state()
-    dt_ctrl = cfg.dt_physics * cfg.control_decimation
-    n_ctrl = int(round(cfg.t_end / dt_ctrl))
-    n, m, n_t = model.n, model.m, model.task_dim
-    rows = task_rows(model)
 
-    traj = Trajectory(
+    Given lists of controllers, references and configs (and a list of
+    metadata dicts, or None), ``run`` steps those episodes in lockstep and
+    returns the list of their trajectories, each bitwise the one a run of
+    its own gives; ``stop_condition`` applies to every episode, and the
+    configs may differ only in t_end.
+    """
+    if not isinstance(controller, (list, tuple)):
+        return _run_lockstep(model, [controller], [reference], [cfg], stop_condition,
+                             [metadata])[0]
+    metadata = [None] * len(controller) if metadata is None else metadata
+    if not len(controller) == len(reference) == len(cfg) == len(metadata):
+        raise ValueError("need one reference, config and metadata entry per controller")
+    return _run_lockstep(model, controller, reference, cfg, stop_condition, metadata)
+
+
+def _new_trajectory(model: RobotModel, cfg: SimConfig, metadata: dict | None) -> Trajectory:
+    n_ctrl = int(round(cfg.t_end / (cfg.dt_physics * cfg.control_decimation)))
+    n, m, n_t = model.n, model.m, model.task_dim
+    return Trajectory(
         model=model,
         t=np.zeros(n_ctrl), q=np.zeros((n_ctrl, n)), dq=np.zeros((n_ctrl, n)),
         y=np.zeros((n_ctrl, n_t)), dy=np.zeros((n_ctrl, n_t)),
@@ -170,60 +239,153 @@ def run(model: RobotModel, controller, reference: Reference, cfg: SimConfig,
                       control_decimation=cfg.control_decimation,
                       integrator=cfg.integrator, t_end=cfg.t_end))
 
-    if hasattr(controller, "reset"):
-        controller.reset()
 
-    k = 0
-    try:
-        for k in range(n_ctrl):
-            u, log = controller.step(state, reference)
-            ev = log.evaluation
-            shared = ev is not None and ev.state is state
-            ts = ev.ts if shared else task_state(model, state)
-            y_ref_k = np.asarray(reference.y_ref(state.t), dtype=float)
-            traj.t[k] = state.t
-            traj.q[k] = state.q
-            traj.dq[k] = state.dq
-            traj.y[k] = ts.y
-            traj.dy[k] = ts.dy
-            traj.y_ref[k] = y_ref_k
-            traj.u[k] = u
-            traj.mu[k] = log.mu
-            traj.delta[k] = log.delta
-            traj.V[k] = log.V
-            traj.Vdot[k] = log.Vdot
-            traj.qp_status[k] = log.qp_status
-            traj.solve_time[k] = log.solve_time
-            traj.saturated[k] = log.saturated
-            if stop_condition is not None:
-                reason = stop_condition(state, ts.y - y_ref_k)
-                if reason:
-                    raise _EarlyStop(reason)
-            terms = ev.terms if shared else None
-            for _ in range(cfg.control_decimation):
+def _log_row(traj: Trajectory, k: int, state: RobotState, ts: TaskState,
+             reference: Reference, u: np.ndarray, log: ControlStepLog) -> np.ndarray:
+    """Write control row k; returns the reference position it logged."""
+    y_ref_k = np.asarray(reference.y_ref(state.t), dtype=float)
+    traj.t[k] = state.t
+    traj.q[k] = state.q
+    traj.dq[k] = state.dq
+    traj.y[k] = ts.y
+    traj.dy[k] = ts.dy
+    traj.y_ref[k] = y_ref_k
+    traj.u[k] = u
+    traj.mu[k] = log.mu
+    traj.delta[k] = log.delta
+    traj.V[k] = log.V
+    traj.Vdot[k] = log.Vdot
+    traj.qp_status[k] = log.qp_status
+    traj.solve_time[k] = log.solve_time
+    traj.saturated[k] = log.saturated
+    return y_ref_k
+
+
+def _end(traj: Trajectory, final_state: RobotState, reason: str = "",
+         rows: int | None = None) -> Trajectory:
+    """Close an episode at ``final_state``; a reason marks it failed and
+    keeps only its first ``rows`` rows."""
+    if reason:
+        traj.failed = True
+        traj.failure_reason = reason
+        for name in ("t", "q", "dq", "y", "dy", "y_ref", "u", "mu", "delta", "V",
+                     "Vdot", "solve_time", "saturated"):
+            setattr(traj, name, getattr(traj, name)[:rows])
+        traj.qp_status = traj.qp_status[:rows]
+    traj.final_state = final_state
+    return traj
+
+
+def _run_alone(model, controller, reference, cfg, stop_condition, traj: Trajectory,
+               state: RobotState, first: int) -> Trajectory:
+    """Log rows ``first`` onward of one episode from ``state``, unstacked."""
+    for k in range(first, len(traj)):
+        u, log = controller.step(state, reference)
+        ev = log.evaluation
+        shared = ev is not None and ev.state is state
+        ts = ev.ts if shared else task_state(model, state)
+        y_ref_k = _log_row(traj, k, state, ts, reference, u, log)
+        if stop_condition is not None:
+            reason = stop_condition(state, ts.y - y_ref_k)
+            if reason:
+                return _end(traj, state, reason, k + 1)
+        terms = ev.terms if shared else None
+        for _ in range(cfg.control_decimation):
+            try:
                 state = step(model, state, u, cfg, terms=terms)
-                terms = None
-    except NonFinite as exc:
-        traj.failed = True
-        traj.failure_reason = str(exc)
-        traj = _truncate(traj, k + 1)
-    except _EarlyStop as exc:
-        traj.failed = True
-        traj.failure_reason = exc.reason
-        traj = _truncate(traj, k + 1)
-    traj.final_state = state
-    return traj
+            except NonFinite as exc:
+                return _end(traj, state, str(exc), k + 1)
+            terms = None
+    return _end(traj, state)
 
 
-class _EarlyStop(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+def _evaluate_rows(model: RobotModel, states: list[RobotState], q: np.ndarray,
+                   dq: np.ndarray) -> DynamicsTerms:
+    """Evaluate stacked states (rows of q and dq) in one pass and attach to
+    each state its row's evaluation; returns the stacked terms, whose
+    per-row factors are those of the attached evaluations."""
+    batch = StateBatch(q, dq)
+    terms = bias_terms(model, batch)
+    ts = task_state(model, batch, pose=terms.pose, motion=terms.motion)
+    for state, row_terms, *row_ts in zip(states, terms.rows, ts.y, ts.dy, ts.J, ts.dJ,
+                                         ts.N, ts.J_pinv):
+        ev = Evaluation(state=state, terms=row_terms, ts=TaskState(*row_ts), model=model)
+        object.__setattr__(state, "evaluation", ev)
+    return terms
 
 
-def _truncate(traj: Trajectory, rows: int) -> Trajectory:
-    for name in ("t", "q", "dq", "y", "dy", "y_ref", "u", "mu", "delta", "V",
-                 "Vdot", "solve_time", "saturated"):
-        setattr(traj, name, getattr(traj, name)[:rows])
-    traj.qp_status = traj.qp_status[:rows]
-    return traj
+def _run_lockstep(model, controllers, references, cfgs, stop_condition,
+                  metadata) -> list[Trajectory]:
+    if not cfgs:
+        return []
+    cfg = cfgs[0]
+    for other in cfgs[1:]:
+        if ((other.dt_physics, other.control_decimation, other.integrator)
+                != (cfg.dt_physics, cfg.control_decimation, cfg.integrator)
+                or other.initial_state is not cfg.initial_state):
+            raise ValueError("episodes run in lockstep may differ only in t_end")
+    start = cfg.initial_state if cfg.initial_state is not None else model.rest_state()
+    trajs = [_new_trajectory(model, c, meta) for c, meta in zip(cfgs, metadata)]
+    for controller in controllers:
+        if hasattr(controller, "reset"):
+            controller.reset()
+
+    # live[j] is the episode in row j of q and dq
+    live = []
+    for i, traj in enumerate(trajs):
+        if len(traj):
+            live.append(i)
+        else:
+            _end(traj, start)
+    q = np.tile(start.q, (len(live), 1))
+    dq = np.tile(start.dq, (len(live), 1))
+    t = start.t
+    k = 0
+    while live:
+        if len(live) == 1:     # a lone episode goes on unstacked, where it is cheaper
+            i = live[0]
+            state = start if k == 0 else RobotState(q=q[0], dq=dq[0], t=t)
+            _run_alone(model, controllers[i], references[i], cfg, stop_condition, trajs[i],
+                       state, k)
+            break
+        states = [RobotState(q=row_q, dq=row_dq, t=t) for row_q, row_dq in zip(q, dq)]
+        terms = _evaluate_rows(model, states, q, dq)
+        stay, inputs = [], []
+        for j, (i, state) in enumerate(zip(live, states)):
+            u, log = controllers[i].step(state, references[i])
+            ts = state.evaluation.ts
+            y_ref_k = _log_row(trajs[i], k, state, ts, references[i], u, log)
+            reason = stop_condition(state, ts.y - y_ref_k) if stop_condition else ""
+            if reason:
+                _end(trajs[i], state, reason, k + 1)
+            else:
+                stay.append(j)
+                inputs.append(u)
+        if len(stay) < len(live):
+            live, q, dq, terms = [live[j] for j in stay], q[stay], dq[stay], None
+        inputs = np.array(inputs)
+        for _ in range(cfg.control_decimation):
+            if not live:
+                break
+            nxt = step(model, StateBatch(q, dq, t), inputs, cfg, terms=terms)
+            terms = None
+            if nxt.failure:
+                stay = []
+                for j, reason in enumerate(nxt.failure):
+                    if reason:
+                        _end(trajs[live[j]], RobotState(q=q[j], dq=dq[j], t=t), reason, k + 1)
+                    else:
+                        stay.append(j)
+                live, inputs = [live[j] for j in stay], inputs[stay]
+                nxt = StateBatch(nxt.q[stay], nxt.dq[stay], nxt.t)
+            q, dq, t = nxt.q, nxt.dq, nxt.t
+        k += 1
+        stay = []
+        for j, i in enumerate(live):
+            if len(trajs[i]) == k:
+                _end(trajs[i], RobotState(q=q[j], dq=dq[j], t=t))
+            else:
+                stay.append(j)
+        if len(stay) < len(live):
+            live, q, dq = [live[j] for j in stay], q[stay], dq[stay]
+    return trajs

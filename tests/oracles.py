@@ -248,3 +248,27 @@ def tril_mass_matrix(pose):
     f = np.einsum("kij,kj->ki", composite, s_motion)
     full = f @ s_motion.T
     return np.tril(full) + np.tril(full, -1).T
+
+
+def pinv_each_step_impedance_torque(model, terms, ts, err, ddy_ref, dq, kp, kd, uic):
+    """Commanded input of the ic (uic=False) or uic law before clamping,
+    written as it was before the pseudoinverses were shared: J^+ and B^+
+    (twice for uic) are recomputed at every call. M is solved through its
+    plain Cholesky factor and the task inertia is regularised by 1e-8."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    def pinv(a):
+        return np.linalg.pinv(a, rcond=1e-8)
+
+    jac, djac = ts.J, ts.dJ
+    factor, _ = dpotrf(terms.M, lower=1)
+    minv_jt, _ = dpotrs(factor, jac.T, lower=1)
+    lam = np.linalg.inv(jac @ minv_jt + 1e-8 * np.eye(model.task_dim))
+    ydd_des = ddy_ref - kd * err.de - kp * err.e
+    h_task = pinv(jac).T @ terms.c_vec - lam @ (djac @ dq)
+    tau_task = jac.T @ (lam @ ydd_des + h_task)
+    if uic:
+        blocked = np.eye(model.n) - model.B @ pinv(model.B)
+        tau_null = -pinv(blocked @ ts.N) @ (blocked @ tau_task)
+        tau_task = tau_task + ts.N @ tau_null
+    return pinv(model.B) @ (tau_task + terms.d_vec + terms.k_vec + terms.g_vec)

@@ -27,3 +27,26 @@ class TestModuleEntry:
                      "--experiment", "setpoint", "--out", str(tmp_path))
         assert proc.returncode != 0
         assert "no-such-law" in proc.stderr
+
+
+class TestRun:
+    def test_setpoint_smoke_run(self, tmp_path):
+        from clfqp.experiments import read_trajectory_csv
+
+        proc = clfqp("clfqp", "run", "--robot", "finger", "--controller", "uic",
+                     "--experiment", "setpoint", "--set", "sim.t_end=0.005",
+                     "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        csvs = sorted(tmp_path.glob("*.csv"))
+        assert len(csvs) == 4
+        assert (tmp_path / "finger_uic_setpoint_summary.txt").is_file()
+        for path in csvs:
+            data = read_trajectory_csv(path)
+            assert len(data["t"]) == 5
+            assert data["metadata"]["override_t_end"] == "0.005"
+
+    def test_bad_flag_is_usage_error(self, tmp_path):
+        proc = clfqp("clfqp", "run", "--robot", "finger", "--controller", "uic",
+                     "--experiment", "setpoint", "--no-such-flag", "--out", str(tmp_path))
+        assert proc.returncode == 64
+        assert "no-such-flag" in proc.stderr

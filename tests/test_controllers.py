@@ -23,6 +23,7 @@ from clfqp.multibody import RobotState, bias_terms, forward_dynamics
 from clfqp.qp import QpStatus
 from clfqp.robots import GainSet
 
+from oracles import pinv_each_step_impedance_torque
 from toys import ball_chain, pendulum, rk4_rollout, straight_chain, two_link
 
 
@@ -364,7 +365,62 @@ class TestUic:
         assert np.allclose(u, 0.0, atol=1e-9)
 
 
+class TestSharedPseudoinverses:
+    """ic and uic take J^+ from the task state and make B^+ and I - B B^+
+    once per controller, with the same bits as recomputing them per step."""
+
+    @pytest.mark.parametrize("uic", [False, True])
+    @pytest.mark.parametrize("robot", ["finger", "helix", "spirob"])
+    def test_torque_matches_pinv_each_step(self, robot, uic):
+        from clfqp import controllers
+        from clfqp.experiments import EllipseParams, setpoint_reference
+        from clfqp.robots import builtin_registry
+
+        model, gains = builtin_registry()[robot].load()
+        g = gains["uic" if uic else "ic"]
+        ref = setpoint_reference(EllipseParams.for_robot(model), 0.5 * np.pi, model.task_dim)
+        maps = controllers.actuation_maps(model.B)
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            state = RobotState(0.4 * rng.standard_normal(model.n),
+                               rng.standard_normal(model.n))
+            data = controllers._evaluate_step(model, state, ref)
+            got = controllers._impedance_torque(model, state, data, g, maps, uic=uic)
+            want = pinv_each_step_impedance_torque(model, data.terms, data.ts, data.err,
+                                                   data.ddy_ref, state.dq, g.kp, g.kd, uic)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got),
+                                                                np.signbit(want))
+
+    @pytest.mark.parametrize("name,per_step", [("ic", 1), ("uic", 2)])
+    def test_pinv_calls_per_step(self, monkeypatch, name, per_step):
+        from clfqp import controllers, kinematics, linalg
+
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return linalg.pinv(a, *args, **kwargs)
+
+        monkeypatch.setattr(controllers, "pinv", counted)
+        monkeypatch.setattr(kinematics, "pinv", counted)
+        model = straight_chain(n_links=4)
+        ctrl = make_controller(name, model, gset())
+        assert calls == [model.B.shape]
+        ref = Reference.setpoint(np.array([0.05, -0.2]))
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            ctrl.step(RobotState(rng.uniform(-0.5, 0.5, 4), rng.uniform(-1, 1, 4)), ref)
+        # J^+ in the task state, and for uic the pseudoinverse of (I - B B^+) N
+        assert len(calls) == 1 + 3 * per_step
+
+
 class TestControllerObjects:
+    def test_one_name_list(self):
+        from clfqp import controllers, robots
+
+        assert robots.CONTROLLER_NAMES is controllers.CONTROLLER_NAMES
+
+
     def test_factory_names(self):
         model = two_link()
         for name in CONTROLLER_NAMES:
