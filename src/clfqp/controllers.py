@@ -6,48 +6,44 @@ QP-based laws:
 - clf-qp: picks a virtual task acceleration mu near a PD reference subject
   to the Lyapunov decrease row, with the input tied to mu through the
   input-output linearizing relation and boxed by the actuator bounds.
-- soft-id-clf-qp: optimizes over whole-body accelerations instead, imposing
-  inverse dynamics as a hard equality only on the actuated rows of the
-  collocated coordinates (T_a = B'), which leaves the unactuated rows soft
-  and regularizes null-space motion.
-- ic-qp: the same program as soft-id-clf-qp with the Lyapunov row and its
-  relaxation removed.
+- soft-id-clf-qp and ic-qp: one full-body program (``full_body_qp_step``)
+  over whole-body accelerations and inputs, imposing inverse dynamics as a
+  hard equality only on the actuated rows of the collocated coordinates
+  (T_a = B'), which leaves the unactuated rows soft and regularizes
+  null-space motion. soft-id-clf-qp adds the Lyapunov decrease row and its
+  relaxation delta; ic-qp solves the program without them.
 
-Closed-form baselines:
+Closed-form baselines (``impedance_step``):
 
 - ic: operational-space impedance control with full cancellation of
   stiffness, damping, and gravity, clamped to the input box.
-- uic: impedance control with torque components in unactuated directions
-  removed by a null-space correction before clamping.
+- uic: the same law with torque components in unactuated directions removed
+  by a null-space correction before clamping (``uic=True``).
 
-Controller instances own their warm-start and hold-previous-input state;
-the underlying *_step functions are pure. Every step evaluates its state
-once (``evaluate``) and returns that evaluation in its log, so the
-simulator can log and integrate from it without rebuilding the chain.
+One ``Controller`` class runs any of the five laws by name. It makes the
+maps that depend only on B once, and owns the warm-start and
+hold-previous-input state of one episode; the *_step functions are pure.
+Every step evaluates its state once (``evaluate``) and returns that
+evaluation in its log, so the simulator can log and integrate from it
+without rebuilding the chain.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .clf import ClfData, TaskError, clf_row, clf_value, default_clf, vdot_coeffs
-from .kinematics import TaskState, task_rows, task_state
+from .kinematics import TaskState, task_state
 from .linalg import pinv
 from .multibody import DynamicsTerms, RobotModel, RobotState, bias_terms, solve_inertia
 from .qp import QpProblem, QpSolution, QpStatus, solve_qp
 
 LAMBDA_REG = 1e-8        # task-inertia regularization for ic/uic
-RANK_DEFICIENT_TOL = 1e-8
 
 CONTROLLER_NAMES = ("clf-qp", "soft-id-clf-qp", "ic", "uic", "ic-qp")
-
-
-class RankDeficientWarning(UserWarning):
-    """The decoupling matrix lost rank; the pseudoinverse branch is live."""
 
 
 class RankDeficientB(ValueError):
@@ -160,19 +156,6 @@ def lie_terms(model: RobotModel, state: RobotState,
     return lf2y, lglfy
 
 
-def io_linearizing_u(model: RobotModel, state: RobotState, ref: Reference,
-                     mu: np.ndarray) -> np.ndarray:
-    """Input that renders the task error dynamics edd = mu (exactly when the
-    decoupling matrix is square and invertible, least-squares otherwise)."""
-    _, _, ddy_ref = ref.at(state.t)
-    lf2y, lglfy = lie_terms(model, state)
-    sv = np.linalg.svd(lglfy, compute_uv=False)
-    if sv.size and sv[-1] < RANK_DEFICIENT_TOL * sv[0]:
-        warnings.warn("decoupling matrix is rank deficient at this state",
-                      RankDeficientWarning, stacklevel=2)
-    return pinv(lglfy) @ (-lf2y + mu + ddy_ref)
-
-
 def mu_ref(gains, err: TaskError) -> np.ndarray:
     """PD reference for the task error acceleration, critically damped
     through kd = 2 sqrt(kp)."""
@@ -253,30 +236,31 @@ def clf_qp_step(model: RobotModel, state: RobotState, ref: Reference, gains,
 
     prob = QpProblem(h_cost, f_cost, a_eq, b_eq, a_in, b_in, lb, ub)
     sol = solve_qp(prob, warm_start=warm_start)
-    return _finish_qp_step(model, data, clf, sol, u_slice=slice(0, m),
-                           mu_of=lambda x: x[m:m + n_t], delta_of=lambda x: x[-1],
-                           u_hold=u_hold, state=state)
+    return _finish_qp_step(model, state, data, clf, sol, u_hold,
+                           lambda x: (x[:m], x[m:m + n_t], x[-1]))
 
 
-def soft_id_clf_qp_step(model: RobotModel, state: RobotState, ref: Reference,
-                        gains, clf: ClfData, split: CollocatedSplit,
-                        warm_start: tuple | None = None,
-                        u_hold: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, ControlStepLog, QpSolution]:
-    """One step of the soft-id-clf-qp law.
+def full_body_qp_step(model: RobotModel, state: RobotState, ref: Reference, gains,
+                      clf: ClfData | None, split: CollocatedSplit, certify: bool,
+                      warm_start: tuple | None = None,
+                      u_hold: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, ControlStepLog, QpSolution]:
+    """One step of soft-id-clf-qp (``certify``) or ic-qp (not ``certify``).
 
-    Decision variables (qdd, u, delta): minimize
+    Decision variables (qdd, u), plus delta when certifying: minimize
     w1 ||mu - mu_ref||^2 + w2 ||qdd||^2 + w3 ||u||^2
-    + w4 ||N qdd - qdd_null_ref||^2 + rho delta^2, with
+    + w4 ||N qdd - qdd_null_ref||^2 (+ rho delta^2), with
     mu = J qdd + dJ qd - ydd_ref and qdd_null_ref = -d_null N qd, subject to
-    the Lyapunov row, the actuated-row equality S (M qdd + h) = u, the input
-    box, and delta >= 0.
+    the actuated-row equality S (M qdd + h) = u and the input box; when
+    certifying, also to the Lyapunov row and delta >= 0. Without the
+    certificate, ``clf`` (which may be None) only scores the logged V and
+    Vdot. On infeasibility the previous input is held.
     """
     data = _evaluate_step(model, state, ref)
     n, m, n_t = model.n, model.m, model.task_dim
     jac, djac, nproj = data.ts.J, data.ts.dJ, data.ts.N
 
-    d = n + m + 1
+    d = n + m + 1 if certify else n + m
     mu_des = mu_ref(gains, data.err)
     mu_drift = djac @ state.dq - data.ddy_ref        # mu = J qdd + mu_drift
     qdd_null_ref = -gains.d_null * (nproj @ state.dq)
@@ -284,89 +268,64 @@ def soft_id_clf_qp_step(model: RobotModel, state: RobotState, ref: Reference,
     h_cost = np.zeros((d, d))
     f_cost = np.zeros(d)
     # N is symmetric idempotent, so N'N = N.
-    h_qdd = 2.0 * (gains.w1 * jac.T @ jac + gains.w2 * np.eye(n) + gains.w4 * nproj)
-    h_cost[:n, :n] = h_qdd
+    h_cost[:n, :n] = 2.0 * (gains.w1 * jac.T @ jac + gains.w2 * np.eye(n)
+                            + gains.w4 * nproj)
     f_cost[:n] = (2.0 * gains.w1 * jac.T @ (mu_drift - mu_des)
                   - 2.0 * gains.w4 * (nproj @ qdd_null_ref))
     h_cost[n:n + m, n:n + m] = 2.0 * gains.w3 * np.eye(m)
-    h_cost[-1, -1] = 2.0 * gains.rho
 
     a_eq = np.zeros((m, d))
     a_eq[:, :n] = split.S @ data.terms.M
     a_eq[:, n:n + m] = -np.eye(m)
     b_eq = -split.S @ data.terms.h
 
-    row, rhs = clf_row(clf, data.err)     # over (mu, delta)
-    a1 = row[:n_t]
-    a_in = np.zeros((1, d))
-    a_in[0, :n] = a1 @ jac
-    a_in[0, -1] = row[-1]
-    b_in = np.array([rhs - a1 @ mu_drift])
-
-    lb = np.concatenate([np.full(n, -np.inf), model.u_min, [0.0]])
-    ub = np.concatenate([np.full(n, np.inf), model.u_max, [np.inf]])
+    lb_parts = [np.full(n, -np.inf), model.u_min]
+    ub_parts = [np.full(n, np.inf), model.u_max]
+    a_in = b_in = None
+    if certify:
+        h_cost[-1, -1] = 2.0 * gains.rho
+        row, rhs = clf_row(clf, data.err)     # over (mu, delta)
+        a1 = row[:n_t]
+        a_in = np.zeros((1, d))
+        a_in[0, :n] = a1 @ jac
+        a_in[0, -1] = row[-1]
+        b_in = np.array([rhs - a1 @ mu_drift])
+        lb_parts.append([0.0])
+        ub_parts.append([np.inf])
+    lb = np.concatenate(lb_parts)
+    ub = np.concatenate(ub_parts)
 
     prob = QpProblem(h_cost, f_cost, a_eq, b_eq, a_in, b_in, lb, ub)
     sol = solve_qp(prob, warm_start=warm_start)
-    return _finish_qp_step(model, data, clf, sol, u_slice=slice(n, n + m),
-                           mu_of=lambda x: jac @ x[:n] + mu_drift,
-                           delta_of=lambda x: x[-1], u_hold=u_hold, state=state)
+    return _finish_qp_step(model, state, data, clf, sol, u_hold,
+                           lambda x: (x[n:n + m], jac @ x[:n] + mu_drift,
+                                      x[-1] if certify else 0.0))
 
 
-def ic_qp_step(model: RobotModel, state: RobotState, ref: Reference, gains,
-               split: CollocatedSplit, warm_start: tuple | None = None,
-               u_hold: np.ndarray | None = None, clf: ClfData | None = None
-               ) -> tuple[np.ndarray, ControlStepLog, QpSolution]:
-    """One step of ic-qp: the soft-id program with the Lyapunov row and its
-    relaxation removed."""
-    data = _evaluate_step(model, state, ref)
-    n, m = model.n, model.m
-    jac, djac, nproj = data.ts.J, data.ts.dJ, data.ts.N
-
-    d = n + m
-    mu_des = mu_ref(gains, data.err)
-    mu_drift = djac @ state.dq - data.ddy_ref
-    qdd_null_ref = -gains.d_null * (nproj @ state.dq)
-
-    h_cost = np.zeros((d, d))
-    f_cost = np.zeros(d)
-    h_cost[:n, :n] = 2.0 * (gains.w1 * jac.T @ jac + gains.w2 * np.eye(n)
-                            + gains.w4 * nproj)
-    f_cost[:n] = (2.0 * gains.w1 * jac.T @ (mu_drift - mu_des)
-                  - 2.0 * gains.w4 * (nproj @ qdd_null_ref))
-    h_cost[n:, n:] = 2.0 * gains.w3 * np.eye(m)
-
-    a_eq = np.zeros((m, d))
-    a_eq[:, :n] = split.S @ data.terms.M
-    a_eq[:, n:] = -np.eye(m)
-    b_eq = -split.S @ data.terms.h
-
-    lb = np.concatenate([np.full(n, -np.inf), model.u_min])
-    ub = np.concatenate([np.full(n, np.inf), model.u_max])
-
-    prob = QpProblem(h_cost, f_cost, a_eq, b_eq, None, None, lb, ub)
-    sol = solve_qp(prob, warm_start=warm_start)
-    return _finish_qp_step(model, data, clf, sol, u_slice=slice(n, n + m),
-                           mu_of=lambda x: jac @ x[:n] + mu_drift,
-                           delta_of=lambda x: 0.0, u_hold=u_hold, state=state)
-
-
-def _finish_qp_step(model, data, clf, sol, u_slice, mu_of, delta_of, u_hold, state):
+def _finish_qp_step(model, state, data, clf, sol, u_hold, read):
+    """Applied input and log of a solved QP; ``read(x)`` gives the input,
+    mu and delta of a solution. An infeasible QP holds ``u_hold``."""
     if sol.status is QpStatus.INFEASIBLE:
-        u = u_hold if u_hold is not None else np.zeros(model.m)
-        u = _clamp(u, model)
+        u = _clamp(u_hold if u_hold is not None else np.zeros(model.m), model)
+        mu, delta = None, np.nan
+    else:
+        u_cmd, mu, delta = read(sol.x_star)
+        u, delta = _clamp(u_cmd, model), float(delta)
+    log = _step_log(model, state, data, clf, u, sol.status.value, sol.solve_time,
+                    mu=mu, delta=delta)
+    return u, log, sol
+
+
+def _step_log(model, state, data, clf, u, qp_status, solve_time, mu=None, delta=0.0):
+    """Log of a step that applies u; without a planned ``mu`` (closed-form
+    laws, held inputs) it logs the task error acceleration that u produces."""
+    if mu is None:
         qdd = solve_inertia(data.terms, model.B @ u - data.terms.h)
         mu = data.ts.J @ qdd + data.ts.dJ @ state.dq - data.ddy_ref
-        delta = np.nan
-    else:
-        u = _clamp(sol.x_star[u_slice], model)
-        mu = np.asarray(mu_of(sol.x_star), dtype=float)
-        delta = float(delta_of(sol.x_star))
     v, vdot = _certificate_values(clf, data.err, mu)
-    log = ControlStepLog(u=u, mu=mu, delta=delta, V=v, Vdot=vdot,
-                         qp_status=sol.status.value, solve_time=sol.solve_time,
-                         saturated=_saturation_mask(u, model), evaluation=data.evaluation)
-    return u, log, sol
+    return ControlStepLog(u=u, mu=mu, delta=delta, V=v, Vdot=vdot, qp_status=qp_status,
+                          solve_time=solve_time, saturated=_saturation_mask(u, model),
+                          evaluation=data.evaluation)
 
 
 def _certificate_values(clf, err, mu):
@@ -385,31 +344,21 @@ def actuation_maps(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def impedance_step(model: RobotModel, state: RobotState, ref: Reference, gains,
                    clf: ClfData | None = None,
-                   maps: tuple[np.ndarray, np.ndarray] | None = None
-                   ) -> tuple[np.ndarray, ControlStepLog]:
+                   maps: tuple[np.ndarray, np.ndarray] | None = None,
+                   uic: bool = False) -> tuple[np.ndarray, ControlStepLog]:
     """Operational-space impedance law with full potential cancellation.
 
     Computes the task wrench f = Lambda ydd_des + h_task from PD error
     dynamics (kd = 2 sqrt(kp)), then clamps u = B^+ (J'f + D qd + K q + g)
-    to the input box. ``maps`` are ``actuation_maps(model.B)``, when known.
+    to the input box. With ``uic`` the unactuated torque components are
+    removed first through the null-space correction
+    tau_null = -[(I - Ip) N]^+ (I - Ip) J'f, where Ip = B B^+. ``maps`` are
+    ``actuation_maps(model.B)``, when known.
     """
     data = _evaluate_step(model, state, ref)
     maps = actuation_maps(model.B) if maps is None else maps
-    u_cmd = _impedance_torque(model, state, data, gains, maps, uic=False)
-    return _finish_closed_form(model, state, data, clf, u_cmd)
-
-
-def uic_step(model: RobotModel, state: RobotState, ref: Reference, gains,
-             clf: ClfData | None = None,
-             maps: tuple[np.ndarray, np.ndarray] | None = None
-             ) -> tuple[np.ndarray, ControlStepLog]:
-    """Impedance law with unactuated torque components removed through the
-    null-space correction tau_null = -[(I - Ip) N]^+ (I - Ip) J'f, where
-    Ip = B B^+. ``maps`` are ``actuation_maps(model.B)``, when known."""
-    data = _evaluate_step(model, state, ref)
-    maps = actuation_maps(model.B) if maps is None else maps
-    u_cmd = _impedance_torque(model, state, data, gains, maps, uic=True)
-    return _finish_closed_form(model, state, data, clf, u_cmd)
+    u = _clamp(_impedance_torque(model, state, data, gains, maps, uic=uic), model)
+    return u, _step_log(model, state, data, clf, u, "ClosedForm", 0.0)
 
 
 def _impedance_torque(model, state, data, gains, maps, uic: bool) -> np.ndarray:
@@ -433,28 +382,23 @@ def _impedance_torque(model, state, data, gains, maps, uic: bool) -> np.ndarray:
     return b_pinv @ tau
 
 
-def _finish_closed_form(model, state, data, clf, u_cmd):
-    u = _clamp(u_cmd, model)
-    qdd = solve_inertia(data.terms, model.B @ u - data.terms.h)
-    mu = data.ts.J @ qdd + data.ts.dJ @ state.dq - data.ddy_ref
-    v, vdot = _certificate_values(clf, data.err, mu)
-    log = ControlStepLog(u=u, mu=mu, delta=0.0, V=v, Vdot=vdot,
-                         qp_status="ClosedForm", solve_time=0.0,
-                         saturated=_saturation_mask(u, model), evaluation=data.evaluation)
-    return u, log
+class Controller:
+    """One of the five laws, chosen by ``name``. Makes the maps that depend
+    only on B once (the collocated split for the full-body QPs, B^+ and
+    I - B B^+ for ic/uic) and owns the warm-start and hold-previous-input
+    state of one episode at a time; ``reset`` clears it between episodes."""
 
-
-class _ControllerBase:
-    """Owns hold/warm-start state for one episode at a time; ``reset``
-    clears it between episodes."""
-
-    name = ""
-    uses_qp = False
-
-    def __init__(self, model: RobotModel, gains):
+    def __init__(self, name: str, model: RobotModel, gains):
+        if name not in CONTROLLER_NAMES:
+            raise KeyError(f"unknown controller {name!r}; choose from {CONTROLLER_NAMES}")
+        self.name = name
         self.model = model
         self.gains = gains
         self.clf = default_clf(gains.eps, model.task_dim)
+        if name in ("soft-id-clf-qp", "ic-qp"):
+            self.split = collocated_split(model.B)
+        elif name in ("ic", "uic"):
+            self.maps = actuation_maps(model.B)
         self.reset()
 
     def reset(self):
@@ -462,86 +406,21 @@ class _ControllerBase:
         self._u_hold = _clamp(np.zeros(self.model.m), self.model)
 
     def step(self, state: RobotState, ref: Reference) -> tuple[np.ndarray, ControlStepLog]:
-        raise NotImplementedError
-
-
-class ClfQpController(_ControllerBase):
-    name = "clf-qp"
-    uses_qp = True
-
-    def step(self, state, ref):
-        u, log, sol = clf_qp_step(self.model, state, ref, self.gains, self.clf,
-                                  warm_start=self._warm, u_hold=self._u_hold)
+        name = self.name
+        if name in ("ic", "uic"):
+            return impedance_step(self.model, state, ref, self.gains, clf=self.clf,
+                                  maps=self.maps, uic=name == "uic")
+        if name == "clf-qp":
+            u, log, sol = clf_qp_step(self.model, state, ref, self.gains, self.clf,
+                                      warm_start=self._warm, u_hold=self._u_hold)
+        else:
+            u, log, sol = full_body_qp_step(self.model, state, ref, self.gains, self.clf,
+                                            self.split, certify=name == "soft-id-clf-qp",
+                                            warm_start=self._warm, u_hold=self._u_hold)
         self._warm = sol.active_set or self._warm
         self._u_hold = u
         return u, log
 
 
-class SoftIdClfQpController(_ControllerBase):
-    name = "soft-id-clf-qp"
-    uses_qp = True
-
-    def __init__(self, model, gains):
-        self.split = collocated_split(model.B)
-        super().__init__(model, gains)
-
-    def step(self, state, ref):
-        u, log, sol = soft_id_clf_qp_step(self.model, state, ref, self.gains,
-                                          self.clf, self.split,
-                                          warm_start=self._warm, u_hold=self._u_hold)
-        self._warm = sol.active_set or self._warm
-        self._u_hold = u
-        return u, log
-
-
-class IcQpController(_ControllerBase):
-    name = "ic-qp"
-    uses_qp = True
-
-    def __init__(self, model, gains):
-        self.split = collocated_split(model.B)
-        super().__init__(model, gains)
-
-    def step(self, state, ref):
-        u, log, sol = ic_qp_step(self.model, state, ref, self.gains, self.split,
-                                 warm_start=self._warm, u_hold=self._u_hold,
-                                 clf=self.clf)
-        self._warm = sol.active_set or self._warm
-        self._u_hold = u
-        return u, log
-
-
-class ImpedanceController(_ControllerBase):
-    name = "ic"
-
-    def __init__(self, model, gains):
-        self.maps = actuation_maps(model.B)
-        super().__init__(model, gains)
-
-    def step(self, state, ref):
-        return impedance_step(self.model, state, ref, self.gains, clf=self.clf,
-                              maps=self.maps)
-
-
-class UnderactuatedImpedanceController(ImpedanceController):
-    name = "uic"
-
-    def step(self, state, ref):
-        return uic_step(self.model, state, ref, self.gains, clf=self.clf, maps=self.maps)
-
-
-CONTROLLER_CLASSES = {
-    "clf-qp": ClfQpController,
-    "soft-id-clf-qp": SoftIdClfQpController,
-    "ic": ImpedanceController,
-    "uic": UnderactuatedImpedanceController,
-    "ic-qp": IcQpController,
-}
-
-
-def make_controller(name: str, model: RobotModel, gains) -> _ControllerBase:
-    try:
-        cls = CONTROLLER_CLASSES[name]
-    except KeyError:
-        raise KeyError(f"unknown controller {name!r}; choose from {CONTROLLER_NAMES}")
-    return cls(model, gains)
+def make_controller(name: str, model: RobotModel, gains) -> Controller:
+    return Controller(name, model, gains)

@@ -220,6 +220,7 @@ def setpoint_suite(robot, controller: str, thetas=THETA_GRID,
                    sim_overrides: dict | None = None
                    ) -> tuple[MetricSummary, list[Trajectory]]:
     """Run the set-point episodes; final error is |y(t_end) - y_ref| in cm."""
+    thetas = tuple(thetas)
     spec = _resolve_spec(robot)
     model, gains = spec.load()
     params = EllipseParams.for_robot(model)
@@ -250,6 +251,7 @@ def tracking_suite(robot, controller: str, omegas=OMEGA_GRID,
                    ) -> tuple[MetricSummary, list[Trajectory]]:
     """Run the tracking episodes (two cycles each); metric is the mean over
     control-rate samples of |y - y_ref|^2 in cm^2."""
+    omegas = tuple(omegas)
     spec = _resolve_spec(robot)
     model, gains = spec.load()
     params = EllipseParams.for_robot(model)

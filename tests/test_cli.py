@@ -50,3 +50,31 @@ class TestRun:
                      "--experiment", "setpoint", "--no-such-flag", "--out", str(tmp_path))
         assert proc.returncode == 64
         assert "no-such-flag" in proc.stderr
+
+
+class TestFailedConvergence:
+    def test_failed_episode_exits_2_and_still_writes(self, monkeypatch, tmp_path, capsys):
+        from clfqp import cli, experiments
+
+        suite = experiments.setpoint_suite
+
+        def one_failed(*args, **kwargs):
+            summary, trajs = suite(*args, **kwargs)
+            episode = summary.episodes[1]
+            episode.failed = episode.trajectory.failed = True
+            episode.failure_reason = episode.trajectory.failure_reason = "task error beyond 2L"
+            return summary, trajs
+
+        monkeypatch.setattr(experiments, "setpoint_suite", one_failed)
+        code = cli.main(["run", "--robot", "finger", "--controller", "ic",
+                         "--experiment", "setpoint", "--set", "sim.t_end=0.003",
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_FAILED_CONVERGENCE == 2
+        csvs = sorted(tmp_path.glob("*.csv"))
+        assert len(csvs) == 4
+        reasons = [experiments.read_trajectory_csv(p)["metadata"].get("failed") for p in csvs]
+        assert [r for r in reasons if r] == ["task error beyond 2L"]
+        text = (tmp_path / "finger_ic_setpoint_summary.txt").read_text(encoding="utf-8")
+        assert text.count("status=FailedConvergence(task error beyond 2L)") == 1
+        assert text.count("status=ok") == 3
+        assert "Failed Convergence in 1/4" in capsys.readouterr().out

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,21 +7,18 @@ from clfqp.clf import TaskError, default_clf
 from clfqp.controllers import (
     CONTROLLER_NAMES,
     RankDeficientB,
-    RankDeficientWarning,
     Reference,
     clf_qp_step,
     collocated_split,
-    ic_qp_step,
+    full_body_qp_step,
     impedance_step,
-    io_linearizing_u,
     lie_terms,
     make_controller,
     mu_ref,
-    soft_id_clf_qp_step,
-    uic_step,
 )
 from clfqp.kinematics import forward_kinematics, task_rows, task_state
-from clfqp.multibody import RobotState, bias_terms, forward_dynamics
+from clfqp.linalg import pinv
+from clfqp.multibody import RobotModel, RobotState, bias_terms, forward_dynamics
 from clfqp.qp import QpStatus
 from clfqp.robots import GainSet
 
@@ -36,6 +35,26 @@ def gset(**kw):
 
 def setpoint_at_fk(model, q):
     return Reference.setpoint(forward_kinematics(model, q)[task_rows(model)])
+
+
+RANK_DEFICIENT_TOL = 1e-8
+
+
+class RankDeficientWarning(UserWarning):
+    """The decoupling matrix lost rank; the pseudoinverse branch is live."""
+
+
+def io_linearizing_u(model: RobotModel, state: RobotState, ref: Reference,
+                     mu: np.ndarray) -> np.ndarray:
+    """Input that renders the task error dynamics edd = mu (exactly when the
+    decoupling matrix is square and invertible, least-squares otherwise)."""
+    _, _, ddy_ref = ref.at(state.t)
+    lf2y, lglfy = lie_terms(model, state)
+    sv = np.linalg.svd(lglfy, compute_uv=False)
+    if sv.size and sv[-1] < RANK_DEFICIENT_TOL * sv[0]:
+        warnings.warn("decoupling matrix is rank deficient at this state",
+                      RankDeficientWarning, stacklevel=2)
+    return pinv(lglfy) @ (-lf2y + mu + ddy_ref)
 
 
 class TestCollocatedSplit:
@@ -224,7 +243,7 @@ class TestSoftIdClfQpStep:
         ref = setpoint_at_fk(model, np.zeros(2))
         clf = default_clf(0.1, 2)
         split = collocated_split(model.B)
-        u, log, sol = soft_id_clf_qp_step(model, state, ref, gset(), clf, split)
+        u, log, sol = full_body_qp_step(model, state, ref, gset(), clf, split, certify=True)
         assert sol.status is QpStatus.OPTIMAL
         assert np.allclose(u, 0.0, atol=1e-8)
         assert log.delta == pytest.approx(0.0, abs=1e-8)
@@ -238,7 +257,7 @@ class TestSoftIdClfQpStep:
         for _ in range(20):
             state = RobotState(rng.uniform(-0.8, 0.8, 2), rng.uniform(-1, 1, 2))
             ref = Reference.setpoint(rng.uniform(-0.3, 0.3, 2))
-            u, log, sol = soft_id_clf_qp_step(model, state, ref, g, clf, split)
+            u, log, sol = full_body_qp_step(model, state, ref, g, clf, split, certify=True)
             assert sol.status is QpStatus.OPTIMAL
             assert log.Vdot <= -log.V / clf.eps + log.delta + 1e-6
 
@@ -256,7 +275,7 @@ class TestSoftIdClfQpStep:
         for _ in range(10):
             state = RobotState(rng.uniform(-0.5, 0.5, 4), rng.uniform(-0.5, 0.5, 4))
             ref = Reference.setpoint(rng.uniform(-0.1, 0.1, 2))
-            u, log, sol = soft_id_clf_qp_step(model, state, ref, gset(), clf, split)
+            u, log, sol = full_body_qp_step(model, state, ref, gset(), clf, split, certify=True)
             terms = bias_terms(model, state)
             qdd = forward_dynamics(model, state, u, terms=terms)
             assert np.allclose(split.S @ (terms.M @ qdd + terms.h), u, atol=1e-8)
@@ -268,7 +287,7 @@ class TestIcQpStep:
         state = model.rest_state()
         ref = setpoint_at_fk(model, np.zeros(2))
         split = collocated_split(model.B)
-        u, log, sol = ic_qp_step(model, state, ref, gset(), split)
+        u, log, sol = full_body_qp_step(model, state, ref, gset(), None, split, certify=False)
         assert np.allclose(u, 0.0, atol=1e-8)
 
     def test_cost_never_above_soft_id(self):
@@ -282,8 +301,8 @@ class TestIcQpStep:
         for _ in range(15):
             state = RobotState(rng.uniform(-0.8, 0.8, 2), rng.uniform(-1, 1, 2))
             ref = Reference.setpoint(rng.uniform(-0.3, 0.3, 2))
-            _, _, sol_soft = soft_id_clf_qp_step(model, state, ref, g, clf, split)
-            _, _, sol_ic = ic_qp_step(model, state, ref, g, split)
+            _, _, sol_soft = full_body_qp_step(model, state, ref, g, clf, split, certify=True)
+            _, _, sol_ic = full_body_qp_step(model, state, ref, g, None, split, certify=False)
             assert sol_ic.objective <= sol_soft.objective + 1e-9
 
 
@@ -331,7 +350,7 @@ class TestUic:
             state = RobotState(rng.uniform(-0.8, 0.8, 2), rng.uniform(-0.5, 0.5, 2))
             ref = Reference.setpoint(rng.uniform(-0.2, 0.2, 2))
             u_ic, _ = impedance_step(model, state, ref, gset())
-            u_uic, _ = uic_step(model, state, ref, gset())
+            u_uic, _ = impedance_step(model, state, ref, gset(), uic=True)
             assert np.allclose(u_ic, u_uic, atol=1e-8)
 
     def test_unactuated_residual_least_squares(self):
@@ -361,7 +380,7 @@ class TestUic:
     def test_zero_at_rest_toy(self):
         model = two_link(gravity=(0.0, 0.0, 0.0))
         ref = setpoint_at_fk(model, np.zeros(2))
-        u, _ = uic_step(model, model.rest_state(), ref, gset())
+        u, _ = impedance_step(model, model.rest_state(), ref, gset(), uic=True)
         assert np.allclose(u, 0.0, atol=1e-9)
 
 
