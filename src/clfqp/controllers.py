@@ -21,8 +21,9 @@ Closed-form baselines (``impedance_step``):
   by a null-space correction before clamping (``uic=True``).
 
 One ``Controller`` class runs any of the five laws by name. It makes the
-maps that depend only on B once, and owns the warm-start and
-hold-previous-input state of one episode; the *_step functions are pure.
+maps that depend only on B, and the constant blocks of its QP
+(``QpConstants``), once, and owns the warm-start and hold-previous-input
+state of one episode; the *_step functions are pure.
 Every step evaluates its state once (``evaluate``) and returns that
 evaluation in its log, so the simulator can log and integrate from it
 without rebuilding the chain.
@@ -39,7 +40,7 @@ from .clf import ClfData, TaskError, clf_row, clf_value, default_clf, vdot_coeff
 from .kinematics import TaskState, task_state
 from .linalg import pinv
 from .multibody import DynamicsTerms, RobotModel, RobotState, bias_terms, solve_inertia
-from .qp import QpProblem, QpSolution, QpStatus, solve_qp
+from .qp import Bounds, QpProblem, QpSolution, QpStatus, solve_qp
 
 LAMBDA_REG = 1e-8        # task-inertia regularization for ic/uic
 
@@ -197,9 +198,41 @@ def _evaluate_step(model: RobotModel, state: RobotState, ref: Reference) -> _Ste
     return _StepData(evaluation=ev, y_ref=y_ref, dy_ref=dy_ref, ddy_ref=ddy_ref, err=err)
 
 
+@dataclass(frozen=True)
+class QpConstants:
+    """The blocks of a QP law's program that no step changes, made once per
+    controller and read-only: the Hessian (clf-qp) or its constant blocks
+    (full body: 2 w3 I, and 2 rho when certifying), A_eq with only its
+    identity block filled, the input box with its inequality rows, and, for
+    the full body, w2 I."""
+
+    H: np.ndarray
+    A_eq: np.ndarray
+    bounds: Bounds
+    w2_eye: np.ndarray | None = None
+
+    def __post_init__(self):
+        for arr in (self.H, self.A_eq, self.w2_eye):
+            if arr is not None:
+                arr.setflags(write=False)
+
+
+def clf_qp_constants(model: RobotModel, gains) -> QpConstants:
+    n_t, m = model.task_dim, model.m
+    d = m + n_t + 1
+    h_cost = np.zeros((d, d))
+    h_cost[m:m + n_t, m:m + n_t] = 2.0 * gains.w1 * np.eye(n_t)
+    h_cost[-1, -1] = 2.0 * gains.rho
+    a_eq = np.zeros((m, d))
+    a_eq[:, :m] = np.eye(m)
+    lb = np.concatenate([model.u_min, np.full(n_t, -np.inf), [0.0]])
+    ub = np.concatenate([model.u_max, np.full(n_t, np.inf), [np.inf]])
+    return QpConstants(H=h_cost, A_eq=a_eq, bounds=Bounds.make(lb, ub, d))
+
+
 def clf_qp_step(model: RobotModel, state: RobotState, ref: Reference, gains,
                 clf: ClfData, warm_start: tuple | None = None,
-                u_hold: np.ndarray | None = None
+                u_hold: np.ndarray | None = None, consts: QpConstants | None = None
                 ) -> tuple[np.ndarray, ControlStepLog, QpSolution]:
     """One step of the clf-qp law.
 
@@ -207,22 +240,20 @@ def clf_qp_step(model: RobotModel, state: RobotState, ref: Reference, gains,
     w1 ||mu - mu_ref||^2 + rho delta^2 subject to the Lyapunov decrease row,
     the linearizing equality u = (LgLfy)^+ (-Lf2y + mu + ydd_ref), the input
     box, and delta >= 0. On infeasibility the previous input is held.
+    ``consts`` are ``clf_qp_constants(model, gains)``, when known.
     """
     data = _evaluate_step(model, state, ref)
+    consts = clf_qp_constants(model, gains) if consts is None else consts
     n_t, m = model.task_dim, model.m
     lf2y, lglfy = lie_terms(model, state, terms=data.terms, ts=data.ts)
     g_pinv = pinv(lglfy)
 
     d = m + n_t + 1
-    h_cost = np.zeros((d, d))
     f_cost = np.zeros(d)
     mu_des = mu_ref(gains, data.err)
-    h_cost[m:m + n_t, m:m + n_t] = 2.0 * gains.w1 * np.eye(n_t)
     f_cost[m:m + n_t] = -2.0 * gains.w1 * mu_des
-    h_cost[-1, -1] = 2.0 * gains.rho
 
-    a_eq = np.zeros((m, d))
-    a_eq[:, :m] = np.eye(m)
+    a_eq = consts.A_eq.copy()
     a_eq[:, m:m + n_t] = -g_pinv
     b_eq = g_pinv @ (-lf2y + data.ddy_ref)
 
@@ -231,19 +262,34 @@ def clf_qp_step(model: RobotModel, state: RobotState, ref: Reference, gains,
     a_in[0, m:] = row
     b_in = np.array([rhs])
 
-    lb = np.concatenate([model.u_min, np.full(n_t, -np.inf), [0.0]])
-    ub = np.concatenate([model.u_max, np.full(n_t, np.inf), [np.inf]])
-
-    prob = QpProblem(h_cost, f_cost, a_eq, b_eq, a_in, b_in, lb, ub)
+    prob = QpProblem(consts.H, f_cost, a_eq, b_eq, a_in, b_in, bounds=consts.bounds)
     sol = solve_qp(prob, warm_start=warm_start)
     return _finish_qp_step(model, state, data, clf, sol, u_hold,
                            lambda x: (x[:m], x[m:m + n_t], x[-1]))
 
 
+def full_body_constants(model: RobotModel, gains, certify: bool) -> QpConstants:
+    n, m = model.n, model.m
+    d = n + m + 1 if certify else n + m
+    h_cost = np.zeros((d, d))
+    h_cost[n:n + m, n:n + m] = 2.0 * gains.w3 * np.eye(m)
+    a_eq = np.zeros((m, d))
+    a_eq[:, n:n + m] = -np.eye(m)
+    lb_parts = [np.full(n, -np.inf), model.u_min]
+    ub_parts = [np.full(n, np.inf), model.u_max]
+    if certify:
+        h_cost[-1, -1] = 2.0 * gains.rho
+        lb_parts.append([0.0])
+        ub_parts.append([np.inf])
+    bounds = Bounds.make(np.concatenate(lb_parts), np.concatenate(ub_parts), d)
+    return QpConstants(H=h_cost, A_eq=a_eq, bounds=bounds, w2_eye=gains.w2 * np.eye(n))
+
+
 def full_body_qp_step(model: RobotModel, state: RobotState, ref: Reference, gains,
                       clf: ClfData | None, split: CollocatedSplit, certify: bool,
                       warm_start: tuple | None = None,
-                      u_hold: np.ndarray | None = None
+                      u_hold: np.ndarray | None = None,
+                      consts: QpConstants | None = None
                       ) -> tuple[np.ndarray, ControlStepLog, QpSolution]:
     """One step of soft-id-clf-qp (``certify``) or ic-qp (not ``certify``).
 
@@ -254,9 +300,11 @@ def full_body_qp_step(model: RobotModel, state: RobotState, ref: Reference, gain
     the actuated-row equality S (M qdd + h) = u and the input box; when
     certifying, also to the Lyapunov row and delta >= 0. Without the
     certificate, ``clf`` (which may be None) only scores the logged V and
-    Vdot. On infeasibility the previous input is held.
+    Vdot. On infeasibility the previous input is held. ``consts`` are
+    ``full_body_constants(model, gains, certify)``, when known.
     """
     data = _evaluate_step(model, state, ref)
+    consts = full_body_constants(model, gains, certify) if consts is None else consts
     n, m, n_t = model.n, model.m, model.task_dim
     jac, djac, nproj = data.ts.J, data.ts.dJ, data.ts.N
 
@@ -265,37 +313,27 @@ def full_body_qp_step(model: RobotModel, state: RobotState, ref: Reference, gain
     mu_drift = djac @ state.dq - data.ddy_ref        # mu = J qdd + mu_drift
     qdd_null_ref = -gains.d_null * (nproj @ state.dq)
 
-    h_cost = np.zeros((d, d))
+    h_cost = consts.H.copy()
     f_cost = np.zeros(d)
     # N is symmetric idempotent, so N'N = N.
-    h_cost[:n, :n] = 2.0 * (gains.w1 * jac.T @ jac + gains.w2 * np.eye(n)
-                            + gains.w4 * nproj)
+    h_cost[:n, :n] = 2.0 * (gains.w1 * jac.T @ jac + consts.w2_eye + gains.w4 * nproj)
     f_cost[:n] = (2.0 * gains.w1 * jac.T @ (mu_drift - mu_des)
                   - 2.0 * gains.w4 * (nproj @ qdd_null_ref))
-    h_cost[n:n + m, n:n + m] = 2.0 * gains.w3 * np.eye(m)
 
-    a_eq = np.zeros((m, d))
+    a_eq = consts.A_eq.copy()
     a_eq[:, :n] = split.S @ data.terms.M
-    a_eq[:, n:n + m] = -np.eye(m)
     b_eq = -split.S @ data.terms.h
 
-    lb_parts = [np.full(n, -np.inf), model.u_min]
-    ub_parts = [np.full(n, np.inf), model.u_max]
     a_in = b_in = None
     if certify:
-        h_cost[-1, -1] = 2.0 * gains.rho
         row, rhs = clf_row(clf, data.err)     # over (mu, delta)
         a1 = row[:n_t]
         a_in = np.zeros((1, d))
         a_in[0, :n] = a1 @ jac
         a_in[0, -1] = row[-1]
         b_in = np.array([rhs - a1 @ mu_drift])
-        lb_parts.append([0.0])
-        ub_parts.append([np.inf])
-    lb = np.concatenate(lb_parts)
-    ub = np.concatenate(ub_parts)
 
-    prob = QpProblem(h_cost, f_cost, a_eq, b_eq, a_in, b_in, lb, ub)
+    prob = QpProblem(h_cost, f_cost, a_eq, b_eq, a_in, b_in, bounds=consts.bounds)
     sol = solve_qp(prob, warm_start=warm_start)
     return _finish_qp_step(model, state, data, clf, sol, u_hold,
                            lambda x: (x[n:n + m], jac @ x[:n] + mu_drift,
@@ -385,8 +423,9 @@ def _impedance_torque(model, state, data, gains, maps, uic: bool) -> np.ndarray:
 class Controller:
     """One of the five laws, chosen by ``name``. Makes the maps that depend
     only on B once (the collocated split for the full-body QPs, B^+ and
-    I - B B^+ for ic/uic) and owns the warm-start and hold-previous-input
-    state of one episode at a time; ``reset`` clears it between episodes."""
+    I - B B^+ for ic/uic), and the constant blocks of a QP law, and owns the
+    warm-start and hold-previous-input state of one episode at a time;
+    ``reset`` clears it between episodes."""
 
     def __init__(self, name: str, model: RobotModel, gains):
         if name not in CONTROLLER_NAMES:
@@ -395,9 +434,12 @@ class Controller:
         self.model = model
         self.gains = gains
         self.clf = default_clf(gains.eps, model.task_dim)
-        if name in ("soft-id-clf-qp", "ic-qp"):
+        if name == "clf-qp":
+            self.consts = clf_qp_constants(model, gains)
+        elif name in ("soft-id-clf-qp", "ic-qp"):
             self.split = collocated_split(model.B)
-        elif name in ("ic", "uic"):
+            self.consts = full_body_constants(model, gains, certify=name == "soft-id-clf-qp")
+        else:
             self.maps = actuation_maps(model.B)
         self.reset()
 
@@ -412,11 +454,13 @@ class Controller:
                                   maps=self.maps, uic=name == "uic")
         if name == "clf-qp":
             u, log, sol = clf_qp_step(self.model, state, ref, self.gains, self.clf,
-                                      warm_start=self._warm, u_hold=self._u_hold)
+                                      warm_start=self._warm, u_hold=self._u_hold,
+                                      consts=self.consts)
         else:
             u, log, sol = full_body_qp_step(self.model, state, ref, self.gains, self.clf,
                                             self.split, certify=name == "soft-id-clf-qp",
-                                            warm_start=self._warm, u_hold=self._u_hold)
+                                            warm_start=self._warm, u_hold=self._u_hold,
+                                            consts=self.consts)
         self._warm = sol.active_set or self._warm
         self._u_hold = u
         return u, log

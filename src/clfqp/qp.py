@@ -11,6 +11,38 @@ the equality constraints. Problems here are small (tens of variables, one
 solve per control step), so every working-set change re-solves a dense KKT
 system instead of updating factorizations. The working set of the previous
 solve can be passed back in as a warm start.
+
+Most of a solve at these sizes is fixed cost, so the fixed work is kept
+small without changing a bit of the result:
+
+- Built once. A caller whose box does not change makes its ``Bounds`` (the
+  box and the inequality rows it adds) once and passes them to every
+  problem; the QP laws in ``controllers`` also build their constant
+  Hessian and A_eq blocks once per controller (``QpConstants``). Each
+  working set fills one preallocated KKT matrix, whose Hessian block is
+  written once, instead of assembling it with ``np.block`` per solve, and
+  a warm-started solve skips the cold start's first solve with H.
+- Warm-start seeding. One SVD of all candidate rows replaces a rank test
+  per candidate whenever its smallest singular value clears the cutoff by
+  more than the rounding of two SVDs: deleting rows never lowers the
+  smallest singular value of a matrix with no more rows than columns, so
+  the row-by-row test would keep every candidate. Otherwise the row-by-row
+  test runs (``_independent_rows``).
+- PSD check. A completed Cholesky factorisation of A = (H + H')/2
+  certifies A + dA = R'R with |dA| <= g |R'||R|, g = (d+1)u / (1 - (d+1)u)
+  (Demmel; Higham, *Accuracy and Stability of Numerical Algorithms*,
+  Thm 10.3), hence lambda_min(A) >= -d g / (1 - g) max|A_ij|: at most
+  2.4e-13 of the scale for d = 46, far inside the 1e-10 rule. Up to
+  ``PSD_CERT_MAX_DIM``, where that bound leaves the rule a 100x margin,
+  a completed ``dpotrf`` accepts H; a failed one (semidefinite Hessians
+  such as clf-qp's) or a larger d falls back to the ``eigvalsh`` rule, so
+  the check accepts and rejects exactly what the eigenvalue rule does.
+- KKT solves stay ``np.linalg.solve`` on the assembled system: reusing an
+  LU factor or stacking right-hand sides changes the bits of the solution.
+- The stationarity part of the reported KKT residual is Z Z' grad, from
+  the null-space basis Z the elimination already made, instead of a
+  least-squares solve for the equality multipliers. Only that diagnostic
+  changes, and only in its rounding.
 """
 
 from __future__ import annotations
@@ -20,11 +52,28 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 FEAS_TOL = 1e-8          # absolute slack threshold for "satisfied"
 DUAL_TOL = 1e-10         # multiplier nonnegativity slack
 ZERO_DIR_TOL = 1e-11     # primal step directions below this are "no motion"
 EQ_RANK_TOL = 1e-12      # relative singular-value cutoff for A_eq
+SEED_RANK_TOL = 1e-10    # singular-value cutoff for independent warm-start rows
+PSD_TOL = 1e-10          # H is PSD when lambda_min >= -PSD_TOL * max(1, max|H_ij|)
+
+_EPS = np.finfo(float).eps
+_BLOCKS = ("H", "f", "A_eq", "b_eq", "A_in", "b_in")
+
+
+def cholesky_eig_bound(d: int) -> float:
+    """Relative lower bound on lambda_min of a symmetric d x d matrix whose
+    Cholesky factorisation runs to completion: lambda_min >= -bound * max|A_ij|
+    (see the module docstring)."""
+    g = (d + 1) * (_EPS / 2) / (1.0 - (d + 1) * (_EPS / 2))
+    return d * g / (1.0 - g)
+
+
+PSD_CERT_MAX_DIM = max(d for d in range(1, 1000) if cholesky_eig_bound(d) <= 1e-2 * PSD_TOL)
 
 
 class QpStatus(str, Enum):
@@ -33,12 +82,46 @@ class QpStatus(str, Enum):
     MAX_ITER = "MaxIter"
 
 
+@dataclass(frozen=True)
+class Bounds:
+    """The box lb <= x <= ub and the inequality rows it adds: -x <= -lb on
+    the finite lower bounds, then x <= ub on the finite upper bounds.
+    Entries may be +-inf, never NaN. The arrays are read-only copies, so
+    one Bounds can serve every problem of a caller whose box is fixed."""
+
+    lb: np.ndarray
+    ub: np.ndarray
+    rows: np.ndarray
+    rhs: np.ndarray
+
+    @classmethod
+    def make(cls, lb, ub, d: int) -> "Bounds":
+        lb = np.full(d, -np.inf) if lb is None else np.array(lb, dtype=float).ravel()
+        ub = np.full(d, np.inf) if ub is None else np.array(ub, dtype=float).ravel()
+        for name, v in (("lb", lb), ("ub", ub)):
+            if v.shape != (d,):
+                raise ValueError(f"{name} must have {d} entries, got {v.shape}")
+            if np.isnan(v).any():
+                raise ValueError(f"{name} contains NaN entries")
+        if np.any(lb > ub):
+            raise ValueError("lb must not exceed ub")
+        eye = np.eye(d)
+        lo = np.isfinite(lb)
+        hi = np.isfinite(ub)
+        rows = np.vstack([-eye[lo], eye[hi]])
+        rhs = np.concatenate([-lb[lo], ub[hi]])
+        for arr in (lb, ub, rows, rhs):
+            arr.setflags(write=False)
+        return cls(lb=lb, ub=ub, rows=rows, rhs=rhs)
+
+
 @dataclass
 class QpProblem:
     """Standard-form dense convex QP.
 
     H must be symmetric positive semidefinite; lb/ub entries may be +-inf.
-    Missing constraint blocks may be passed as None.
+    Missing constraint blocks may be passed as None. Instead of lb/ub a
+    caller may pass ``bounds`` made once by ``Bounds.make``.
     """
 
     H: np.ndarray
@@ -49,6 +132,7 @@ class QpProblem:
     b_in: np.ndarray | None = None
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
+    bounds: Bounds | None = None
 
     def __post_init__(self):
         self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
@@ -68,8 +152,12 @@ class QpProblem:
         else:
             self.A_in = np.atleast_2d(np.asarray(self.A_in, dtype=float))
             self.b_in = np.asarray(self.b_in, dtype=float).ravel()
-        self.lb = np.full(d, -np.inf) if self.lb is None else np.asarray(self.lb, dtype=float).ravel()
-        self.ub = np.full(d, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float).ravel()
+        if self.bounds is not None:
+            if self.lb is not None or self.ub is not None:
+                raise ValueError("pass lb/ub or bounds, not both")
+            if self.bounds.lb.shape != (d,):
+                raise ValueError(f"bounds must have {d} entries, got {self.bounds.lb.shape}")
+            self.lb, self.ub = self.bounds.lb, self.bounds.ub
         self.validate()
 
     @property
@@ -77,20 +165,33 @@ class QpProblem:
         return self.f.shape[0]
 
     def validate(self):
-        for name in ("H", "f", "A_eq", "b_eq", "A_in", "b_in"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} contains non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(self.H))))
-        if np.max(np.abs(self.H - self.H.T)) > 1e-12 * scale:
+        blocks = [getattr(self, name) for name in _BLOCKS]
+        if not np.isfinite(np.concatenate([b.ravel() for b in blocks])).all():
+            for name, block in zip(_BLOCKS, blocks):
+                if not np.isfinite(block).all():
+                    raise ValueError(f"{name} contains non-finite entries")
+        h = self.H
+        scale = max(1.0, float(np.abs(h).max()))
+        if np.abs(h - h.T).max() > 1e-12 * scale:
             raise ValueError("H must be symmetric (1e-12 relative)")
-        w = np.linalg.eigvalsh(0.5 * (self.H + self.H.T))
-        if w[0] < -1e-10 * scale:
-            raise ValueError(f"H must be positive semidefinite (min eig {w[0]:.3e})")
-        if np.any(self.lb > self.ub):
-            raise ValueError("lb must not exceed ub")
+        _check_psd(0.5 * (h + h.T), scale)
+        if self.bounds is None or self.bounds.lb is not self.lb or self.bounds.ub is not self.ub:
+            self.bounds = Bounds.make(self.lb, self.ub, self.dim)
+            self.lb, self.ub = self.bounds.lb, self.bounds.ub
 
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.H @ x + self.f @ x)
+
+
+def _check_psd(h_sym: np.ndarray, scale: float):
+    """Reject h_sym unless lambda_min >= -PSD_TOL * scale. A completed
+    Cholesky factorisation certifies it up to PSD_CERT_MAX_DIM (module
+    docstring); otherwise the eigenvalues decide."""
+    if h_sym.shape[0] <= PSD_CERT_MAX_DIM and dpotrf(h_sym)[1] == 0:
+        return
+    w = np.linalg.eigvalsh(h_sym)
+    if w[0] < -PSD_TOL * scale:
+        raise ValueError(f"H must be positive semidefinite (min eig {w[0]:.3e})")
 
 
 @dataclass
@@ -112,17 +213,10 @@ def _stack_inequalities(prob: QpProblem) -> tuple[np.ndarray, np.ndarray]:
     Row order is stable: user rows, then finite lower bounds (as -x <= -lb),
     then finite upper bounds. Warm-start indices refer to this order.
     """
-    d = prob.dim
-    rows = [prob.A_in]
-    rhs = [prob.b_in]
-    eye = np.eye(d)
-    lo = np.isfinite(prob.lb)
-    hi = np.isfinite(prob.ub)
-    rows.append(-eye[lo])
-    rhs.append(-prob.lb[lo])
-    rows.append(eye[hi])
-    rhs.append(prob.ub[hi])
-    return np.vstack(rows), np.concatenate(rhs)
+    bounds = prob.bounds
+    if prob.A_in.shape[0] == 0:
+        return bounds.rows, bounds.rhs
+    return np.vstack([prob.A_in, bounds.rows]), np.concatenate([prob.b_in, bounds.rhs])
 
 
 def _eliminate_equalities(prob: QpProblem):
@@ -156,7 +250,8 @@ def _chol_with_ridge(h: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 class _WorkingSet:
-    """Dual active-set state in the reduced (equality-free) space."""
+    """Dual active-set state in the reduced (equality-free) space. z is set
+    by the first ``solve_eqp``."""
 
     def __init__(self, h, f, g_rows, h_rhs):
         self.h = h
@@ -167,11 +262,22 @@ class _WorkingSet:
         self.lam: list[float] = []
         chol, _ = _chol_with_ridge(h)
         self._chol = chol
-        self.z = self._solve_h(-f)
+        # [[h, G_w'], [G_w, 0]] for any working set of distinct rows: h is
+        # written once, the working rows per solve, the zero block never.
+        nz, r = h.shape[0], g_rows.shape[0]
+        self._kkt = np.zeros((nz + r, nz + r))
+        self._kkt[:nz, :nz] = h
 
     def _solve_h(self, b):
         y = np.linalg.solve(self._chol, b)
         return np.linalg.solve(self._chol.T, y)
+
+    def _kkt_matrix(self):
+        nz, k = self.h.shape[0], len(self.idx)
+        gw = self.g[self.idx]
+        self._kkt[nz:nz + k, :nz] = gw
+        self._kkt[:nz, nz:nz + k] = gw.T
+        return self._kkt[:nz + k, :nz + k]
 
     def solve_eqp(self):
         """Minimize over the current working set treated as equalities."""
@@ -179,11 +285,8 @@ class _WorkingSet:
             self.z = self._solve_h(-self.f)
             self.lam = []
             return
-        gw = self.g[self.idx]
-        k = len(self.idx)
-        kkt = np.block([[self.h, gw.T], [gw, np.zeros((k, k))]])
         rhs = np.concatenate([-self.f, self.rhs[self.idx]])
-        sol = np.linalg.solve(kkt, rhs)
+        sol = np.linalg.solve(self._kkt_matrix(), rhs)
         self.z = sol[: self.h.shape[0]]
         self.lam = list(sol[self.h.shape[0]:])
 
@@ -191,11 +294,8 @@ class _WorkingSet:
         """Directions (dz, r) for increasing the multiplier of normal n_p."""
         if not self.idx:
             return self._solve_h(n_p), np.zeros(0)
-        gw = self.g[self.idx]
-        k = len(self.idx)
-        kkt = np.block([[self.h, gw.T], [gw, np.zeros((k, k))]])
-        rhs = np.concatenate([n_p, np.zeros(k)])
-        sol = np.linalg.solve(kkt, rhs)
+        rhs = np.concatenate([n_p, np.zeros(len(self.idx))])
+        sol = np.linalg.solve(self._kkt_matrix(), rhs)
         return sol[: self.h.shape[0]], sol[self.h.shape[0]:]
 
     def drop(self, local_k: int):
@@ -216,7 +316,6 @@ def solve_qp(prob: QpProblem, warm_start: tuple | None = None,
     to a handful on consecutive control steps.
     """
     t0 = time.perf_counter()
-    d = prob.dim
     g_all, h_all = _stack_inequalities(prob)
     x_p, z_basis, consistent = _eliminate_equalities(prob)
 
@@ -227,7 +326,7 @@ def solve_qp(prob: QpProblem, warm_start: tuple | None = None,
             for local, p in enumerate(ws.idx):
                 lam_full[p] = ws.lam[local]
             active = tuple(sorted(ws.idx))
-        resid = _kkt_residual(prob, g_all, h_all, x, lam_full)
+        resid = _kkt_residual(prob, g_all, h_all, x, lam_full, z_basis)
         return QpSolution(
             x_star=x, status=status, kkt_residual=resid, iterations=iters,
             solve_time=time.perf_counter() - t0, objective=prob.objective(x),
@@ -254,6 +353,8 @@ def solve_qp(prob: QpProblem, warm_start: tuple | None = None,
 
     if warm_start:
         _seed_working_set(ws, warm_start)
+    else:
+        ws.solve_eqp()
 
     if max_iter is None:
         max_iter = 50 + 10 * g_all.shape[0]
@@ -307,15 +408,33 @@ def solve_qp(prob: QpProblem, warm_start: tuple | None = None,
     return finish(x_p + z_basis @ ws.z, QpStatus.MAX_ITER, iters)
 
 
-def _seed_working_set(ws: _WorkingSet, warm_start):
-    """Install a previous active set, keeping rows independent and
-    multipliers nonnegative so the dual iteration invariant holds."""
-    candidates = [p for p in warm_start if 0 <= p < ws.g.shape[0]]
+def _independent_rows(g: np.ndarray, candidates: list[int]) -> list[int]:
+    """The candidates, in order, that the row-by-row test keeps: a row is
+    added when the kept rows plus it have full rank at SEED_RANK_TOL.
+
+    Deleting rows of a matrix with no more rows than columns never lowers
+    its smallest singular value (interlacing). So when sigma_min of all the
+    candidate rows clears the cutoff by more than the rounding of two SVDs
+    (each within 10 max(rows, cols) eps sigma_max of exact), every prefix the
+    row-by-row test forms has full computed rank, and all are kept.
+    """
+    k, nz = len(candidates), g.shape[1]
+    if 0 < k <= nz:
+        s = np.linalg.svd(g[candidates], compute_uv=False)
+        if s[-1] - SEED_RANK_TOL > 20 * nz * _EPS * s[0]:
+            return list(candidates)
     rows = []
     for p in candidates:
         trial = rows + [p]
-        if np.linalg.matrix_rank(ws.g[trial], tol=1e-10) == len(trial):
+        if np.linalg.matrix_rank(g[trial], tol=SEED_RANK_TOL) == len(trial):
             rows = trial
+    return rows
+
+
+def _seed_working_set(ws: _WorkingSet, warm_start):
+    """Install a previous active set, keeping rows independent and
+    multipliers nonnegative so the dual iteration invariant holds."""
+    rows = _independent_rows(ws.g, [p for p in warm_start if 0 <= p < ws.g.shape[0]])
     ws.idx = rows
     ws.lam = [0.0] * len(rows)
     while True:
@@ -333,12 +452,13 @@ def _seed_working_set(ws: _WorkingSet, warm_start):
         ws.drop(worst)
 
 
-def _kkt_residual(prob: QpProblem, g_all, h_all, x, lam) -> float:
-    """Max-norm KKT residual of the original problem at (x, lam)."""
+def _kkt_residual(prob: QpProblem, g_all, h_all, x, lam, z_basis) -> float:
+    """Max-norm KKT residual of the original problem at (x, lam). The
+    stationarity part is the gradient left after the best equality
+    multipliers, i.e. its projection Z Z' grad on the null space of A_eq."""
     grad = prob.H @ x + prob.f + g_all.T @ lam
     if prob.A_eq.shape[0]:
-        nu, *_ = np.linalg.lstsq(prob.A_eq.T, -grad, rcond=None)
-        grad = grad + prob.A_eq.T @ nu
+        grad = z_basis @ (z_basis.T @ grad)
         eq_viol = np.max(np.abs(prob.A_eq @ x - prob.b_eq))
     else:
         eq_viol = 0.0
@@ -346,4 +466,4 @@ def _kkt_residual(prob: QpProblem, g_all, h_all, x, lam) -> float:
     in_viol = float(np.max(slack, initial=0.0))
     comp = float(np.max(np.abs(lam * slack), initial=0.0)) if slack.size else 0.0
     dual_viol = float(np.max(-lam, initial=0.0))
-    return max(float(np.max(np.abs(grad))), eq_viol, max(0.0, in_viol), comp, dual_viol)
+    return max(float(np.max(np.abs(grad), initial=0.0)), eq_viol, max(0.0, in_viol), comp, dual_viol)

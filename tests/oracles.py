@@ -272,3 +272,152 @@ def pinv_each_step_impedance_torque(model, terms, ts, err, ddy_ref, dq, kp, kd, 
         tau_null = -pinv(blocked @ ts.N) @ (blocked @ tau_task)
         tau_task = tau_task + ts.N @ tau_null
     return pinv(model.B) @ (tau_task + terms.d_vec + terms.k_vec + terms.g_vec)
+
+
+def eigvalsh_psd_rule(h):
+    """True when H passes the eigenvalue PSD rule: the least eigenvalue of
+    (H + H')/2 is at least -1e-10 max(1, max|H_ij|)."""
+    h = np.asarray(h, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(h))))
+    return np.linalg.eigvalsh(0.5 * (h + h.T))[0] >= -1e-10 * scale
+
+
+def row_by_row_independent(g, candidates, tol=1e-10):
+    """Candidates kept, in order, by one matrix_rank test per candidate: a
+    row is added when the kept rows plus it have full rank at ``tol``."""
+    rows = []
+    for p in candidates:
+        trial = rows + [p]
+        if np.linalg.matrix_rank(g[trial], tol=tol) == len(trial):
+            rows = trial
+    return rows
+
+
+def assembled_kkt_qp(prob, warm_start=None, max_iter=None):
+    """The dual active-set solver as it was before its fixed costs were cut:
+    the bound rows stacked per call, one matrix_rank test per warm-start
+    candidate, an unconditional first solve with H, and every KKT system
+    assembled with np.block. Reads H, f, A_eq, b_eq, A_in, b_in, lb, ub of
+    ``prob`` (all present, lb/ub possibly infinite) and returns
+    (x, active_set, iterations, status) with status "Optimal", "Infeasible"
+    or "MaxIter"."""
+    feas_tol, dual_tol, zero_dir_tol, eq_rank_tol = 1e-8, 1e-10, 1e-11, 1e-12
+    d = prob.f.shape[0]
+    eye = np.eye(d)
+    lo, hi = np.isfinite(prob.lb), np.isfinite(prob.ub)
+    g_all = np.vstack([prob.A_in, -eye[lo], eye[hi]])
+    h_all = np.concatenate([prob.b_in, -prob.lb[lo], prob.ub[hi]])
+
+    if prob.A_eq.shape[0] == 0:
+        x_p, z_basis, consistent = np.zeros(d), np.eye(d), True
+    else:
+        u, s, vt = np.linalg.svd(prob.A_eq, full_matrices=True)
+        rank = int(np.sum(s > eq_rank_tol * max(s[0], 1.0))) if s.size else 0
+        x_p = vt[:rank].T @ ((u[:, :rank].T @ prob.b_eq) / s[:rank])
+        z_basis = vt[rank:].T
+        resid = np.max(np.abs(prob.A_eq @ x_p - prob.b_eq)) if prob.b_eq.size else 0.0
+        consistent = resid <= feas_tol * (1.0 + np.max(np.abs(prob.b_eq), initial=0.0))
+    if not consistent:
+        return x_p, (), 0, "Infeasible"
+    g = g_all @ z_basis
+    rhs_all = h_all - g_all @ x_p
+    if z_basis.shape[1] == 0:
+        viol = g_all @ x_p - h_all
+        ok = viol.size == 0 or np.max(viol) <= feas_tol
+        return x_p, (), 0, "Optimal" if ok else "Infeasible"
+
+    h = z_basis.T @ prob.H @ z_basis
+    h = 0.5 * (h + h.T)
+    f = z_basis.T @ (prob.H @ x_p + prob.f)
+    scale, ridge = max(1.0, float(np.max(np.abs(h)))), 0.0
+    for _ in range(6):
+        try:
+            chol = np.linalg.cholesky(h + ridge * np.eye(h.shape[0]))
+            break
+        except np.linalg.LinAlgError:
+            ridge = max(ridge * 100.0, 1e-12 * scale)
+    else:
+        raise np.linalg.LinAlgError("reduced Hessian is not positive semidefinite")
+    nz = h.shape[0]
+
+    def solve_h(b):
+        return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
+
+    def kkt_solve(idx, top, bottom):
+        gw = g[idx]
+        k = len(idx)
+        kkt = np.block([[h, gw.T], [gw, np.zeros((k, k))]])
+        sol = np.linalg.solve(kkt, np.concatenate([top, bottom]))
+        return sol[:nz], list(sol[nz:])
+
+    def solve_eqp(idx):
+        if not idx:
+            return solve_h(-f), []
+        return kkt_solve(idx, -f, rhs_all[idx])
+
+    idx, lam = [], []
+    z = solve_h(-f)
+    if warm_start:
+        idx = row_by_row_independent(g, [p for p in warm_start if 0 <= p < g.shape[0]])
+        lam = [0.0] * len(idx)
+        while True:
+            try:
+                z, lam = solve_eqp(idx)
+            except np.linalg.LinAlgError:
+                idx = []
+                z, lam = solve_eqp(idx)
+                break
+            if not lam:
+                break
+            worst = int(np.argmin(lam))
+            if lam[worst] >= -dual_tol:
+                break
+            del idx[worst]
+            del lam[worst]
+
+    if max_iter is None:
+        max_iter = 50 + 10 * g_all.shape[0]
+    iters = 0
+    while iters < max_iter:
+        iters += 1
+        slack = g @ z - rhs_all
+        if slack.size:
+            slack[idx] = -np.inf
+        p = int(np.argmax(slack)) if slack.size else -1
+        if p < 0 or slack[p] <= feas_tol:
+            return x_p + z_basis @ z, tuple(sorted(idx)), iters, "Optimal"
+        n_p, s_p, lam_p = g[p], slack[p], 0.0
+        while True:
+            if idx:
+                dz, r = kkt_solve(idx, n_p, np.zeros(len(idx)))
+            else:
+                dz, r = solve_h(n_p), []
+            curvature = float(n_p @ dz)
+            moving = curvature > zero_dir_tol * (1.0 + float(np.abs(n_p) @ np.abs(dz)))
+            t1, block = np.inf, -1
+            for local, rate in enumerate(r):
+                if rate > dual_tol and lam[local] / rate < t1:
+                    t1, block = lam[local] / rate, local
+            if not moving:
+                if not np.isfinite(t1):
+                    return x_p + z_basis @ z, (), iters, "Infeasible"
+                for local, rate in enumerate(r):
+                    lam[local] -= t1 * rate
+                lam_p += t1
+                del idx[block]
+                del lam[block]
+                continue
+            t2 = s_p / curvature
+            t = min(t1, t2)
+            z = z - t * dz
+            for local, rate in enumerate(r):
+                lam[local] -= t * rate
+            lam_p += t
+            s_p -= t * curvature
+            if t2 <= t1:
+                idx.append(p)
+                lam.append(lam_p)
+                break
+            del idx[block]
+            del lam[block]
+    return x_p + z_basis @ z, tuple(sorted(idx)), iters, "MaxIter"

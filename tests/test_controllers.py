@@ -355,27 +355,34 @@ class TestUic:
 
     def test_unactuated_residual_least_squares(self):
         # (I - Ip)(J'f + N tau_null) should be the least-squares residual of
-        # removing unactuated torque, never larger than without correction
+        # removing unactuated torque, never larger than without correction.
+        # With maps (I, I - Ip) the library returns the joint torque itself;
+        # uic minus ic is its correction N tau_null.
+        from clfqp import controllers
+
         model = straight_chain(n_links=4)
         b = np.array([[0.5, 0.0], [0.5, 0.0], [0.0, 0.5], [0.0, 0.5]])
         object.__setattr__(model, "B", b)
         object.__setattr__(model, "u_min", np.array([-5.0, -5.0]))
         object.__setattr__(model, "u_max", np.array([5.0, 5.0]))
-        from clfqp.linalg import pinv
 
-        i_p = model.B @ pinv(model.B)
-        blocked = np.eye(4) - i_p
+        blocked = np.eye(4) - b @ pinv(b)
+        maps = (np.eye(4), blocked)
         rng = np.random.default_rng(8)
         for _ in range(50):
             state = RobotState(rng.uniform(-0.6, 0.6, 4), rng.uniform(-0.5, 0.5, 4))
-            ts = task_state(model, state)
-            f = rng.standard_normal(2)
-            tau_task = ts.J.T @ f
-            tau_null = -pinv(blocked @ ts.N) @ (blocked @ tau_task)
-            resid = blocked @ (tau_task + ts.N @ tau_null)
+            ref = Reference.setpoint(rng.uniform(-0.1, 0.1, 2) + np.array([0.0, -0.2]))
+            data = controllers._evaluate_step(model, state, ref)
+            tau_ic = controllers._impedance_torque(model, state, data, gset(), maps, uic=False)
+            tau_uic = controllers._impedance_torque(model, state, data, gset(), maps, uic=True)
+            terms = data.terms
+            tau_task = tau_ic - terms.d_vec - terms.k_vec - terms.g_vec
+            n_tau_null = tau_uic - tau_ic
+            resid = blocked @ (tau_task + n_tau_null)
             # least-squares optimality: residual orthogonal to achievable span
-            gram = (blocked @ ts.N).T @ resid
+            gram = (blocked @ data.ts.N).T @ resid
             assert np.max(np.abs(gram)) < 1e-8
+            assert np.linalg.norm(resid) <= np.linalg.norm(blocked @ tau_task) + 1e-12
 
     def test_zero_at_rest_toy(self):
         model = two_link(gravity=(0.0, 0.0, 0.0))
@@ -467,6 +474,27 @@ class TestControllerObjects:
             u1, _ = make_controller(name, model, gset()).step(state, ref)
             u2, _ = make_controller(name, model, gset()).step(state, ref)
             assert np.array_equal(u1, u2)
+
+    def test_qp_constants_made_once(self, monkeypatch):
+        # a controller builds its constant QP blocks once, read-only, and
+        # steps with the bits of a step that builds them on the spot
+        from clfqp import controllers
+
+        model = two_link(k_s=(0.4, 0.2), u_lim=2.0)
+        ref = Reference.setpoint(np.array([0.2, -0.1]))
+        states = [RobotState(np.array([0.3, -0.2]), np.array([0.5, -0.1])),
+                  RobotState(np.array([0.1, 0.4]), np.array([-0.3, 0.2]))]
+        for name in ("clf-qp", "soft-id-clf-qp", "ic-qp"):
+            ctrl = make_controller(name, model, gset())
+            fresh = make_controller(name, model, gset())
+            assert not ctrl.consts.H.flags.writeable and not ctrl.consts.A_eq.flags.writeable
+            with monkeypatch.context() as m:
+                for builder in ("clf_qp_constants", "full_body_constants"):
+                    m.setattr(controllers, builder, None)
+                logs = [ctrl.step(s, ref)[1] for s in states]
+            fresh.consts = None      # each step builds its own blocks
+            for state, log in zip(states, logs):
+                assert np.array_equal(fresh.step(state, ref)[1].u, log.u)
 
     def test_equivalence_full_actuation(self):
         # clf-qp and soft-id-clf-qp drive the same fully actuated toy to

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from clfqp.qp import FEAS_TOL, QpProblem, QpSolution, QpStatus, solve_qp
+from clfqp import qp
+from clfqp.qp import FEAS_TOL, Bounds, QpProblem, QpSolution, QpStatus, solve_qp
 
-from oracles import brute_force_qp
+from oracles import (
+    assembled_kkt_qp,
+    brute_force_qp,
+    eigvalsh_psd_rule,
+    row_by_row_independent,
+)
 
 
 def random_qp(rng, d=5, n_eq=2, n_in=3, bounded=False):
@@ -134,6 +140,135 @@ class TestValidation:
         with pytest.raises(ValueError):
             QpProblem(np.eye(1), np.zeros(1), lb=np.array([2.0]), ub=np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block", ["H", "f", "A_eq", "b_eq", "A_in", "b_in"])
+    def test_non_finite_entry_names_its_block(self, block, bad):
+        blocks = dict(H=np.eye(3), f=np.zeros(3), A_eq=np.ones((1, 3)), b_eq=np.ones(1),
+                      A_in=np.ones((2, 3)), b_in=np.ones(2))
+        blocks[block] = blocks[block].copy()
+        blocks[block].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{block} contains non-finite"):
+            QpProblem(**blocks)
+
+    @pytest.mark.parametrize("side", ["lb", "ub"])
+    def test_nan_bound_rejected(self, side):
+        # a NaN upper bound on x0 used to drop that bound: min (x0 - 2)^2
+        # came back Optimal at x0 = 2 with no error
+        bounds = dict(lb=np.array([-np.inf, 0.0]), ub=np.array([np.inf, 1.0]))
+        bounds[side][0] = np.nan
+        with pytest.raises(ValueError, match=f"^{side} contains NaN"):
+            QpProblem(2.0 * np.eye(2), np.array([-4.0, 0.0]), **bounds)
+
+    def test_infinite_bounds_allowed(self):
+        sol = solve_qp(QpProblem(2.0 * np.eye(2), np.array([-4.0, 0.0]),
+                                 lb=np.array([-np.inf, 0.0]), ub=np.array([np.inf, 1.0])))
+        assert sol.status is QpStatus.OPTIMAL
+        assert np.allclose(sol.x_star, [2.0, 0.0], atol=1e-9)
+
+    def test_bounds_object_matches_lb_ub(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            base = random_qp(rng, d=5, n_eq=1, n_in=2, bounded=True)
+            lb, ub = base.lb.copy(), base.ub.copy()
+            lb[1], ub[3] = -np.inf, np.inf
+            blocks = (base.H, base.f, base.A_eq, base.b_eq, base.A_in, base.b_in)
+            prob = QpProblem(*blocks, lb, ub)
+            made = Bounds.make(lb, ub, prob.dim)
+            again = QpProblem(*blocks, bounds=made)
+            a, b = solve_qp(prob), solve_qp(again)
+            assert np.array_equal(a.x_star, b.x_star) and a.active_set == b.active_set
+            assert again.lb is made.lb and not made.lb.flags.writeable
+
+    def test_bounds_misuse_rejected(self):
+        made = Bounds.make(None, np.ones(2), 2)
+        with pytest.raises(ValueError, match="not both"):
+            QpProblem(np.eye(2), np.zeros(2), lb=np.zeros(2), bounds=made)
+        with pytest.raises(ValueError, match="entries"):
+            QpProblem(np.eye(3), np.zeros(3), bounds=made)
+        with pytest.raises(ValueError, match="ub must have 2 entries"):
+            Bounds.make(None, np.ones(3), 2)
+
+
+def _psd_case(rng, d, t, size=1.0, rank=None):
+    """Symmetric d x d matrix with eigenvalues in size * [0.1, 1] except its
+    least, t * 1e-10 * max(1, max|H_ij|) (with ``rank``: d - rank zeros)."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    w = size * rng.uniform(0.1, 1.0, d)
+    w[: 1 if rank is None else d - rank] = 0.0
+    if rank is None:
+        w[0] = t * 1e-10 * max(1.0, float(np.max(np.abs((q * w) @ q.T))))
+    h = (q * w) @ q.T
+    return 0.5 * (h + h.T)
+
+
+class TestPsdCertificate:
+    """A completed Cholesky factorisation accepts H; otherwise the
+    eigenvalue rule decides. Either way H is rejected exactly when the
+    eigenvalue rule rejects it."""
+
+    def _cases(self):
+        rng = np.random.default_rng(31)
+        for d in (1, 2, 5, 12, 31, 46):
+            for size in (1.0, 1e3):
+                yield _psd_case(rng, d, 1e9, size)                   # positive definite
+                if d > 1:
+                    yield _psd_case(rng, d, 0.0, size, rank=d // 2)  # singular PSD
+                for t in (-10.0, -2.0, -1.1, -1.0, -0.9, -0.5, 0.0, 0.5, 1.0, 1.1, 2.0):
+                    yield _psd_case(rng, d, t, size)                 # near the rule
+
+    def test_rejects_exactly_as_eigenvalue_rule(self, monkeypatch):
+        calls = {"potrf_ok": 0, "potrf_failed": 0}
+        potrf = qp.dpotrf
+
+        def counted(a, *args, **kwargs):
+            out = potrf(a, *args, **kwargs)
+            calls["potrf_ok" if out[1] == 0 else "potrf_failed"] += 1
+            return out
+
+        monkeypatch.setattr(qp, "dpotrf", counted)
+        verdicts = set()
+        for h in self._cases():
+            accept = eigvalsh_psd_rule(h)
+            verdicts.add(bool(accept))
+            if accept:
+                QpProblem(h, np.zeros(h.shape[0]))
+            else:
+                with pytest.raises(ValueError, match="positive semidefinite"):
+                    QpProblem(h, np.zeros(h.shape[0]))
+        assert verdicts == {True, False}
+        assert calls["potrf_ok"] > 0 and calls["potrf_failed"] > 0
+
+    def test_bound_covers_the_rule(self):
+        assert qp.PSD_CERT_MAX_DIM >= 46
+        assert qp.cholesky_eig_bound(46) < 2.5e-13
+        assert qp.cholesky_eig_bound(qp.PSD_CERT_MAX_DIM) <= 1e-2 * qp.PSD_TOL
+
+    @pytest.mark.parametrize("d", [2, 46])
+    def test_indefinite_h_uses_factorisation_then_eigenvalues(self, monkeypatch, d):
+        seen = []
+        potrf, eigvalsh = qp.dpotrf, np.linalg.eigvalsh
+        monkeypatch.setattr(qp, "dpotrf",
+                            lambda a, *k, **kw: seen.append("potrf") or potrf(a, *k, **kw))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *k, **kw: seen.append("eigvalsh") or eigvalsh(a, *k, **kw))
+        h = _psd_case(np.random.default_rng(d), d, -1e7)     # lambda_min = -1e-3
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            QpProblem(h, np.zeros(d))
+        assert seen == ["potrf", "eigvalsh"]
+
+    def test_beyond_the_bound_range_eigenvalues_alone(self, monkeypatch):
+        seen = []
+        potrf, eigvalsh = qp.dpotrf, np.linalg.eigvalsh
+        monkeypatch.setattr(qp, "dpotrf",
+                            lambda a, *k, **kw: seen.append("potrf") or potrf(a, *k, **kw))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *k, **kw: seen.append("eigvalsh") or eigvalsh(a, *k, **kw))
+        d = qp.PSD_CERT_MAX_DIM + 1
+        QpProblem(np.eye(d), np.zeros(d))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            QpProblem(np.diag(np.r_[-1.0, np.ones(d - 1)]), np.zeros(d))
+        assert seen == ["eigvalsh", "eigvalsh"]
+
 
 class TestAgainstEnumerationOracle:
     def test_random_qps_match_brute_force(self):
@@ -214,3 +349,103 @@ class TestSolutionQuality:
             assert np.max(prob.A_in @ sol.x_star - prob.b_in, initial=0.0) < 1e-6
             assert np.all(sol.x_star >= prob.lb - 1e-6)
             assert np.all(sol.x_star <= prob.ub + 1e-6)
+
+
+def _record_controller_qps():
+    """Every QP, with the warm start it was given, that clf-qp,
+    soft-id-clf-qp and ic-qp solve on each built-in robot over one set point
+    (theta = 0.5 pi) and one tracking rate (omega = 0.5 pi), 20 ms each."""
+    from clfqp import controllers, experiments
+
+    recorded = []
+    solve = controllers.solve_qp
+
+    def recording(prob, warm_start=None, max_iter=None):
+        recorded.append((prob, warm_start))
+        return solve(prob, warm_start=warm_start, max_iter=max_iter)
+
+    controllers.solve_qp = recording
+    try:
+        for robot in ("finger", "helix", "spirob"):
+            for law in ("clf-qp", "soft-id-clf-qp", "ic-qp"):
+                experiments.setpoint_suite(robot, law, thetas=(experiments.THETA_GRID[1],),
+                                           sim_overrides={"t_end": 0.02})
+                experiments.tracking_suite(robot, law, omegas=(experiments.OMEGA_GRID[4],),
+                                           sim_overrides={"t_end": 0.02})
+    finally:
+        controllers.solve_qp = solve
+    return recorded
+
+
+@pytest.fixture(scope="module")
+def controller_qps():
+    return _record_controller_qps()
+
+
+def _same_as_assembled_kkt(prob, warm_start):
+    sol = solve_qp(prob, warm_start=warm_start)
+    x, active, iterations, status = assembled_kkt_qp(prob, warm_start=warm_start)
+    return (np.array_equal(sol.x_star, x) and np.array_equal(np.signbit(sol.x_star), np.signbit(x))
+            and sol.active_set == active and sol.iterations == iterations
+            and sol.status.value == status)
+
+
+class TestMatchesAssembledKktSolver:
+    """The solver returns bit for bit what it returned before its fixed
+    costs were cut (oracles.assembled_kkt_qp)."""
+
+    def test_controller_qps(self, controller_qps):
+        assert len(controller_qps) == 9 * 2 * 20
+        assert sum(bool(warm) for _, warm in controller_qps) > 200
+        for i, (prob, warm) in enumerate(controller_qps):
+            assert _same_as_assembled_kkt(prob, warm), f"QP {i}, warm start {warm}"
+            assert _same_as_assembled_kkt(prob, None), f"QP {i}, cold"
+
+    def test_random_qps_and_warm_starts(self):
+        rng = np.random.default_rng(17)
+        for trial in range(100):
+            prob = random_qp(rng, d=6, n_eq=trial % 3, n_in=4, bounded=bool(trial % 2))
+            cold = solve_qp(prob)
+            rows = 4 + (12 if trial % 2 else 0)
+            for warm in (None, cold.active_set, tuple(rng.choice(rows, 3, replace=False)),
+                         (0, 0, 1), (rows + 5, 1)):
+                assert _same_as_assembled_kkt(prob, warm), f"trial {trial}, warm {warm}"
+
+
+class TestSeeding:
+    """One SVD of all warm-start candidates keeps the rows that one rank
+    test per candidate keeps."""
+
+    def test_recorded_warm_starts(self, controller_qps):
+        for prob, warm in controller_qps:
+            if not warm:
+                continue
+            g_all, _ = qp._stack_inequalities(prob)
+            _, z_basis, _ = qp._eliminate_equalities(prob)
+            g = g_all @ z_basis
+            cands = [p for p in warm if 0 <= p < g.shape[0]]
+            assert qp._independent_rows(g, cands) == row_by_row_independent(g, cands)
+
+    def test_sigma_min_near_the_cutoff(self, monkeypatch):
+        rank_calls = []
+        matrix_rank = np.linalg.matrix_rank
+        monkeypatch.setattr(np.linalg, "matrix_rank",
+                            lambda *a, **k: rank_calls.append(1) or matrix_rank(*a, **k))
+        rng = np.random.default_rng(41)
+        paths = set()
+        for nz in (3, 8, 30):
+            for k in sorted({1, nz // 2, nz}):
+                for s_min in np.r_[1e-10 * np.logspace(-1, 1, 13),
+                                   1e-10 * (1 + np.array([-1e-6, 1e-9, 1e-6, 1e-3]))]:
+                    for s_max in (1.0, 1e3):
+                        u, _ = np.linalg.qr(rng.standard_normal((k, k)))
+                        v, _ = np.linalg.qr(rng.standard_normal((nz, nz)))
+                        s = np.geomspace(s_max, s_min, k) if k > 1 else np.array([s_min])
+                        g = np.vstack([(u * s) @ v[:k], rng.standard_normal((1, nz))])
+                        order = list(rng.permutation(k))
+                        for cands in (order, order + [order[0]], order + [k]):
+                            before = len(rank_calls)
+                            got = qp._independent_rows(g, cands)
+                            paths.add(len(rank_calls) == before)
+                            assert got == row_by_row_independent(g, cands), (nz, k, s_min)
+        assert paths == {True, False}

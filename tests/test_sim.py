@@ -129,3 +129,36 @@ class TestSharedEvaluation:
         # one evaluation shared by controller, log and RK4 k1, then k2..k4
         assert len(traj) == 10
         assert len(calls) == 4 * len(traj)
+
+
+class TestConvergenceOrder:
+    """Halving dt on the two-link toy under a constant input shrinks the
+    error at a fixed time against a fine-step RK4 reference (512 steps of
+    toys.rk4_rollout) by 2^p: p about 4 for RK4, about 1 for semi-implicit
+    Euler."""
+
+    HORIZON = 0.4
+    U = np.array([0.3, -0.2])
+    Q0, DQ0 = np.array([0.4, -0.3]), np.array([0.5, -0.2])
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        from toys import rk4_rollout, two_link
+
+        model = two_link(k_s=(0.5, 0.3), d_s=(0.2, 0.1))
+        qs, dqs = rk4_rollout(model, self.Q0, self.DQ0, lambda t, q, dq: self.U,
+                              self.HORIZON / 512, 512)
+        return model, np.concatenate([qs[-1], dqs[-1]])
+
+    @pytest.mark.parametrize("integrator,order", [("rk4", 4.0), ("semi-implicit-euler", 1.0)])
+    def test_observed_order(self, setup, integrator, order):
+        model, reference = setup
+        errors = []
+        for steps in (16, 32, 64):
+            cfg = SimConfig(dt_physics=self.HORIZON / steps, integrator=integrator)
+            state = RobotState(self.Q0, self.DQ0)
+            for _ in range(steps):
+                state = sim.step(model, state, self.U, cfg)
+            errors.append(np.max(np.abs(np.concatenate([state.q, state.dq]) - reference)))
+        observed = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(np.abs(observed - order) < 0.15 * order), observed
