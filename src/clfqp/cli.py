@@ -16,6 +16,7 @@ import numpy as np
 from . import experiments
 from .controllers import CONTROLLER_NAMES
 from .robots import GainSet, ParseError, RobotSpecFile, ValidationError, builtin_registry
+from .sim import SimConfig
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -85,6 +86,12 @@ def _parse_overrides(pairs) -> tuple[dict, dict]:
                 raise ValidationError(f"override {key}: {exc}") from exc
         else:
             raise ValidationError(f"unknown override key {key!r}")
+    try:
+        SimConfig(**sim_over)
+    except ValueError as exc:
+        # SimConfig's messages begin with the field they reject.
+        keys = ", ".join(f"sim.{name}" for name in sim_over if str(exc).startswith(name))
+        raise ValidationError(f"override {keys}: {exc}") from exc
     return sim_over, gain_over
 
 

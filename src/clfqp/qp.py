@@ -37,6 +37,9 @@ small without changing a bit of the result:
   a completed ``dpotrf`` accepts H; a failed one (semidefinite Hessians
   such as clf-qp's) or a larger d falls back to the ``eigvalsh`` rule, so
   the check accepts and rejects exactly what the eigenvalue rule does.
+- ``dpotrf`` is scipy's, taken from its compiled LAPACK extension by
+  ``_lapack``, so that importing the solver does not import the
+  ``scipy.linalg`` package (about 270 ms and 28 MB of a fresh process).
 - KKT solves stay ``np.linalg.solve`` on the assembled system: reusing an
   LU factor or stacking right-hand sides changes the bits of the solution.
 - The stationarity part of the reported KKT residual is Z Z' grad, from
@@ -52,7 +55,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
+
+from ._lapack import dpotrf
 
 FEAS_TOL = 1e-8          # absolute slack threshold for "satisfied"
 DUAL_TOL = 1e-10         # multiplier nonnegativity slack
@@ -138,6 +142,8 @@ class QpProblem:
         self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
         self.f = np.asarray(self.f, dtype=float).ravel()
         d = self.f.shape[0]
+        if d == 0:
+            raise ValueError("the QP has no decision variables (f is empty)")
         if self.H.shape != (d, d):
             raise ValueError(f"H must be {d}x{d}, got {self.H.shape}")
         if self.A_eq is None:

@@ -31,6 +31,7 @@ unstacked, on the shapes of one state, where a step costs less.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -57,12 +58,12 @@ class SimConfig:
     initial_state: RobotState | None = None
 
     def __post_init__(self):
-        if self.dt_physics <= 0.0:
-            raise ValueError("dt_physics must be positive")
+        for name in ("dt_physics", "t_end"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.control_decimation < 1:
             raise ValueError("control_decimation must be at least 1")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
 

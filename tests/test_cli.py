@@ -78,3 +78,17 @@ class TestFailedConvergence:
         assert text.count("status=FailedConvergence(task error beyond 2L)") == 1
         assert text.count("status=ok") == 3
         assert "Failed Convergence in 1/4" in capsys.readouterr().out
+
+
+class TestBadSimOverride:
+    @pytest.mark.parametrize("pair", ["sim.t_end=-1", "sim.integrator=euler",
+                                      "sim.dt_physics=nan", "sim.t_end=inf"])
+    def test_exits_as_validation_error_naming_the_key(self, pair, tmp_path, capsys):
+        from clfqp import cli
+
+        code = cli.main(["run", "--robot", "finger", "--controller", "ic",
+                         "--experiment", "setpoint", "--set", pair, "--out", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION == 65
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: override {pair.partition('=')[0]}: ")
+        assert not any(tmp_path.iterdir())

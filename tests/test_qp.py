@@ -136,6 +136,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             QpProblem(np.diag([1.0, -1.0]), np.zeros(2))
 
+    def test_empty_qp_rejected(self):
+        with pytest.raises(ValueError, match="no decision variables"):
+            QpProblem(np.zeros((0, 0)), np.zeros(0))
+
     def test_crossed_bounds_rejected(self):
         with pytest.raises(ValueError):
             QpProblem(np.eye(1), np.zeros(1), lb=np.array([2.0]), ub=np.array([1.0]))

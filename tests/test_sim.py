@@ -131,6 +131,14 @@ class TestSharedEvaluation:
         assert len(calls) == 4 * len(traj)
 
 
+class TestSimConfigValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
+    @pytest.mark.parametrize("name", ["dt_physics", "t_end"])
+    def test_non_finite_or_non_positive_time_names_its_field(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            SimConfig(**{name: bad})
+
+
 class TestConvergenceOrder:
     """Halving dt on the two-link toy under a constant input shrinks the
     error at a fixed time against a fine-step RK4 reference (512 steps of
