@@ -15,7 +15,7 @@ import numpy as np
 
 from . import experiments
 from .controllers import CONTROLLER_NAMES
-from .robots import GainSet, ParseError, RobotSpecFile, ValidationError, builtin_registry
+from .robots import ParseError, RobotSpecFile, ValidationError, builtin_registry, resolve_spec
 from .sim import SimConfig
 
 EXIT_OK = 0
@@ -95,20 +95,6 @@ def _parse_overrides(pairs) -> tuple[dict, dict]:
     return sim_over, gain_over
 
 
-def _resolve_spec(name: str) -> RobotSpecFile:
-    registry = builtin_registry()
-    if name in registry:
-        return registry[name]
-    path = Path(name)
-    if path.exists():
-        from .robots import _parse_document
-
-        text = path.read_text(encoding="utf-8")
-        return RobotSpecFile(name=path.stem, text=text,
-                             data=_parse_document(text, source=str(path)))
-    raise ValidationError(f"unknown robot {name!r}; built-ins: {sorted(registry)}")
-
-
 def _apply_gain_overrides(spec: RobotSpecFile, controller: str, overrides: dict) -> RobotSpecFile:
     if not overrides:
         return spec
@@ -129,34 +115,17 @@ def cmd_run(args) -> int:
     if args.controller not in CONTROLLER_NAMES:
         raise ValidationError(
             f"unknown controller {args.controller!r}; choose from {CONTROLLER_NAMES}")
-    spec = _resolve_spec(args.robot)
-    spec = _apply_gain_overrides(spec, args.controller, gain_over)
-
-    if args.experiment == "setpoint":
-        thetas = experiments.THETA_GRID
-        summary, trajs = experiments.setpoint_suite(spec, args.controller,
-                                                    thetas=thetas, sim_overrides=sim_over)
-        params = thetas
-        kind = "theta"
-    elif args.experiment == "tracking":
-        omegas = experiments.OMEGA_GRID
-        summary, trajs = experiments.tracking_suite(spec, args.controller,
-                                                    omegas=omegas, sim_overrides=sim_over)
-        params = omegas
-        kind = "omega"
-    else:
+    if args.experiment == "single":
         if (args.theta is None) == (args.omega is None):
             raise ValidationError("single experiment needs exactly one of --theta/--omega")
-        if args.theta is not None:
-            params = (args.theta * np.pi,)
-            kind = "theta"
-            summary, trajs = experiments.setpoint_suite(spec, args.controller,
-                                                        thetas=params, sim_overrides=sim_over)
-        else:
-            params = (args.omega * np.pi,)
-            kind = "omega"
-            summary, trajs = experiments.tracking_suite(spec, args.controller,
-                                                        omegas=params, sim_overrides=sim_over)
+        kind = "theta" if args.theta is not None else "omega"
+        params = ((args.theta if kind == "theta" else args.omega) * np.pi,)
+    else:
+        kind = "theta" if args.experiment == "setpoint" else "omega"
+        params = experiments.THETA_GRID if kind == "theta" else experiments.OMEGA_GRID
+    spec = _apply_gain_overrides(resolve_spec(args.robot), args.controller, gain_over)
+    suite = experiments.setpoint_suite if kind == "theta" else experiments.tracking_suite
+    summary, trajs = suite(spec, args.controller, params, sim_overrides=sim_over)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -202,8 +171,7 @@ def cmd_list(args) -> int:
     else:
         if not args.robot:
             raise ValidationError("list gains requires --robot")
-        spec = _resolve_spec(args.robot)
-        _, gains = spec.load()
+        _, gains = resolve_spec(args.robot).load()
         for ctrl in CONTROLLER_NAMES:
             g = gains[ctrl]
             print(f"{ctrl}: kp={g.kp:g} eps={g.eps:g} w1={g.w1:g} w2={g.w2:g} "
@@ -212,7 +180,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_export_spec(args) -> int:
-    spec = _resolve_spec(args.robot)
+    spec = resolve_spec(args.robot)
     out = Path(args.out) if args.out else Path(f"{spec.name}.yaml")
     out.write_text(spec.text, encoding="utf-8")
     print(f"wrote {out}")
@@ -233,7 +201,9 @@ def main(argv=None) -> int:
             return cmd_list(args)
         return cmd_export_spec(args)
     except (ParseError, ValidationError, KeyError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"validation error: {message}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)

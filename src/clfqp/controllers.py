@@ -24,14 +24,14 @@ One ``Controller`` class runs any of the five laws by name. It makes the
 maps that depend only on B, and the constant blocks of its QP
 (``QpConstants``), once, and owns the warm-start and hold-previous-input
 state of one episode; the *_step functions are pure.
-Every step evaluates its state once (``evaluate``) and returns that
-evaluation in its log, so the simulator can log and integrate from it
-without rebuilding the chain.
+Every step reads its state's chain evaluation through ``evaluate``: the one
+the state carries when the simulator attached it (the simulator logs and
+integrates from that same evaluation), otherwise one made on the spot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -87,9 +87,9 @@ class Evaluation:
 def evaluate(model: RobotModel, state: RobotState) -> Evaluation:
     """Dynamics terms and task state at ``state`` from one chain pass.
 
-    An evaluation the state carries (a lockstep run attaches one row of its
-    stacked pass) is returned instead when it was made for this very state
-    and model."""
+    An evaluation the state carries (``sim.run`` attaches the one it made to
+    every state it hands a controller) is returned instead when it was made
+    for this very state and model."""
     ev = state.evaluation
     if ev is not None and ev.state is state and ev.model is model:
         return ev
@@ -100,8 +100,7 @@ def evaluate(model: RobotModel, state: RobotState) -> Evaluation:
 
 @dataclass
 class ControlStepLog:
-    """Per-step diagnostics; u always lies inside the input box.
-    ``evaluation`` is the step's evaluation of its state, when it made one."""
+    """Per-step diagnostics; u always lies inside the input box."""
 
     u: np.ndarray
     mu: np.ndarray
@@ -111,7 +110,6 @@ class ControlStepLog:
     qp_status: str
     solve_time: float
     saturated: np.ndarray
-    evaluation: Evaluation | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -362,8 +360,7 @@ def _step_log(model, state, data, clf, u, qp_status, solve_time, mu=None, delta=
         mu = data.ts.J @ qdd + data.ts.dJ @ state.dq - data.ddy_ref
     v, vdot = _certificate_values(clf, data.err, mu)
     return ControlStepLog(u=u, mu=mu, delta=delta, V=v, Vdot=vdot, qp_status=qp_status,
-                          solve_time=solve_time, saturated=_saturation_mask(u, model),
-                          evaluation=data.evaluation)
+                          solve_time=solve_time, saturated=_saturation_mask(u, model))
 
 
 def _certificate_values(clf, err, mu):

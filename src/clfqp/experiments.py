@@ -22,7 +22,8 @@ import numpy as np
 
 from .controllers import Reference, make_controller
 from .multibody import RobotModel, RobotState
-from .robots import RobotSpecFile, builtin_registry
+# builtin_registry stays a name of this module: bench/tracer.py patches it here
+from .robots import builtin_registry, resolve_spec  # noqa: F401
 from .sim import SimConfig, Trajectory, run
 
 THETA_GRID = tuple(t * np.pi for t in (0.0, 0.5, 1.0, 1.5))
@@ -150,16 +151,6 @@ class MetricSummary:
         return text
 
 
-def _resolve_spec(robot) -> RobotSpecFile:
-    """Accept a builtin name or a RobotSpecFile; return the spec."""
-    if isinstance(robot, RobotSpecFile):
-        return robot
-    registry = builtin_registry()
-    if robot not in registry:
-        raise KeyError(f"unknown robot {robot!r}; built-ins: {sorted(registry)}")
-    return registry[robot]
-
-
 def sim_config_for(robot, t_end: float, overrides: dict | None = None) -> SimConfig:
     """SimConfig from the robot spec's sim section plus overrides.
 
@@ -167,7 +158,7 @@ def sim_config_for(robot, t_end: float, overrides: dict | None = None) -> SimCon
     t_end override departs from the benchmark protocol and is meant for
     smoke tests; it is echoed in the output metadata like any other override.
     """
-    prefs = dict(_resolve_spec(robot).data.get("sim", {}))
+    prefs = dict(resolve_spec(robot).data.get("sim", {}))
     prefs.update(overrides or {})
     return SimConfig(dt_physics=float(prefs.get("dt_physics", 1e-3)),
                      control_decimation=int(prefs.get("control_decimation", 1)),
@@ -221,7 +212,7 @@ def setpoint_suite(robot, controller: str, thetas=THETA_GRID,
                    ) -> tuple[MetricSummary, list[Trajectory]]:
     """Run the set-point episodes; final error is |y(t_end) - y_ref| in cm."""
     thetas = tuple(thetas)
-    spec = _resolve_spec(robot)
+    spec = resolve_spec(robot)
     model, gains = spec.load()
     params = EllipseParams.for_robot(model)
     for theta in thetas:
@@ -252,7 +243,7 @@ def tracking_suite(robot, controller: str, omegas=OMEGA_GRID,
     """Run the tracking episodes (two cycles each); metric is the mean over
     control-rate samples of |y - y_ref|^2 in cm^2."""
     omegas = tuple(omegas)
-    spec = _resolve_spec(robot)
+    spec = resolve_spec(robot)
     model, gains = spec.load()
     params = EllipseParams.for_robot(model)
     summary = MetricSummary(robot=model.name, controller=controller, experiment="tracking")

@@ -97,9 +97,10 @@ class RobotState:
     """Joint positions [rad], velocities [rad/s], and time [s].
 
     ``evaluation`` may carry a ``controllers.Evaluation`` made beforehand
-    for exactly this state (a lockstep run evaluates all its episodes'
-    states in one stacked pass); it is used only while its ``state`` is this
-    very object."""
+    for exactly this state; it is used only while its ``state`` is this very
+    object. ``sim.run`` attaches the one it made to each state it hands a
+    controller and clears it once the controller has stepped, since the
+    evaluation points back at the state."""
 
     q: np.ndarray
     dq: np.ndarray

@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -327,11 +328,24 @@ def builtin_registry() -> dict[str, RobotSpecFile]:
     return registry
 
 
-def load_builtin(name: str) -> tuple[RobotModel, dict[str, GainSet]]:
+def resolve_spec(robot) -> RobotSpecFile:
+    """The spec of ``robot``: a RobotSpecFile as given, a built-in name, or
+    the path of a spec file; KeyError when it is none of these."""
+    if isinstance(robot, RobotSpecFile):
+        return robot
     registry = builtin_registry()
-    if name not in registry:
-        raise KeyError(f"unknown robot {name!r}; built-ins: {sorted(registry)}")
-    return registry[name].load()
+    if robot in registry:
+        return registry[robot]
+    path = Path(robot)
+    if path.is_file():
+        text = path.read_text(encoding="utf-8")
+        return RobotSpecFile(name=path.stem, text=text,
+                             data=_parse_document(text, source=str(path)))
+    raise KeyError(f"unknown robot {robot!r}; built-ins: {sorted(registry)}")
+
+
+def load_builtin(name: str) -> tuple[RobotModel, dict[str, GainSet]]:
+    return resolve_spec(name).load()
 
 
 def unactuated_stiffness_margin(model: RobotModel, q: np.ndarray,

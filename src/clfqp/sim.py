@@ -5,39 +5,42 @@ held constant in between (zero-order hold). State and per-step diagnostics
 are logged at the control rate; a non-finite state aborts the run and the
 partial trajectory is returned with a failure marker.
 
-Each state is evaluated once. A controller step returns its evaluation of
-the state in its log; the logged task position and velocity come from it,
-and the first physics step after the control update reuses its dynamics
-terms (RK4 stage k1, or the semi-implicit update), including the guarded
-Cholesky factor of M, so the inertia guard runs once per evaluated M under
-either integrator. The RK4 stage states are plain arrays held to the rule
-RobotState enforces: their entries must be finite.
+One loop runs every episode, alone or several of one model in lockstep
+(``run`` given lists: one controller, reference and config per episode,
+the configs differing at most in t_end). At each control step the
+simulator evaluates every live episode's state once and attaches the
+evaluation to a fresh ``RobotState`` (``RobotState.evaluation``), which it
+hands the episode's controller. The logged task position and velocity
+come from that evaluation, and the first physics step after the control
+update reuses its dynamics terms (RK4 stage k1, or the semi-implicit
+update), including the guarded Cholesky factor of M, so the inertia guard
+runs once per evaluated M under either integrator. An evaluation points
+back at its state, so the attachment is cleared once the controller has
+stepped, and the pair is freed without waiting for the cyclic collector.
+The RK4 stage states are plain arrays held to the rule RobotState
+enforces: their entries must be finite.
 
-Several episodes of one model run in lockstep when ``run`` is given lists
-(one controller, reference and config per episode, the configs differing
-at most in t_end). Their states stack into the rows of one (B, n) array,
-and the chain recursions run over that leading axis: each control step
-evaluates every live episode's state in one stacked pass and hands each
-controller its row through the state (``RobotState.evaluation``); every
-physics step advances all rows in one call of ``step``, with the inertia
-guard and the Cholesky solve per row. Each controller still steps its own
-episode, and each episode leaves the batch on its own: at its t_end, on its
-stop condition, or on a non-finite state. Stacking changes no bit of any
-row: matrix-vector products over rows are written (A @ x[..., None])[..., 0],
-the form whose every row is bitwise the one-row A @ x, and the LAPACK calls
-stay per row. An episode run alone, or left alone in its batch, goes on
-unstacked, on the shapes of one state, where a step costs less.
+The states of the live episodes are the rows of one (B, n) array. Several
+rows are evaluated in one stacked chain pass and advanced in one call of
+``step``, with the inertia guard and the Cholesky solve per row; a single
+row runs on the shapes of one state, where a step costs less. Each
+controller still steps its own episode, and each episode leaves the batch
+on its own: at its t_end, on its stop condition, or on a non-finite state.
+Stacking changes no bit of any row: matrix-vector products over rows are
+written (A @ x[..., None])[..., 0], the form whose every row is bitwise the
+one-row A @ x, and the LAPACK calls stay per row.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .controllers import ControlStepLog, Evaluation, Reference
+from .controllers import ControlStepLog, Evaluation, Reference, evaluate
 from .kinematics import TaskState, task_rows, task_state
 from .multibody import (DynamicsTerms, RobotModel, RobotState, bias_terms, forward_dynamics,
                         matvec)
@@ -62,8 +65,9 @@ class SimConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.control_decimation < 1:
-            raise ValueError("control_decimation must be at least 1")
+        steps = self.control_decimation
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+            raise ValueError(f"control_decimation must be an integer of at least 1, got {steps!r}")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
 
@@ -71,7 +75,8 @@ class SimConfig:
 @dataclass(frozen=True)
 class StateBatch:
     """The states of several episodes at one time: row i of q and dq, each
-    (B, n), is episode i. Entries are not checked on construction; a batch
+    (B, n), is episode i; q and dq of shape (n,) hold one episode on the
+    shapes of one state. Entries are not checked on construction; a batch
     returned by ``step`` names in ``failure`` the NonFinite reason of each
     row that left the finite range ("" for the others, empty when none did).
     An RK4 stage state is held the same way, with or without rows."""
@@ -144,7 +149,7 @@ def step(model: RobotModel, state: RobotState | StateBatch, u: np.ndarray,
     failures = _failures(q_next, dq_next, t_next)
     if isinstance(state, StateBatch):
         return StateBatch(q_next, dq_next, t_next,
-                          () if failures is None else tuple(failures.tolist()))
+                          () if failures is None else tuple(failures.reshape(-1).tolist()))
     if failures is not None:
         raise NonFinite(str(failures))
     return RobotState(q=q_next, dq=dq_next, t=t_next)
@@ -217,12 +222,12 @@ def run(model: RobotModel, controller, reference: Reference, cfg: SimConfig,
     configs may differ only in t_end.
     """
     if not isinstance(controller, (list, tuple)):
-        return _run_lockstep(model, [controller], [reference], [cfg], stop_condition,
+        return _run_episodes(model, [controller], [reference], [cfg], stop_condition,
                              [metadata])[0]
     metadata = [None] * len(controller) if metadata is None else metadata
     if not len(controller) == len(reference) == len(cfg) == len(metadata):
         raise ValueError("need one reference, config and metadata entry per controller")
-    return _run_lockstep(model, controller, reference, cfg, stop_condition, metadata)
+    return _run_episodes(model, controller, reference, cfg, stop_condition, metadata)
 
 
 def _new_trajectory(model: RobotModel, cfg: SimConfig, metadata: dict | None) -> Trajectory:
@@ -277,34 +282,16 @@ def _end(traj: Trajectory, final_state: RobotState, reason: str = "",
     return traj
 
 
-def _run_alone(model, controller, reference, cfg, stop_condition, traj: Trajectory,
-               state: RobotState, first: int) -> Trajectory:
-    """Log rows ``first`` onward of one episode from ``state``, unstacked."""
-    for k in range(first, len(traj)):
-        u, log = controller.step(state, reference)
-        ev = log.evaluation
-        shared = ev is not None and ev.state is state
-        ts = ev.ts if shared else task_state(model, state)
-        y_ref_k = _log_row(traj, k, state, ts, reference, u, log)
-        if stop_condition is not None:
-            reason = stop_condition(state, ts.y - y_ref_k)
-            if reason:
-                return _end(traj, state, reason, k + 1)
-        terms = ev.terms if shared else None
-        for _ in range(cfg.control_decimation):
-            try:
-                state = step(model, state, u, cfg, terms=terms)
-            except NonFinite as exc:
-                return _end(traj, state, str(exc), k + 1)
-            terms = None
-    return _end(traj, state)
-
-
 def _evaluate_rows(model: RobotModel, states: list[RobotState], q: np.ndarray,
                    dq: np.ndarray) -> DynamicsTerms:
-    """Evaluate stacked states (rows of q and dq) in one pass and attach to
-    each state its row's evaluation; returns the stacked terms, whose
-    per-row factors are those of the attached evaluations."""
+    """Evaluate the states in the rows of q and dq and attach to each state
+    its evaluation; returns the terms the first physics step starts from.
+    One row is evaluated on the shapes of one state, several in one stacked
+    pass whose per-row factors are those of the attached evaluations."""
+    if len(states) == 1:
+        ev = evaluate(model, states[0])
+        object.__setattr__(states[0], "evaluation", ev)
+        return ev.terms
     batch = StateBatch(q, dq)
     terms = bias_terms(model, batch)
     ts = task_state(model, batch, pose=terms.pose, motion=terms.motion)
@@ -315,7 +302,17 @@ def _evaluate_rows(model: RobotModel, states: list[RobotState], q: np.ndarray,
     return terms
 
 
-def _run_lockstep(model, controllers, references, cfgs, stop_condition,
+def _step_rows(model: RobotModel, q: np.ndarray, dq: np.ndarray, t: float,
+               inputs: np.ndarray, cfg: SimConfig, terms: DynamicsTerms | None) -> StateBatch:
+    """One physics step of the rows of q and dq; one row steps on the shapes
+    of one state and comes back as a row."""
+    if len(q) > 1:
+        return step(model, StateBatch(q, dq, t), inputs, cfg, terms=terms)
+    nxt = step(model, StateBatch(q[0], dq[0], t), inputs[0], cfg, terms=terms)
+    return StateBatch(nxt.q[None], nxt.dq[None], nxt.t, nxt.failure)
+
+
+def _run_episodes(model, controllers, references, cfgs, stop_condition,
                   metadata) -> list[Trajectory]:
     if not cfgs:
         return []
@@ -343,18 +340,13 @@ def _run_lockstep(model, controllers, references, cfgs, stop_condition,
     t = start.t
     k = 0
     while live:
-        if len(live) == 1:     # a lone episode goes on unstacked, where it is cheaper
-            i = live[0]
-            state = start if k == 0 else RobotState(q=q[0], dq=dq[0], t=t)
-            _run_alone(model, controllers[i], references[i], cfg, stop_condition, trajs[i],
-                       state, k)
-            break
         states = [RobotState(q=row_q, dq=row_dq, t=t) for row_q, row_dq in zip(q, dq)]
         terms = _evaluate_rows(model, states, q, dq)
         stay, inputs = [], []
         for j, (i, state) in enumerate(zip(live, states)):
-            u, log = controllers[i].step(state, references[i])
             ts = state.evaluation.ts
+            u, log = controllers[i].step(state, references[i])
+            object.__setattr__(state, "evaluation", None)   # it points back at the state
             y_ref_k = _log_row(trajs[i], k, state, ts, references[i], u, log)
             reason = stop_condition(state, ts.y - y_ref_k) if stop_condition else ""
             if reason:
@@ -368,7 +360,7 @@ def _run_lockstep(model, controllers, references, cfgs, stop_condition,
         for _ in range(cfg.control_decimation):
             if not live:
                 break
-            nxt = step(model, StateBatch(q, dq, t), inputs, cfg, terms=terms)
+            nxt = _step_rows(model, q, dq, t, inputs, cfg, terms)
             terms = None
             if nxt.failure:
                 stay = []

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -50,6 +51,60 @@ class TestRun:
                      "--experiment", "setpoint", "--no-such-flag", "--out", str(tmp_path))
         assert proc.returncode == 64
         assert "no-such-flag" in proc.stderr
+
+
+class TestSingleExperiment:
+    @pytest.mark.parametrize("flag,kind,experiment",
+                             [("--theta", "theta", "setpoint"),
+                              ("--omega", "omega", "tracking")])
+    def test_one_episode(self, flag, kind, experiment, tmp_path):
+        from clfqp import cli, experiments
+
+        code = cli.main(["run", "--robot", "finger", "--controller", "ic",
+                         "--experiment", "single", flag, "0.5", "--set", "sim.t_end=0.003",
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        (path,) = tmp_path.glob("*.csv")
+        assert path.name == f"finger_ic_single_{kind}0.5pi.csv"
+        data = experiments.read_trajectory_csv(path)
+        assert data["metadata"]["experiment"] == experiment
+        assert data["metadata"][kind] == repr(0.5 * np.pi)
+        assert len(data["t"]) == 3
+        assert (tmp_path / "finger_ic_single_summary.txt").is_file()
+
+    @pytest.mark.parametrize("flags", [[], ["--theta", "0.5", "--omega", "0.5"]])
+    def test_needs_exactly_one_parameter(self, flags, tmp_path, capsys):
+        from clfqp import cli
+
+        code = cli.main(["run", "--robot", "finger", "--controller", "ic",
+                         "--experiment", "single", *flags, "--out", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION == 65
+        assert capsys.readouterr().err == (
+            "validation error: single experiment needs exactly one of --theta/--omega\n")
+        assert not any(tmp_path.iterdir())
+
+
+class TestRobotArgument:
+    def test_unknown_robot_is_validation_error(self, tmp_path, capsys):
+        from clfqp import cli
+
+        code = cli.main(["run", "--robot", "no-such-robot", "--controller", "ic",
+                         "--experiment", "setpoint", "--out", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: unknown robot 'no-such-robot'; "
+            "built-ins: ['finger', 'helix', 'spirob']\n")
+
+    def test_exported_spec_path_runs_like_the_built_in(self, tmp_path, capsys):
+        from clfqp import cli
+
+        path = tmp_path / "finger.yaml"
+        assert cli.main(["export-spec", "--robot", "finger", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["list", "gains", "--robot", "finger"]) == 0
+        builtin = capsys.readouterr().out
+        assert cli.main(["list", "gains", "--robot", str(path)]) == 0
+        assert capsys.readouterr().out == builtin
 
 
 class TestFailedConvergence:

@@ -142,6 +142,9 @@ class TestStackedStep:
         assert nxt.failure == ("", str(exc.value), "")
         one = sim.step(model, RobotState(q[2], dq[2]), u[2], cfg)
         assert bitwise_equal(nxt.q[2], one.q)
+        # one episode on the shapes of one state names its failure once
+        alone = sim.step(model, StateBatch(q[1], dq[1]), u[1], cfg)
+        assert alone.failure == (str(exc.value),)
 
     def test_non_finite_row_is_named(self):
         model = load_model("finger")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -5,11 +7,13 @@ import yaml
 from clfqp.robots import (
     GainSet,
     ParseError,
+    RobotSpecFile,
     ValidationError,
     builtin_registry,
     load_builtin,
     load_robot,
     loads_robot,
+    resolve_spec,
     serialize_robot,
     unactuated_stiffness_margin,
 )
@@ -96,6 +100,38 @@ class TestGainSet:
         assert set(gains) == {"clf-qp", "soft-id-clf-qp", "ic", "uic", "ic-qp"}
         assert gains["ic"].kp == 500.0
         assert gains["clf-qp"].kp == 100.0
+
+
+class TestResolveSpec:
+    def test_builtin_name_and_spec_object(self):
+        spec = resolve_spec("finger")
+        assert spec.name == "finger" and spec.data == builtin_registry()["finger"].data
+        assert resolve_spec(spec) is spec
+
+    def test_spec_path(self, tmp_path):
+        path = tmp_path / "mini.yaml"
+        path.write_text(MINIMAL, encoding="utf-8")
+        spec = resolve_spec(str(path))
+        assert isinstance(spec, RobotSpecFile)
+        assert (spec.name, spec.text) == ("mini", MINIMAL)
+        assert spec.load()[0].n == 2
+
+    def test_bad_spec_path_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(MINIMAL.replace("schema_version: 1", "schema_version: 99"),
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: schema_version"):
+            resolve_spec(str(path))
+
+    def test_unknown_name_lists_the_built_ins(self):
+        with pytest.raises(KeyError) as info:
+            resolve_spec("unknown")
+        assert info.value.args == ("unknown robot 'unknown'; built-ins: "
+                                   "['finger', 'helix', 'spirob']",)
+
+    def test_directory_is_not_a_spec(self, tmp_path):
+        with pytest.raises(KeyError, match="unknown robot"):
+            resolve_spec(str(tmp_path))
 
 
 class TestParsing:

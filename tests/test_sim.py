@@ -1,10 +1,10 @@
-import dataclasses
+import gc
 
 import numpy as np
 import pytest
 
 from clfqp import kinematics, multibody, sim
-from clfqp.controllers import make_controller
+from clfqp.controllers import ControlStepLog, Evaluation, make_controller
 from clfqp.experiments import EllipseParams, ellipse_trajectory
 from clfqp.kinematics import task_state
 from clfqp.multibody import RobotState
@@ -45,35 +45,22 @@ def reference_loop(model, controller, ref, cfg):
     return {name: np.array(v) for name, v in rows.items()}, state
 
 
-class _WithoutEvaluation:
-    """Controller proxy whose logs carry no evaluation."""
+class _Constant:
+    """Controller that applies a fixed input and never evaluates its state."""
 
-    def __init__(self, inner):
-        self._inner = inner
-
-    def reset(self):
-        self._inner.reset()
-
-    def step(self, state, ref):
-        u, log = self._inner.step(state, ref)
-        return u, dataclasses.replace(log, evaluation=None)
-
-
-class _HoldFirst:
-    """Controller proxy that repeats its first output, log included."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self._first = None
-
-    def reset(self):
-        self._inner.reset()
-        self._first = None
+    def __init__(self, model):
+        self.u = 0.3 * model.u_max
+        self.log = ControlStepLog(u=self.u, mu=np.zeros(model.task_dim), delta=0.0,
+                                  V=np.nan, Vdot=np.nan, qp_status="Constant",
+                                  solve_time=0.0, saturated=np.zeros(model.m, dtype=bool))
 
     def step(self, state, ref):
-        if self._first is None:
-            self._first = self._inner.step(state, ref)
-        return self._first
+        return self.u, self.log
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestSharedEvaluation:
@@ -94,24 +81,43 @@ class TestSharedEvaluation:
         np.testing.assert_array_equal(traj.final_state.q, final.q)
         np.testing.assert_array_equal(traj.final_state.dq, final.dq)
 
-    def test_log_without_evaluation_falls_back(self):
-        model, gains, ref = finger()
+    @pytest.mark.parametrize("episodes", [1, 3])
+    def test_task_state_logged_without_controller_evaluation(self, episodes):
+        # the simulator evaluates each state itself, whatever the controller reads
+        model, _, ref = finger()
         cfg = SimConfig(t_end=0.01, initial_state=start_state(model))
-        shared = run(model, make_controller("ic", model, gains["ic"]), ref, cfg)
-        plain = run(model, _WithoutEvaluation(make_controller("ic", model, gains["ic"])),
-                    ref, cfg)
-        for name in LOGGED:
-            np.testing.assert_array_equal(getattr(shared, name), getattr(plain, name))
+        trajs = run(model, [_Constant(model) for _ in range(episodes)], [ref] * episodes,
+                    [cfg] * episodes)
+        for traj in trajs:
+            assert not traj.failed and len(traj) == 10
+            assert not same_bits(traj.y[0], traj.y[-1])
+            for i in range(len(traj)):
+                ts = task_state(model, traj.state(i))
+                assert same_bits(traj.y[i], ts.y) and same_bits(traj.dy[i], ts.dy)
 
-    def test_stale_evaluation_is_not_reused(self):
-        # a log evaluated at an earlier state must not stand in for this one
+    def test_initial_state_gets_no_evaluation(self):
         model, gains, ref = finger()
-        cfg = SimConfig(t_end=0.01, initial_state=start_state(model))
-        held = run(model, _HoldFirst(make_controller("ic", model, gains["ic"])), ref, cfg)
-        plain = run(model, _WithoutEvaluation(
-            _HoldFirst(make_controller("ic", model, gains["ic"]))), ref, cfg)
-        for name in LOGGED:
-            np.testing.assert_array_equal(getattr(held, name), getattr(plain, name))
+        cfg = SimConfig(t_end=0.003, initial_state=start_state(model))
+        run(model, make_controller("ic", model, gains["ic"]), ref, cfg)
+        assert cfg.initial_state.evaluation is None
+
+    @pytest.mark.parametrize("episodes", [1, 4])
+    def test_no_evaluation_outlives_the_run(self, episodes):
+        # an evaluation left attached to its state would form a reference
+        # cycle that only the cyclic collector frees
+        model, gains, ref = finger()
+        cfg = SimConfig(t_end=0.005, initial_state=start_state(model))
+        controllers = [make_controller("clf-qp", model, gains["clf-qp"])
+                       for _ in range(episodes)]
+        gc.collect()
+        gc.disable()
+        try:
+            trajs = run(model, controllers, [ref] * episodes, [cfg] * episodes)
+            left = [obj for obj in gc.get_objects() if isinstance(obj, Evaluation)]
+        finally:
+            gc.enable()
+        assert [len(traj) for traj in trajs] == [5] * episodes
+        assert left == []
 
     def test_four_chain_poses_per_control_step(self, monkeypatch):
         model, gains, ref = finger()
@@ -137,6 +143,14 @@ class TestSimConfigValidation:
     def test_non_finite_or_non_positive_time_names_its_field(self, name, bad):
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
             SimConfig(**{name: bad})
+
+    @pytest.mark.parametrize("bad", [0, -2, 1.5, 2.0, True, "2", None])
+    def test_control_decimation_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ValueError, match="^control_decimation must be an integer"):
+            SimConfig(control_decimation=bad)
+
+    def test_numpy_integer_decimation_accepted(self):
+        assert SimConfig(control_decimation=np.int64(3)).control_decimation == 3
 
 
 class TestConvergenceOrder:
