@@ -8,6 +8,7 @@ error, 64 usage error, 65 validation error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -103,7 +104,7 @@ def _apply_gain_overrides(spec: RobotSpecFile, controller: str, overrides: dict)
     row = gains.setdefault(controller, {})
     row.update(overrides)
     data["gains"] = gains
-    return RobotSpecFile(name=spec.name, text=spec.text, data=data)
+    return dataclasses.replace(spec, data=data)
 
 
 def _param_tag(kind: str, value: float) -> str:

@@ -40,7 +40,7 @@ from .clf import ClfData, TaskError, clf_row, clf_value, default_clf, vdot_coeff
 from .kinematics import TaskState, task_state
 from .linalg import pinv
 from .multibody import DynamicsTerms, RobotModel, RobotState, bias_terms, solve_inertia
-from .qp import Bounds, QpProblem, QpSolution, QpStatus, solve_qp
+from .qp import Bounds, PsdHessian, QpProblem, QpSolution, QpStatus, solve_qp
 
 LAMBDA_REG = 1e-8        # task-inertia regularization for ic/uic
 
@@ -202,12 +202,14 @@ class QpConstants:
     controller and read-only: the Hessian (clf-qp) or its constant blocks
     (full body: 2 w3 I, and 2 rho when certifying), A_eq with only its
     identity block filled, the input box with its inequality rows, and, for
-    the full body, w2 I."""
+    the full body, w2 I. clf-qp's whole Hessian is also kept as the
+    ``PsdHessian`` it is, checked once here instead of once per step."""
 
     H: np.ndarray
     A_eq: np.ndarray
     bounds: Bounds
     w2_eye: np.ndarray | None = None
+    hessian: PsdHessian | None = None
 
     def __post_init__(self):
         for arr in (self.H, self.A_eq, self.w2_eye):
@@ -225,7 +227,8 @@ def clf_qp_constants(model: RobotModel, gains) -> QpConstants:
     a_eq[:, :m] = np.eye(m)
     lb = np.concatenate([model.u_min, np.full(n_t, -np.inf), [0.0]])
     ub = np.concatenate([model.u_max, np.full(n_t, np.inf), [np.inf]])
-    return QpConstants(H=h_cost, A_eq=a_eq, bounds=Bounds.make(lb, ub, d))
+    hessian = PsdHessian.make(h_cost)
+    return QpConstants(H=hessian.H, A_eq=a_eq, bounds=Bounds.make(lb, ub, d), hessian=hessian)
 
 
 def clf_qp_step(model: RobotModel, state: RobotState, ref: Reference, gains,
@@ -260,7 +263,7 @@ def clf_qp_step(model: RobotModel, state: RobotState, ref: Reference, gains,
     a_in[0, m:] = row
     b_in = np.array([rhs])
 
-    prob = QpProblem(consts.H, f_cost, a_eq, b_eq, a_in, b_in, bounds=consts.bounds)
+    prob = QpProblem(consts.hessian, f_cost, a_eq, b_eq, a_in, b_in, bounds=consts.bounds)
     sol = solve_qp(prob, warm_start=warm_start)
     return _finish_qp_step(model, state, data, clf, sol, u_hold,
                            lambda x: (x[:m], x[m:m + n_t], x[-1]))

@@ -20,7 +20,11 @@ task-space maps at the same state reuse them instead of rebuilding the
 chain. One state evaluation runs the pose pass, the motion pass, the
 composite-rigid-body pass and a single Newton-Euler pass that carries the
 Coriolis and the gravity loads side by side on a leading axis; each is a
-fixed handful of array operations, whatever the chain length.
+fixed handful of array operations, whatever the chain length (the pose
+pass's running product of the joint rotations is the one loop over the
+elements). ``bias_terms`` packages the result as ``DynamicsTerms``;
+``accelerations``, which an integrator stage calls, runs the same sequence
+and keeps only M and h, for the guarded factor and the solve.
 
 The recursions take leading batch axes: ``chain_pose``, ``chain_motion``,
 the mass matrix, the Newton-Euler pass, ``bias_terms`` and
@@ -150,6 +154,14 @@ class DynamicsTerms:
                 for row in zip(self.M, self.c_vec, self.d_vec, self.k_vec, self.g_vec)]
 
 
+def _as_floats(value) -> np.ndarray:
+    """value as a float array; an empty one when it is not numeric or ragged."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        return np.empty(0)
+
+
 _BALL_AXES = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
               np.array([0.0, 0.0, 1.0]))
 
@@ -209,10 +221,17 @@ class RobotModel:
         for joint in self.joints:
             if joint.kind not in ("revolute", "ball"):
                 raise ValueError(f"unknown joint kind {joint.kind!r}")
-            if joint.kind == "revolute":
-                ax = np.asarray(joint.axis, dtype=float)
-                if ax.shape != (3,) or not np.isclose(np.linalg.norm(ax), 1.0, atol=1e-9):
-                    raise ValueError("revolute joints need a unit 3-vector axis")
+        axes = [joint.axis for joint in self.joints if joint.kind == "revolute"]
+        if axes:
+            # the rule of np.isclose(norm, 1, atol=1e-9), for all axes at once
+            arr = _as_floats(axes)
+            if (arr.shape != (len(axes), 3)
+                    or not (np.abs(np.linalg.norm(arr, axis=1) - 1.0) <= 1e-9 + 1e-5).all()):
+                raise ValueError("revolute joints need a unit 3-vector axis")
+        if self.ee_offset is not None:
+            offset = _as_floats(self.ee_offset)
+            if offset.shape != (3,) or not np.isfinite(offset).all():
+                raise ValueError(f"ee_offset must be 3 finite numbers, got {self.ee_offset!r}")
 
     @property
     def n(self) -> int:
@@ -302,7 +321,6 @@ def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ x[..., None])[..., 0]
 
 
-_DIAG = np.arange(3)
 _EYE3 = np.eye(3)
 
 
@@ -314,8 +332,12 @@ def _rodrigues_stack(ch: _CompiledChain, angles: np.ndarray) -> np.ndarray:
     the products and sums of the per-entry Rodrigues formula, so the result
     is bitwise that of evaluating the formula one DOF at a time."""
     c, s = np.cos(angles), np.sin(angles)
-    rot = ch.axis_outer * (1.0 - c)[..., None, None] + ch.axis_skew * s[..., None, None]
-    rot[..., _DIAG, _DIAG] += c[..., None]
+    # rot is C-ordered whatever the layout of angles, so the reshape below
+    # is a view, whose entries 0, 4 and 8 per element are the diagonal
+    rot = np.multiply(ch.axis_outer, (1.0 - c)[..., None, None],
+                      out=np.empty(c.shape + (3, 3)))
+    rot += ch.axis_skew * s[..., None, None]
+    rot.reshape(c.shape + (9,))[..., ::4] += c[..., None]
     return rot
 
 
@@ -343,19 +365,18 @@ def chain_pose(model: RobotModel, q: np.ndarray) -> ChainPose:
     # It steps along the elements (first axis after the swap), each product
     # covering every leading index; the swap back restores the axis order.
     rots = _rodrigues_stack(ch, q).swapaxes(0, -3)
-    r = _EYE3
-    if rots.ndim > 3:      # the identity frame takes the leading axes
-        r = np.empty(rots.shape[1:])
-        r[...] = _EYE3
-    frames = [r]
-    for elementary in rots:
-        r = r @ elementary
-        frames.append(r)
-    frames = np.ascontiguousarray(np.array(frames).swapaxes(0, -3))
+    frames = np.empty((len(rots) + 1,) + rots.shape[1:])
+    frames[0] = _EYE3      # the identity frame, over every leading index
+    # For one state np.dot makes the same BLAS dgemm call as matmul, with
+    # less overhead per call; stacked states need matmul's loop over them.
+    product = np.matmul if rots.ndim > 3 else np.dot
+    for parent, elementary, child in zip(frames, rots, frames[1:]):
+        product(parent, elementary, out=child)
+    frames = np.ascontiguousarray(frames.swapaxes(0, -3))
     rot = frames[..., 1:, :, :]
     rot_prev = frames[..., :-1, :, :]     # parent frame of each element, identity first
     axes_w = (rot_prev @ ch.axes[:, :, None])[..., 0]
-    origins = np.cumsum((rot_prev @ ch.offsets[:, :, None])[..., 0], axis=-2)
+    origins = (rot_prev @ ch.offsets[:, :, None])[..., 0].cumsum(-2)
     com_w = origins + np.einsum("...kij,kj->...ki", rot, ch.com_local)
     inertia_w = np.einsum("...kij,kj,...klj->...kil", rot, ch.inertia_local, rot)
     ee = origins[..., -1, :] + rot[..., -1, :, :] @ ch.ee_local
@@ -383,16 +404,16 @@ class ChainMotion:
 def chain_motion(pose: ChainPose, dq: np.ndarray) -> ChainMotion:
     """Velocity pass at the pose's configuration with velocities dq, (..., n)."""
     spin = pose.axes_w * dq[..., None]
-    omega = np.cumsum(spin, axis=-2)
+    omega = spin.cumsum(-2)
     omega_prev = omega - spin
     w_spin = cross3(omega_prev, spin)
-    domega = np.cumsum(w_spin, axis=-2)
+    domega = w_spin.cumsum(-2)
     domega_prev = domega - w_spin
 
     d = pose.offsets_w
     w_d = cross3(omega_prev, d)
-    v_origin = np.cumsum(w_d, axis=-2)
-    a_origin = np.cumsum(cross3(domega_prev, d) + cross3(omega_prev, w_d), axis=-2)
+    v_origin = w_d.cumsum(-2)
+    a_origin = (cross3(domega_prev, d) + cross3(omega_prev, w_d)).cumsum(-2)
 
     arm = pose.com_w - pose.origins
     w_arm = cross3(omega, arm)
@@ -427,7 +448,7 @@ def _mass_matrix_from_pose(pose: ChainPose, ch: _CompiledChain) -> np.ndarray:
     spatial[..., :3, 3:] = m_cx
     np.negative(m_cx, out=spatial[..., 3:, :3])
 
-    composite = np.cumsum(spatial[..., ::-1, :, :], axis=-3)[..., ::-1, :, :]
+    composite = spatial[..., ::-1, :, :].cumsum(-3)[..., ::-1, :, :]
     f = np.einsum("...kij,...kj->...ki", composite, s_motion)
     full = f @ s_motion.swapaxes(-1, -2)
     # Mirror the lower triangle; + 0.0 turns a -0.0 entry into +0.0.
@@ -456,7 +477,7 @@ def _inverse_dynamics_zero_qdd(pose: ChainPose, motion: ChainMotion,
                          + cross3(motion.omega,
                                   np.einsum("...kij,...kj->...ki", iw, motion.omega)))
     moment_origin[1] += 0.0    # the rest pass adds a zero body moment
-    f_sub, m_sub = np.cumsum(loads[..., ::-1, :], axis=-2)[..., ::-1, :]
+    f_sub, m_sub = loads[..., ::-1, :].cumsum(-2)[..., ::-1, :]
     n_joint = m_sub - cross3(pose.origins, f_sub)
     return (np.einsum("...ki,...ki->...k", pose.axes_w, n_joint[0]),
             np.einsum("...ki,...ki->...k", pose.axes_w, n_joint[1]))
@@ -470,13 +491,37 @@ def bias_terms(model: RobotModel, state: RobotState) -> DynamicsTerms:
     zero gravity, gravity from a rest pass (both in one stacked pass);
     damping and stiffness are the diagonal restoring forces D_s qd and K_s q.
     """
-    ch = model._chain
-    pose = chain_pose(model, state.q)
-    motion = chain_motion(pose, state.dq)
-    mass = _mass_matrix_from_pose(pose, ch)
-    c_vec, g_vec = _inverse_dynamics_zero_qdd(pose, motion, ch.f_gravity)
+    pose, motion, mass, c_vec, g_vec = _chain_passes(model, state.q, state.dq)
     return DynamicsTerms(M=mass, c_vec=c_vec, d_vec=model.D_s * state.dq,
                          k_vec=model.K_s * state.q, g_vec=g_vec, pose=pose, motion=motion)
+
+
+def _chain_passes(model: RobotModel, q: np.ndarray, dq: np.ndarray) -> tuple:
+    """The passes of one state evaluation at (q, dq), in their order: pose,
+    motion, the mass matrix, then the Coriolis and gravity forces."""
+    ch = model._chain
+    pose = chain_pose(model, q)
+    motion = chain_motion(pose, dq)
+    mass = _mass_matrix_from_pose(pose, ch)
+    c_vec, g_vec = _inverse_dynamics_zero_qdd(pose, motion, ch.f_gravity)
+    return pose, motion, mass, c_vec, g_vec
+
+
+def accelerations(model: RobotModel, q: np.ndarray, dq: np.ndarray,
+                  force: np.ndarray) -> np.ndarray:
+    """Joint accelerations M^-1 (force - h) at (q, dq), of shape (..., n),
+    for a joint force such as B u of the same shape.
+
+    The chain passes, h summed ((c + d) + k) + g as ``DynamicsTerms.h`` sums
+    it, the inertia guard once per evaluated M and a Cholesky solve per row:
+    the bits of a solve with ``bias_terms`` at (q, dq), without building the
+    terms.
+    """
+    mass, c_vec, g_vec = _chain_passes(model, q, dq)[2:]
+    rhs = force - (c_vec + model.D_s * dq + model.K_s * q + g_vec)
+    if mass.ndim == 2:
+        return _potrs(factor_inertia(mass), rhs)
+    return np.array([_potrs(factor_inertia(row), b) for row, b in zip(mass, rhs)])
 
 
 def h_vector(model: RobotModel, state: RobotState) -> np.ndarray:
@@ -501,7 +546,7 @@ def factor_inertia(mass: np.ndarray) -> np.ndarray:
     if info == 0:
         inv, inv_info = dtrtri(factor, lower=1)
         inv = inv.ravel("K")
-        if inv_info == 0 and np.trace(mass) * (inv @ inv) <= _BOUND_MARGIN * COND_LIMIT:
+        if inv_info == 0 and mass.trace() * (inv @ inv) <= _BOUND_MARGIN * COND_LIMIT:
             return factor
     w = np.linalg.eigvalsh(mass)
     if w[0] <= 0.0 or w[-1] / w[0] > COND_LIMIT:
@@ -542,9 +587,10 @@ def forward_dynamics(model: RobotModel, state: RobotState, u: np.ndarray,
     guarded factor of M. A state stacked along a leading axis takes one
     input row per state row.
     """
+    force = matvec(model.B, np.asarray(u, dtype=float))
     if terms is None:
-        terms = bias_terms(model, state)
-    return solve_inertia(terms, matvec(model.B, np.asarray(u, dtype=float)) - terms.h)
+        return accelerations(model, state.q, state.dq, force)
+    return solve_inertia(terms, force - terms.h)
 
 
 def gravitational_potential(model: RobotModel, q: np.ndarray) -> float:

@@ -37,6 +37,9 @@ small without changing a bit of the result:
   a completed ``dpotrf`` accepts H; a failed one (semidefinite Hessians
   such as clf-qp's) or a larger d falls back to the ``eigvalsh`` rule, so
   the check accepts and rejects exactly what the eigenvalue rule does.
+  A Hessian that never changes is checked once, as a ``PsdHessian``: its
+  problems take its read-only matrix without checking it again (clf-qp's
+  H, which would otherwise fail ``dpotrf`` and run ``eigvalsh`` per step).
 - ``dpotrf`` is scipy's, taken from its compiled LAPACK extension by
   ``_lapack``, so that importing the solver does not import the
   ``scipy.linalg`` package (about 270 ms and 28 MB of a fresh process).
@@ -119,16 +122,38 @@ class Bounds:
         return cls(lb=lb, ub=ub, rows=rows, rhs=rhs)
 
 
+@dataclass(frozen=True)
+class PsdHessian:
+    """A Hessian checked once: a read-only copy that passed the finiteness,
+    symmetry and PSD checks of ``QpProblem.validate`` when it was made, so
+    one PsdHessian can serve every problem of a caller whose H does not
+    change, and those problems skip the checks it already passed."""
+
+    H: np.ndarray
+
+    @classmethod
+    def make(cls, h) -> "PsdHessian":
+        h = np.array(h, dtype=float)
+        if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
+            raise ValueError(f"H must be a nonempty square matrix, got shape {h.shape}")
+        if not np.isfinite(h).all():
+            raise ValueError("H contains non-finite entries")
+        _check_symmetric_psd(h)
+        h.setflags(write=False)
+        return cls(H=h)
+
+
 @dataclass
 class QpProblem:
     """Standard-form dense convex QP.
 
     H must be symmetric positive semidefinite; lb/ub entries may be +-inf.
     Missing constraint blocks may be passed as None. Instead of lb/ub a
-    caller may pass ``bounds`` made once by ``Bounds.make``.
+    caller may pass ``bounds`` made once by ``Bounds.make``, and instead of
+    an array H a ``PsdHessian``, whose matrix becomes H unchecked.
     """
 
-    H: np.ndarray
+    H: np.ndarray | PsdHessian
     f: np.ndarray
     A_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
@@ -137,8 +162,11 @@ class QpProblem:
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
     bounds: Bounds | None = None
+    hessian: PsdHessian | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.H, PsdHessian):
+            self.hessian, self.H = self.H, self.H.H
         self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
         self.f = np.asarray(self.f, dtype=float).ravel()
         d = self.f.shape[0]
@@ -176,11 +204,8 @@ class QpProblem:
             for name, block in zip(_BLOCKS, blocks):
                 if not np.isfinite(block).all():
                     raise ValueError(f"{name} contains non-finite entries")
-        h = self.H
-        scale = max(1.0, float(np.abs(h).max()))
-        if np.abs(h - h.T).max() > 1e-12 * scale:
-            raise ValueError("H must be symmetric (1e-12 relative)")
-        _check_psd(0.5 * (h + h.T), scale)
+        if self.hessian is None or self.H is not self.hessian.H:
+            _check_symmetric_psd(self.H)
         if self.bounds is None or self.bounds.lb is not self.lb or self.bounds.ub is not self.ub:
             self.bounds = Bounds.make(self.lb, self.ub, self.dim)
             self.lb, self.ub = self.bounds.lb, self.bounds.ub
@@ -189,10 +214,16 @@ class QpProblem:
         return float(0.5 * x @ self.H @ x + self.f @ x)
 
 
-def _check_psd(h_sym: np.ndarray, scale: float):
-    """Reject h_sym unless lambda_min >= -PSD_TOL * scale. A completed
-    Cholesky factorisation certifies it up to PSD_CERT_MAX_DIM (module
-    docstring); otherwise the eigenvalues decide."""
+def _check_symmetric_psd(h: np.ndarray):
+    """Reject a finite h unless it is symmetric to 1e-12 of its scale and
+    its symmetric part has lambda_min >= -PSD_TOL * scale, scale being
+    max(1, max|h_ij|). A completed Cholesky factorisation certifies the
+    eigenvalue rule up to PSD_CERT_MAX_DIM (module docstring); otherwise the
+    eigenvalues decide."""
+    scale = max(1.0, float(np.abs(h).max()))
+    if np.abs(h - h.T).max() > 1e-12 * scale:
+        raise ValueError("H must be symmetric (1e-12 relative)")
+    h_sym = 0.5 * (h + h.T)
     if h_sym.shape[0] <= PSD_CERT_MAX_DIM and dpotrf(h_sym)[1] == 0:
         return
     w = np.linalg.eigvalsh(h_sym)

@@ -71,14 +71,17 @@ class GainSet:
 
 @dataclass(frozen=True)
 class RobotSpecFile:
-    """A robot spec document plus its parsed form."""
+    """A robot spec document plus its parsed form. ``source`` is the path
+    of a document read from a file; its errors name that path, those of a
+    built-in document its name."""
 
     name: str
     text: str
     data: dict = field(repr=False)
+    source: str = ""
 
     def load(self) -> tuple[RobotModel, dict[str, GainSet]]:
-        return _build_model(self.data, source=self.name)
+        return _build_model(self.data, source=self.source or self.name)
 
 
 # libyaml's parser when PyYAML was built with it; same safe constructors.
@@ -340,7 +343,7 @@ def resolve_spec(robot) -> RobotSpecFile:
     if path.is_file():
         text = path.read_text(encoding="utf-8")
         return RobotSpecFile(name=path.stem, text=text,
-                             data=_parse_document(text, source=str(path)))
+                             data=_parse_document(text, source=str(path)), source=str(path))
     raise KeyError(f"unknown robot {robot!r}; built-ins: {sorted(registry)}")
 
 

@@ -17,8 +17,14 @@ update), including the guarded Cholesky factor of M, so the inertia guard
 runs once per evaluated M under either integrator. An evaluation points
 back at its state, so the attachment is cleared once the controller has
 stepped, and the pair is freed without waiting for the cyclic collector.
-The RK4 stage states are plain arrays held to the rule RobotState
-enforces: their entries must be finite.
+
+An RK4 step forms the joint force B u once. Each later stage (k2 to k4)
+is a pair of plain arrays held to the rule RobotState enforces, finite
+entries, and computes only its accelerations (``multibody.accelerations``):
+the chain passes, M and h, the guarded factor of M and the solve. It builds
+no state object and no dynamics terms, and its velocity is formed once and
+serves as its position slope. A first stage without given terms is
+computed the same way.
 
 The states of the live episodes are the rows of one (B, n) array. Several
 rows are evaluated in one stacked chain pass and advanced in one call of
@@ -40,10 +46,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import multibody
 from .controllers import ControlStepLog, Evaluation, Reference, evaluate
 from .kinematics import TaskState, task_rows, task_state
-from .multibody import (DynamicsTerms, RobotModel, RobotState, bias_terms, forward_dynamics,
-                        matvec)
+from .multibody import DynamicsTerms, RobotModel, RobotState, bias_terms, matvec
 
 INTEGRATORS = ("rk4", "semi-implicit-euler")
 
@@ -78,8 +84,7 @@ class StateBatch:
     (B, n), is episode i; q and dq of shape (n,) hold one episode on the
     shapes of one state. Entries are not checked on construction; a batch
     returned by ``step`` names in ``failure`` the NonFinite reason of each
-    row that left the finite range ("" for the others, empty when none did).
-    An RK4 stage state is held the same way, with or without rows."""
+    row that left the finite range ("" for the others, empty when none did)."""
 
     q: np.ndarray
     dq: np.ndarray
@@ -87,11 +92,12 @@ class StateBatch:
     failure: tuple[str, ...] = ()
 
 
-def _stage(q: np.ndarray, dq: np.ndarray) -> StateBatch:
-    # The rule RobotState enforces on every state, for every row at once.
+def _stage(model: RobotModel, q: np.ndarray, dq: np.ndarray, force: np.ndarray) -> np.ndarray:
+    """Joint accelerations at an RK4 stage state, held first to the rule
+    RobotState enforces on every state, for every row at once."""
     if not (np.isfinite(q).all() and np.isfinite(dq).all()):
         raise ValueError("state entries must be finite")
-    return StateBatch(q, dq)
+    return multibody.accelerations(model, q, dq, force)
 
 
 def _failures(q: np.ndarray, dq: np.ndarray, t: float):
@@ -135,15 +141,17 @@ def step(model: RobotModel, state: RobotState | StateBatch, u: np.ndarray,
         dq_next = np.linalg.solve(lhs, rhs[..., None])[..., 0]
         q_next = q + dt * dq_next
     else:
-        k1d = forward_dynamics(model, state, u, terms=terms)
-        k1q = dq
-        k2d = forward_dynamics(model, _stage(q + 0.5 * dt * k1q, dq + 0.5 * dt * k1d), u)
+        # Stage j's velocity is also its position slope k_jq (k_1q = dq).
+        force = matvec(model.B, np.asarray(u, dtype=float))
+        k1d = (multibody.accelerations(model, q, dq, force) if terms is None
+               else multibody.solve_inertia(terms, force - terms.h))
         k2q = dq + 0.5 * dt * k1d
-        k3d = forward_dynamics(model, _stage(q + 0.5 * dt * k2q, dq + 0.5 * dt * k2d), u)
+        k2d = _stage(model, q + 0.5 * dt * dq, k2q, force)
         k3q = dq + 0.5 * dt * k2d
-        k4d = forward_dynamics(model, _stage(q + dt * k3q, dq + dt * k3d), u)
+        k3d = _stage(model, q + 0.5 * dt * k2q, k3q, force)
         k4q = dq + dt * k3d
-        q_next = q + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        k4d = _stage(model, q + dt * k3q, k4q, force)
+        q_next = q + dt / 6.0 * (dq + 2.0 * k2q + 2.0 * k3q + k4q)
         dq_next = dq + dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
     t_next = state.t + dt
     failures = _failures(q_next, dq_next, t_next)

@@ -421,3 +421,22 @@ def assembled_kkt_qp(prob, warm_start=None, max_iter=None):
             del idx[block]
             del lam[block]
     return x_p + z_basis @ z, tuple(sorted(idx)), iters, "MaxIter"
+
+
+def rk4_step(accel, q, dq, dt):
+    """One classical RK4 step of q' = dq, dq' = accel(q, dq), written as the
+    simulator wrote it before its stages were trimmed: every stage's
+    accelerations evaluated afresh by ``accel``, and each stage velocity
+    formed once for the stage state and again as that stage's position
+    slope. Returns (q_next, dq_next)."""
+    k1d = accel(q, dq)
+    k1q = dq
+    k2d = accel(q + 0.5 * dt * k1q, dq + 0.5 * dt * k1d)
+    k2q = dq + 0.5 * dt * k1d
+    k3d = accel(q + 0.5 * dt * k2q, dq + 0.5 * dt * k2d)
+    k3q = dq + 0.5 * dt * k2d
+    k4d = accel(q + dt * k3q, dq + dt * k3d)
+    k4q = dq + dt * k3d
+    q_next = q + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+    dq_next = dq + dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+    return q_next, dq_next

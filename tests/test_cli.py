@@ -134,6 +134,19 @@ class TestFailedConvergence:
         assert text.count("status=ok") == 3
         assert "Failed Convergence in 1/4" in capsys.readouterr().out
 
+    def test_bad_ee_offset_is_validation_error(self, tmp_path, capsys):
+        from clfqp import cli
+
+        path = tmp_path / "finger.yaml"
+        assert cli.main(["export-spec", "--robot", "finger", "--out", str(path)]) == 0
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text + "ee_offset: [0, 0]\n", encoding="utf-8")
+        capsys.readouterr()
+        code = cli.main(["list", "gains", "--robot", str(path)])
+        assert code == cli.EXIT_VALIDATION == 65
+        assert capsys.readouterr().err == (
+            f"validation error: {path}: ee_offset must be 3 finite numbers, got [0, 0]\n")
+
 
 class TestBadSimOverride:
     @pytest.mark.parametrize("pair", ["sim.t_end=-1", "sim.integrator=euler",

@@ -1,0 +1,103 @@
+"""tools/pairs.py: paired benchmark runs of two checkouts."""
+
+import importlib.util
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+METRICS = [m["name"] for m in DECLARED["end_to_end"]]
+
+_spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
+pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pairs)
+
+
+def checkout_copy(dest: Path) -> Path:
+    """The files bench/run.py needs from this tree, copied to dest."""
+    skip = shutil.ignore_patterns("__pycache__", ".bench_out")
+    for name in ("src", "bench"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+    shutil.copy(ROOT / "BENCHMARK.json", dest)
+    return dest
+
+
+def test_smoke_pair_on_two_copies(tmp_path):
+    parent, change = checkout_copy(tmp_path / "parent"), checkout_copy(tmp_path / "change")
+    cmd = [sys.executable, str(ROOT / "tools" / "pairs.py"), str(parent), str(change),
+           "--workload", "finger-ic-setpoints", "--pairs", "1", "--seconds", "1",
+           "--scale", "smoke"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    assert result["correct"] is True and result["pairs"] == 1
+    assert list(result["metrics"]) == METRICS
+    for name, entry in result["metrics"].items():
+        assert len(entry["parent"]) == len(entry["change"]) == 1
+        assert entry["wins"] in (0, 1)
+        assert any(line.strip().startswith(f"{name} [") for line in lines), name
+    assert "correct: true" in lines
+
+
+class FakeBench:
+    """Stands in for run_bench: records each call and returns steps_per_s
+    from ``rates`` by side, every other metric 1.0."""
+
+    def __init__(self, rates, correct=True):
+        self.rates, self.correct, self.calls = rates, correct, []
+
+    def __call__(self, checkout, workload, seed, seconds, scale):
+        side = checkout.name
+        self.calls.append((side, seed))
+        value = self.rates[side][sum(s == side for s, _ in self.calls) - 1]
+        metrics = {name: {"value": value if name == "steps_per_s" else 1.0, "unit": "u"}
+                   for name in METRICS}
+        return {"correct": self.correct, "attempted": 1, "failed": 0, "metrics": metrics}
+
+
+def run_fake(monkeypatch, capsys, tmp_path, fake, n):
+    monkeypatch.setattr(pairs, "run_bench", fake)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "change")
+    code = pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+                       "--pairs", str(n), "--seed", "7"])
+    return code, json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+def test_alternates_first_side_and_counts_wins(monkeypatch, capsys, tmp_path):
+    fake = FakeBench({"parent": [10.0, 10.0, 10.0, 10.0], "change": [11.0, 9.0, 12.0, 13.0]})
+    code, result = run_fake(monkeypatch, capsys, tmp_path, fake, 4)
+    assert code == 0
+    assert fake.calls == [("parent", 7), ("change", 7), ("change", 8), ("parent", 8),
+                          ("parent", 9), ("change", 9), ("change", 10), ("parent", 10)]
+    rate = result["metrics"]["steps_per_s"]
+    assert rate["wins"] == 3 and rate["better"] == "higher"
+    assert rate["change_quartiles"] == [10.5, 11.5, 12.25]
+    assert rate["gap_beyond_iqr"] is True
+    # a tie is no win, in either direction
+    assert result["metrics"]["wall_s"]["wins"] == 0
+
+
+@pytest.mark.parametrize("parent,change,better,wins,beyond", [
+    ([5.0, 6.0, 7.0], [3.0, 4.0, 5.0], "lower", 3, True),
+    ([5.0, 6.0, 7.0], [4.0, 5.0, 6.0], "lower", 3, False),
+    ([5.0, 6.0, 7.0], [5.5, 6.5, 7.5], "higher", 3, False),
+    ([5.0, 6.0, 7.0], [5.0, 6.0, 7.0], "higher", 0, False),
+])
+def test_summarize(parent, change, better, wins, beyond):
+    s = pairs.summarize(parent, change, better)
+    assert s["wins"] == wins and s["gap_beyond_iqr"] is beyond
+    assert s["parent_quartiles"] == [5.5, 6.0, 6.5]
+
+
+def test_incorrect_run_exits_1(monkeypatch, capsys, tmp_path):
+    fake = FakeBench({"parent": [1.0], "change": [2.0]}, correct=False)
+    code, result = run_fake(monkeypatch, capsys, tmp_path, fake, 1)
+    assert code == 1 and result["correct"] is False

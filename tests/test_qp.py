@@ -274,6 +274,66 @@ class TestPsdCertificate:
         assert seen == ["eigvalsh", "eigvalsh"]
 
 
+class TestPsdHessian:
+    """A Hessian made once as a PsdHessian is checked once, and its problems
+    take it unchecked; every array H is still checked per problem."""
+
+    @staticmethod
+    def count_eigvalsh(monkeypatch):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *k, **kw: seen.append(a.shape) or eigvalsh(a, *k, **kw))
+        return seen
+
+    def test_checked_once_read_only_copy(self, monkeypatch):
+        seen = self.count_eigvalsh(monkeypatch)
+        h = np.diag([0.0, 2.0, 4.0])     # semidefinite: dpotrf fails, eigvalsh decides
+        hess = qp.PsdHessian.make(h)
+        assert seen == [(3, 3)]
+        assert hess.H is not h and np.array_equal(hess.H, h) and not hess.H.flags.writeable
+        for _ in range(3):
+            assert QpProblem(hess, np.ones(3)).H is hess.H
+        assert seen == [(3, 3)]
+        QpProblem(h, np.ones(3))
+        assert seen == [(3, 3)] * 2
+
+    def test_writable_indefinite_h_still_rejected(self):
+        h = np.diag([-1.0, 2.0])
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            QpProblem(h, np.zeros(2))
+        # a problem whose H is replaced by an array is checked again
+        prob = QpProblem(qp.PsdHessian.make(np.diag([0.0, 2.0])), np.zeros(2))
+        prob.H = h
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            prob.validate()
+
+    @pytest.mark.parametrize("h,match", [
+        (np.diag([1.0, -1.0]), "positive semidefinite"),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), "symmetric"),
+        (np.diag([np.nan, 1.0]), "non-finite"),
+        (np.zeros((2, 3)), "square"),
+        (np.zeros((0, 0)), "square"),
+    ])
+    def test_make_rejects_what_a_problem_rejects(self, h, match):
+        with pytest.raises(ValueError, match=match):
+            qp.PsdHessian.make(h)
+
+    def test_clf_qp_steps_make_no_eigvalsh_call(self, monkeypatch):
+        from clfqp.controllers import Reference, make_controller
+        from clfqp.multibody import RobotState
+        from clfqp.robots import builtin_registry
+
+        model, gains = builtin_registry()["finger"].load()
+        ctrl = make_controller("clf-qp", model, gains["clf-qp"])
+        ref = Reference.setpoint(np.array([0.05, -0.1]))
+        seen = self.count_eigvalsh(monkeypatch)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            ctrl.step(RobotState(0.2 * rng.standard_normal(model.n), np.zeros(model.n)), ref)
+        assert seen == []
+
+
 class TestAgainstEnumerationOracle:
     def test_random_qps_match_brute_force(self):
         rng = np.random.default_rng(42)

@@ -123,6 +123,17 @@ class TestResolveSpec:
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: schema_version"):
             resolve_spec(str(path))
 
+    def test_model_error_names_the_path(self, tmp_path):
+        # as load_robot does, not the file's stem
+        path = tmp_path / "badmass.yaml"
+        path.write_text(MINIMAL.replace("mass: 0.1", "mass: -0.1"), encoding="utf-8")
+        message = f"{path}: link masses must be positive"
+        with pytest.raises(ValidationError) as via_resolver:
+            resolve_spec(str(path)).load()
+        with pytest.raises(ValidationError) as via_loader:
+            load_robot(path)
+        assert str(via_resolver.value) == str(via_loader.value) == message
+
     def test_unknown_name_lists_the_built_ins(self):
         with pytest.raises(KeyError) as info:
             resolve_spec("unknown")
@@ -177,6 +188,32 @@ class TestParsing:
         bad = MINIMAL.replace("mass: 0.1", "mass: -0.1")
         with pytest.raises((ParseError, ValidationError), match="mass"):
             loads_robot(bad)
+
+    @pytest.mark.parametrize("offset", ["[0, 0]", "[0, 0, 0, 1]", "[0, .nan, 0]", "[a, b, c]",
+                                        "5"])
+    def test_ee_offset_must_be_three_finite_numbers(self, offset):
+        bad = MINIMAL.replace("task_dim: 2\n", f"task_dim: 2\nee_offset: {offset}\n")
+        with pytest.raises(ValidationError, match="^<string>: ee_offset must be 3 finite"):
+            loads_robot(bad)
+
+    def test_ee_offset_of_three_numbers_loads(self):
+        model, _ = loads_robot(MINIMAL.replace("task_dim: 2\n",
+                                               "task_dim: 2\nee_offset: [0, 0, -0.08]\n"))
+        assert list(model.ee_offset) == [0, 0, -0.08]
+
+    # np.isclose(norm, 1, atol=1e-9): |norm - 1| <= 1e-9 + 1e-5
+    @pytest.mark.parametrize("norm,ok", [(1.0 + 1.00005e-5, True), (1.0 - 1.00005e-5, True),
+                                         (1.0 + 1.00015e-5, False), (1.0 - 1.00015e-5, False)])
+    def test_axis_norm_rule(self, norm, ok):
+        # the second joint's axis gets the norm
+        head, _, tail = MINIMAL.rpartition("axis: [0, -1, 0]")
+        text = head + f"axis: [0, {-norm!r}, 0]" + tail
+        if ok:
+            assert loads_robot(text)[0].joints[1].axis[1] == -norm
+        else:
+            with pytest.raises(ValidationError,
+                               match="^<string>: revolute joints need a unit 3-vector axis$"):
+                loads_robot(text)
 
     def test_rank_deficient_explicit_matrix(self):
         bad = MINIMAL.replace("matrix: [[1.0, 0.0], [0.0, 1.0]]",

@@ -7,9 +7,12 @@ from clfqp import kinematics, multibody, sim
 from clfqp.controllers import ControlStepLog, Evaluation, make_controller
 from clfqp.experiments import EllipseParams, ellipse_trajectory
 from clfqp.kinematics import task_state
-from clfqp.multibody import RobotState
+from clfqp.multibody import RobotState, bias_terms, forward_dynamics
 from clfqp.robots import builtin_registry
-from clfqp.sim import SimConfig, run
+from clfqp.sim import SimConfig, StateBatch, run
+
+from oracles import rk4_step
+from toys import ball_chain, two_link
 
 LOGGED = ("t", "q", "dq", "y", "dy", "y_ref", "u", "mu", "delta", "V", "Vdot",
           "solve_time", "saturated")
@@ -135,6 +138,82 @@ class TestSharedEvaluation:
         # one evaluation shared by controller, log and RK4 k1, then k2..k4
         assert len(traj) == 10
         assert len(calls) == 4 * len(traj)
+
+
+class TestRk4Step:
+    """sim.step against the RK4 body it replaced (oracles.rk4_step), whose
+    every stage ran the full forward dynamics: the same bits, signed zeros
+    included, with one state or several stacked, with or without the first
+    stage's terms given."""
+
+    MODELS = {"finger": None, "helix": None, "spirob": None,
+              "ball_chain": ball_chain, "two_link": lambda: two_link(k_s=(0.4, 0.2),
+                                                                      d_s=(0.1, 0.05))}
+
+    def model(self, name):
+        toy = self.MODELS[name]
+        return toy() if toy is not None else builtin_registry()[name].load()[0]
+
+    @pytest.mark.parametrize("given_terms", [False, True])
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_bitwise_the_full_stage_rk4(self, name, rows, given_terms):
+        model = self.model(name)
+        rng = np.random.default_rng(12)
+        q = 0.6 * rng.standard_normal((rows, model.n))
+        dq = 1.5 * rng.standard_normal((rows, model.n))
+        dq[:, 0] = -0.0
+        u = np.clip(rng.standard_normal((rows, model.m)), model.u_min, model.u_max)
+        if rows == 1:
+            q, dq, u = q[0], dq[0], u[0]
+            state = RobotState(q, dq, 0.25)
+        else:
+            state = StateBatch(q, dq, 0.25)
+        cfg = SimConfig(dt_physics=2e-3)
+        terms = bias_terms(model, state) if given_terms else None
+        nxt = sim.step(model, state, u, cfg, terms=terms)
+        want_q, want_dq = rk4_step(
+            lambda qq, dd: forward_dynamics(model, StateBatch(qq, dd), u), q, dq, 2e-3)
+        assert type(nxt) is type(state) and nxt.t == 0.25 + 2e-3
+        assert same_bits(nxt.q, want_q) and same_bits(nxt.dq, want_dq)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_every_stage_m_is_guarded(self, monkeypatch, rows):
+        # the first stage's factor is given with its terms; k2..k4 each
+        # guard their own M, one factor_inertia call per row, and with the
+        # limit lowered the second stage's M is rejected
+        model = self.model("two_link")
+        q, dq = np.full((rows, model.n), 0.2), np.zeros((rows, model.n))
+        u = np.zeros((rows, model.m))
+        state = StateBatch(q, dq) if rows > 1 else RobotState(q[0], dq[0])
+        u = u if rows > 1 else u[0]
+        terms = bias_terms(model, state)
+        terms.factor
+        calls = []
+        original = multibody.factor_inertia
+        monkeypatch.setattr(multibody, "factor_inertia",
+                            lambda mass: calls.append(mass.shape) or original(mass))
+        sim.step(model, state, u, SimConfig(), terms=terms)
+        assert calls == [(model.n, model.n)] * (3 * rows)
+        monkeypatch.setattr(multibody, "COND_LIMIT", 1.0)
+        with pytest.raises(multibody.IllConditioned):
+            sim.step(model, state, u, SimConfig(), terms=terms)
+        assert len(calls) == 3 * rows + 1
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_non_finite_stage_with_given_terms_raises(self, rows):
+        # the first stage's terms given, the second stage state is the first
+        # to be checked, and fails as a RobotState would
+        model = self.model("two_link")
+        q = np.full((rows, model.n), 0.2)
+        dq = np.zeros((rows, model.n))
+        u = np.zeros((rows, model.m))
+        u[-1] = np.inf
+        state = StateBatch(q, dq) if rows > 1 else RobotState(q[0], dq[0])
+        u = u if rows > 1 else u[0]
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="state entries must be finite"):
+                sim.step(model, state, u, SimConfig(), terms=bias_terms(model, state))
 
 
 class TestSimConfigValidation:

@@ -1,0 +1,112 @@
+"""Paired benchmark comparison of two checkouts.
+
+Runs ``bench/run.py`` in a parent checkout and a changed checkout, pair by
+pair, alternating which side runs first so that a drift in host load
+favours neither, and summarises every end-to-end metric:
+
+- each side's median and quartiles over the pairs;
+- the change's wins: the pairs in which it is better than the parent in the
+  direction BENCHMARK.json declares for the metric (a tie is no win);
+- whether the gap between the medians exceeds the parent's interquartile
+  spread.
+
+A speed claim here needs the change to win at least 9 of 10 pairs and the
+median gap to exceed the parent's spread, on an unchanged fingerprint.
+Pair i runs both sides with benchmark seed SEED + i. The last line of
+standard output is one JSON object with the raw values; the exit status is
+1 when a run failed or reported ``correct: false``.
+
+Usage, from anywhere:
+    python3 tools/pairs.py PARENT_DIR CHANGE_DIR --workload spirob-qp-track \\
+        --pairs 10 --seconds 35 [--seed 0] [--scale smoke]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
+              scale: str) -> dict:
+    """The result line of one untraced benchmark run in ``checkout``."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", repr(seconds), "--trace", "0", "--scale", scale]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: bench/run.py exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summarize(parent: list[float], change: list[float], better: str) -> dict:
+    """Quartiles (q1, median, q3) of each side, the change's win count and
+    whether the gap between the medians exceeds the parent's spread."""
+    p, c = np.asarray(parent), np.asarray(change)
+    p_q1, p_med, p_q3 = np.percentile(p, [25, 50, 75])
+    c_q1, c_med, c_q3 = np.percentile(c, [25, 50, 75])
+    wins = int(np.sum(c < p if better == "lower" else c > p))
+    gap = c_med - p_med if better == "higher" else p_med - c_med
+    return {"parent_quartiles": [float(p_q1), float(p_med), float(p_q3)],
+            "change_quartiles": [float(c_q1), float(c_med), float(c_q3)],
+            "wins": wins, "gap_beyond_iqr": bool(gap > p_q3 - p_q1)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=35.0)
+    parser.add_argument("--seed", type=int, default=0, help="benchmark seed of the first pair")
+    parser.add_argument("--scale", choices=("full", "smoke"), default="full")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    runs = {"parent": [], "change": []}
+    correct = True
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_bench(getattr(args, side), args.workload, args.seed + i,
+                               args.seconds, args.scale)
+            correct &= result["correct"] is True and result["failed"] == 0
+            runs[side].append(result)
+        values = {side: runs[side][-1]["metrics"] for side in runs}
+        print(f"pair {i + 1}/{args.pairs} seed {args.seed + i} first={order[0]}: "
+              + " ".join(f"{name} {values['parent'][name]['value']:.4g}"
+                         f"->{values['change'][name]['value']:.4g}" for name in better),
+              flush=True)
+
+    n = args.pairs
+    summary = {}
+    print(f"\n{args.workload}, {n} pairs of {args.seconds:g} s (median [q1, q3]; "
+          "wins = pairs where the change is better)")
+    for name, direction in better.items():
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
+        s = summarize(values["parent"], values["change"], direction)
+        unit = runs["change"][0]["metrics"][name]["unit"]
+        (p_q1, p_med, p_q3), (c_q1, c_med, c_q3) = s["parent_quartiles"], s["change_quartiles"]
+        rel = c_med / p_med - 1.0 if p_med else float("nan")
+        print(f"{name:>17} [{unit}, {direction} is better]: "
+              f"parent {p_med:.4g} [{p_q1:.4g}, {p_q3:.4g}]  "
+              f"change {c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}]  "
+              f"{rel:+.1%}  wins {s['wins']} of {n}  "
+              f"gap beyond parent IQR: {'yes' if s['gap_beyond_iqr'] else 'no'}")
+        summary[name] = dict(s, unit=unit, better=direction, **values)
+    print(f"correct: {str(correct).lower()}")
+    print(json.dumps({"workload": args.workload, "pairs": n, "correct": correct,
+                      "metrics": summary}))
+    return 0 if correct else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
