@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments
+from . import experiments, robots
 from .controllers import CONTROLLER_NAMES
 from .robots import ParseError, RobotSpecFile, ValidationError, builtin_registry, resolve_spec
 from .sim import SimConfig
@@ -27,8 +27,7 @@ EXIT_VALIDATION = 65
 
 SIM_KEYS = {"dt_physics": float, "control_decimation": int, "integrator": str,
             "t_end": float}
-GAIN_KEYS = {"kp": float, "eps": float, "w1": float, "w2": float, "w3": float,
-             "w4": float, "rho": float, "d_null": float}
+GAIN_KEYS = dict.fromkeys(robots.GAIN_DEFAULTS, float)
 
 
 class _UsageError(Exception):
@@ -70,23 +69,19 @@ def build_parser() -> _Parser:
 
 def _parse_overrides(pairs) -> tuple[dict, dict]:
     sim_over, gain_over = {}, {}
+    namespaces = {"sim": (SIM_KEYS, sim_over), "gains": (GAIN_KEYS, gain_over)}
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep:
             raise ValidationError(f"override {pair!r} is not KEY=VALUE")
         ns, _, name = key.partition(".")
-        if ns == "sim" and name in SIM_KEYS:
-            try:
-                sim_over[name] = SIM_KEYS[name](value)
-            except ValueError as exc:
-                raise ValidationError(f"override {key}: {exc}") from exc
-        elif ns == "gains" and name in GAIN_KEYS:
-            try:
-                gain_over[name] = GAIN_KEYS[name](value)
-            except ValueError as exc:
-                raise ValidationError(f"override {key}: {exc}") from exc
-        else:
+        types, target = namespaces.get(ns, ({}, None))
+        if name not in types:
             raise ValidationError(f"unknown override key {key!r}")
+        try:
+            target[name] = types[name](value)
+        except ValueError as exc:
+            raise ValidationError(f"override {key}: {exc}") from exc
     try:
         SimConfig(**sim_over)
     except ValueError as exc:
@@ -174,9 +169,8 @@ def cmd_list(args) -> int:
             raise ValidationError("list gains requires --robot")
         _, gains = resolve_spec(args.robot).load()
         for ctrl in CONTROLLER_NAMES:
-            g = gains[ctrl]
-            print(f"{ctrl}: kp={g.kp:g} eps={g.eps:g} w1={g.w1:g} w2={g.w2:g} "
-                  f"w3={g.w3:g} w4={g.w4:g} rho={g.rho:g} d_null={g.d_null:g}")
+            values = dataclasses.asdict(gains[ctrl]).items()
+            print(f"{ctrl}: " + " ".join(f"{key}={value:g}" for key, value in values))
     return EXIT_OK
 
 

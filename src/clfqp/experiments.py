@@ -3,14 +3,17 @@ execution with failure detection, Table-style metric aggregation, and CSV
 export of trajectories.
 
 Set points sit on an ellipse in the xz-plane (semi axes L/3 and L/8, tilted
-45 degrees, center offset from the base along the tilt); tracking sweeps
-the same ellipse at constant angular rate, two full cycles per episode.
+45 degrees, center offset s L - b from the base along the tilt, s the spec's
+``workspace_scale``) no farther from the base than L; tracking sweeps the
+same ellipse at constant angular rate, two full cycles per episode.
 
-A suite call hands all its episodes, one controller each, to one lockstep
-``sim.run``: their states are evaluated and integrated as the rows of one
-stacked chain pass per step, and each episode leaves the batch at its own
-t_end (tracking rates differ in length), on its stop condition or on a
-non-finite state. Every episode is bitwise what it would be run alone.
+Both suites pass only their reference, protocol length and metric to one
+runner. It hands all of a call's episodes, one controller each, to one
+lockstep ``sim.run``: their states are evaluated and integrated as the rows
+of one stacked chain pass per step, and each episode leaves the batch at its
+own t_end (tracking rates differ in length), on its stop condition or on a
+non-finite input or state. Every episode is bitwise what it would be run
+alone.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from .controllers import Reference, make_controller
 from .multibody import RobotModel, RobotState
 # builtin_registry stays a name of this module: bench/tracer.py patches it here
-from .robots import builtin_registry, resolve_spec  # noqa: F401
+from .robots import ValidationError, builtin_registry, resolve_spec  # noqa: F401
 from .sim import SimConfig, Trajectory, run
 
 THETA_GRID = tuple(t * np.pi for t in (0.0, 0.5, 1.0, 1.5))
@@ -49,14 +52,13 @@ class EllipseParams:
             raise ValueError("ellipse parameters must be positive")
 
     @classmethod
-    def for_robot(cls, model: RobotModel) -> "EllipseParams":
-        """Benchmark ellipse for a robot: a = L/3, b = L/8, phi = 45 deg;
-        the center offset is L - b, except 3L/4 - b for the spirob whose
-        workspace is shorter than its arclength."""
+    def for_robot(cls, model: RobotModel, workspace_scale: float = 1.0) -> "EllipseParams":
+        """Benchmark ellipse for a robot of arclength L: a = L/3, b = L/8,
+        phi = 45 deg, and the center offset s L - b for the workspace scale
+        s its spec sets (``RobotSpecFile.workspace_scale``, 1 by default)."""
         length = model.L
         b = length / 8.0
-        c = (0.75 * length - b) if model.name == "spirob" else (length - b)
-        return cls(a=length / 3.0, b=b, phi=np.pi / 4.0, c=c)
+        return cls(a=length / 3.0, b=b, phi=np.pi / 4.0, c=workspace_scale * length - b)
 
 
 def ellipse_point(params: EllipseParams, theta: float) -> tuple[float, float]:
@@ -180,22 +182,6 @@ def _divergence_stop(model: RobotModel):
     return check
 
 
-def _run_episodes(model, gains, controller_name, references, cfgs, metas) -> list[Trajectory]:
-    """Run one suite's episodes in lockstep, one controller each; an episode
-    that ran to t_end fails when its QP stayed infeasible too long."""
-    controllers = [make_controller(controller_name, model, gains[controller_name])
-                   for _ in references]
-    trajs = run(model, controllers, references, cfgs, stop_condition=_divergence_stop(model),
-                metadata=metas)
-    for traj, cfg in zip(trajs, cfgs):
-        if not traj.failed:
-            reason = _persistent_infeasibility(traj, cfg)
-            if reason:
-                traj.failed = True
-                traj.failure_reason = reason
-    return trajs
-
-
 def _persistent_infeasibility(traj: Trajectory, cfg: SimConfig) -> str:
     dt_ctrl = cfg.dt_physics * cfg.control_decimation
     window = max(1, int(round(INFEASIBLE_WINDOW / dt_ctrl)))
@@ -207,34 +193,62 @@ def _persistent_infeasibility(traj: Trajectory, cfg: SimConfig) -> str:
     return ""
 
 
+def _reachable_setpoint(model: RobotModel, params: EllipseParams, theta: float) -> Reference:
+    target = np.linalg.norm(ellipse_point(params, theta))
+    if target > model.L + 1e-9:
+        raise ValidationError(f"set point at {target:.3f} m exceeds reach {model.L:.3f} m")
+    return setpoint_reference(params, theta, model.task_dim)
+
+
+def _final_error_cm(traj: Trajectory, reference: Reference) -> float:
+    target = reference.y_ref(traj.final_state.t)
+    return float(np.linalg.norm(traj.final_task_position() - target) * 100.0)
+
+
+def _mean_squared_error_cm2(traj: Trajectory, reference: Reference) -> float:
+    if not len(traj):
+        return float("nan")
+    err = (traj.y - traj.y_ref) * 100.0
+    return float(np.mean(np.sum(err ** 2, axis=1)))
+
+
+def _suite(robot, controller: str, experiment: str, key: str, grid, sim_overrides,
+           reference, t_end, metric) -> tuple[MetricSummary, list[Trajectory]]:
+    """One episode per grid value, all in one lockstep ``run``: its reference
+    is ``reference(model, params, value)``, its protocol length
+    ``t_end(value)`` and its score ``metric(traj, reference)``; a score that
+    is not finite, or a QP infeasible for too long, fails it."""
+    grid = tuple(grid)
+    spec = resolve_spec(robot)
+    model, gains = spec.load()
+    params = EllipseParams.for_robot(model, spec.workspace_scale)
+    refs = [reference(model, params, value) for value in grid]
+    cfgs = [sim_config_for(spec, t_end(value), sim_overrides) for value in grid]
+    metas = [{"robot": model.name, "controller": controller, "experiment": experiment,
+              key: value} for value in grid]
+    controllers = [make_controller(controller, model, gains[controller]) for _ in grid]
+    trajs = run(model, controllers, refs, cfgs, stop_condition=_divergence_stop(model),
+                metadata=metas)
+    summary = MetricSummary(robot=model.name, controller=controller, experiment=experiment)
+    for value, traj, ref, cfg in zip(grid, trajs, refs, cfgs):
+        if not traj.failed:
+            traj.failure_reason = _persistent_infeasibility(traj, cfg)
+            traj.failed = bool(traj.failure_reason)
+        score = metric(traj, ref)
+        summary.episodes.append(EpisodeResult(parameter=value, trajectory=traj, metric=score,
+                                              failed=traj.failed or not np.isfinite(score),
+                                              failure_reason=traj.failure_reason))
+    return summary, trajs
+
+
 def setpoint_suite(robot, controller: str, thetas=THETA_GRID,
                    sim_overrides: dict | None = None
                    ) -> tuple[MetricSummary, list[Trajectory]]:
-    """Run the set-point episodes; final error is |y(t_end) - y_ref| in cm."""
-    thetas = tuple(thetas)
-    spec = resolve_spec(robot)
-    model, gains = spec.load()
-    params = EllipseParams.for_robot(model)
-    for theta in thetas:
-        target = np.linalg.norm(ellipse_point(params, theta))
-        reach = model.L if model.name != "spirob" else 0.75 * model.L + params.a
-        if target > reach + 1e-9:
-            raise ValueError(f"set point at {target:.3f} m exceeds reach {reach:.3f} m")
-    cfg = sim_config_for(spec, SETPOINT_T_END, sim_overrides)
-    summary = MetricSummary(robot=model.name, controller=controller, experiment="setpoint")
-    refs = [setpoint_reference(params, theta, model.task_dim) for theta in thetas]
-    metas = [dict(robot=model.name, controller=controller, experiment="setpoint",
-                  theta=theta) for theta in thetas]
-    trajs = _run_episodes(model, gains, controller, refs, [cfg] * len(refs), metas)
-
-    for theta, traj in zip(thetas, trajs):
-        target = _embed(ellipse_point(params, theta), model.task_dim)
-        err_cm = float(np.linalg.norm(traj.final_task_position() - target) * 100.0)
-        failed = traj.failed or not np.isfinite(err_cm)
-        summary.episodes.append(EpisodeResult(parameter=theta, trajectory=traj, metric=err_cm,
-                                              failed=failed,
-                                              failure_reason=traj.failure_reason))
-    return summary, trajs
+    """Run the set-point episodes; final error is |y(t_end) - y_ref| in cm.
+    A set point farther from the base than the arclength L raises."""
+    return _suite(robot, controller, "setpoint", "theta", thetas, sim_overrides,
+                  reference=_reachable_setpoint, t_end=lambda theta: SETPOINT_T_END,
+                  metric=_final_error_cm)
 
 
 def tracking_suite(robot, controller: str, omegas=OMEGA_GRID,
@@ -242,28 +256,10 @@ def tracking_suite(robot, controller: str, omegas=OMEGA_GRID,
                    ) -> tuple[MetricSummary, list[Trajectory]]:
     """Run the tracking episodes (two cycles each); metric is the mean over
     control-rate samples of |y - y_ref|^2 in cm^2."""
-    omegas = tuple(omegas)
-    spec = resolve_spec(robot)
-    model, gains = spec.load()
-    params = EllipseParams.for_robot(model)
-    summary = MetricSummary(robot=model.name, controller=controller, experiment="tracking")
-    cfgs = [sim_config_for(spec, 4.0 * np.pi / omega, sim_overrides) for omega in omegas]
-    refs = [ellipse_trajectory(params, omega, model.task_dim) for omega in omegas]
-    metas = [dict(robot=model.name, controller=controller, experiment="tracking",
-                  omega=omega) for omega in omegas]
-    trajs = _run_episodes(model, gains, controller, refs, cfgs, metas)
-
-    for omega, traj in zip(omegas, trajs):
-        if len(traj):
-            err = (traj.y - traj.y_ref) * 100.0
-            mse = float(np.mean(np.sum(err ** 2, axis=1)))
-        else:
-            mse = float("nan")
-        failed = traj.failed or not np.isfinite(mse)
-        summary.episodes.append(EpisodeResult(parameter=omega, trajectory=traj, metric=mse,
-                                              failed=failed,
-                                              failure_reason=traj.failure_reason))
-    return summary, trajs
+    return _suite(robot, controller, "tracking", "omega", omegas, sim_overrides,
+                  reference=lambda model, params, omega: ellipse_trajectory(
+                      params, omega, model.task_dim),
+                  t_end=lambda omega: 4.0 * np.pi / omega, metric=_mean_squared_error_cm2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@ built-in finger, helix, and spirob files). The actuation matrix may be
 given explicitly or through a tendon-routing shorthand that is expanded at
 load time; everything else maps directly onto RobotModel fields.
 
+The optional ``workspace_scale`` (a positive number, 1 by default; the spirob
+sets 0.75) is the share of the arclength L at which the benchmark ellipse is
+centered (``experiments.EllipseParams.for_robot``).
+
 All numeric values of the built-in robots (masses, stiffness, damping,
 moment arms, bounds) are desk-scale stand-ins recorded only in the spec
 files, never in code.
@@ -13,7 +17,7 @@ files, never in code.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -25,12 +29,6 @@ from .multibody import Joint, Link, RobotModel
 
 SCHEMA_VERSION = 1
 
-# Per-key fallbacks; a weight a controller row does not list is simply not
-# part of that controller's objective.
-GAIN_DEFAULTS = dict(kp=500.0, eps=0.05, w1=1.0, w2=0.0, w3=0.0, w4=0.0,
-                     rho=1000.0, d_null=1.0)
-
-
 class ParseError(ValueError):
     """Spec document failed to parse; message carries field diagnostics."""
 
@@ -41,11 +39,11 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class GainSet:
-    """Controller gains. kd is always derived as 2 sqrt(kp) (critically
-    damped error dynamics) and never stored."""
+    """Controller gains, defaulting to a spec row's fallbacks. kd is always
+    derived as 2 sqrt(kp) (critically damped error dynamics), never stored."""
 
-    kp: float
-    eps: float
+    kp: float = 500.0
+    eps: float = 0.05
     w1: float = 1.0
     w2: float = 0.0
     w3: float = 0.0
@@ -54,12 +52,9 @@ class GainSet:
     d_null: float = 1.0
 
     def __post_init__(self):
-        if self.kp <= 0.0:
-            raise ValidationError("gain kp must be positive")
-        if self.eps <= 0.0:
-            raise ValidationError("gain eps must be positive")
-        if self.rho <= 0.0:
-            raise ValidationError("gain rho must be positive")
+        for name in ("kp", "eps", "rho"):
+            if getattr(self, name) <= 0.0:
+                raise ValidationError(f"gain {name} must be positive")
         for name in ("w1", "w2", "w3", "w4", "d_null"):
             if getattr(self, name) < 0.0:
                 raise ValidationError(f"gain {name} must be nonnegative")
@@ -67,6 +62,9 @@ class GainSet:
     @property
     def kd(self) -> float:
         return 2.0 * np.sqrt(self.kp)
+
+
+GAIN_DEFAULTS = {f.name: f.default for f in fields(GainSet)}
 
 
 @dataclass(frozen=True)
@@ -82,6 +80,14 @@ class RobotSpecFile:
 
     def load(self) -> tuple[RobotModel, dict[str, GainSet]]:
         return _build_model(self.data, source=self.source or self.name)
+
+    @property
+    def workspace_scale(self) -> float:
+        """The spec's ``workspace_scale``, 1 unless it sets a positive number."""
+        scale = self.data.get("workspace_scale", 1.0)
+        if type(scale) not in (int, float) or not scale > 0.0:
+            raise ValidationError(f"{self.source or self.name}: bad workspace_scale {scale!r}")
+        return float(scale)
 
 
 # libyaml's parser when PyYAML was built with it; same safe constructors.
@@ -169,8 +175,7 @@ def _build_model(data: dict, source: str) -> tuple[RobotModel, dict[str, GainSet
     gains = {}
     table = data.get("gains", {}) or {}
     for ctrl in CONTROLLER_NAMES:
-        row = dict(GAIN_DEFAULTS)
-        row.update(table.get(ctrl, {}))
+        row = table.get(ctrl, {})
         unknown = set(row) - set(GAIN_DEFAULTS)
         if unknown:
             raise ParseError(f"{source}: gains[{ctrl}]: unknown keys {sorted(unknown)}")
@@ -308,9 +313,7 @@ def serialize_robot(model: RobotModel, gains: dict[str, GainSet]) -> str:
         "actuation": {"matrix": [[float(v) for v in row] for row in model.B]},
         "bounds": {"min": [float(v) for v in model.u_min],
                    "max": [float(v) for v in model.u_max]},
-        "gains": {ctrl: dict(kp=g.kp, eps=g.eps, w1=g.w1, w2=g.w2, w3=g.w3,
-                             w4=g.w4, rho=g.rho, d_null=g.d_null)
-                  for ctrl, g in gains.items()},
+        "gains": {ctrl: asdict(g) for ctrl, g in gains.items()},
     }
     if model.ee_offset is not None:
         doc["ee_offset"] = [float(v) for v in model.ee_offset]

@@ -2,8 +2,8 @@
 
 Control inputs update every ``control_decimation`` physics steps and are
 held constant in between (zero-order hold). State and per-step diagnostics
-are logged at the control rate; a non-finite state aborts the run and the
-partial trajectory is returned with a failure marker.
+are logged at the control rate; a non-finite input or state ends the
+episode, and its partial trajectory is returned with a failure marker.
 
 One loop runs every episode, alone or several of one model in lockstep
 (``run`` given lists: one controller, reference and config per episode,
@@ -31,7 +31,7 @@ rows are evaluated in one stacked chain pass and advanced in one call of
 ``step``, with the inertia guard and the Cholesky solve per row; a single
 row runs on the shapes of one state, where a step costs less. Each
 controller still steps its own episode, and each episode leaves the batch
-on its own: at its t_end, on its stop condition, or on a non-finite state.
+on its own: at t_end, on its stop condition, or on a non-finite input or state.
 Stacking changes no bit of any row: matrix-vector products over rows are
 written (A @ x[..., None])[..., 0], the form whose every row is bitwise the
 one-row A @ x, and the LAPACK calls stay per row.
@@ -222,6 +222,9 @@ def run(model: RobotModel, controller, reference: Reference, cfg: SimConfig,
 
     ``stop_condition(state, task_error)`` may return a failure reason to
     abort early (used by the benchmark suites for divergence detection).
+    An episode also ends failed, keeping its last logged row, when its
+    controller returns a non-finite input, which is then not applied
+    ("non-finite input at t=..."), or its state turns non-finite.
 
     Given lists of controllers, references and configs (and a list of
     metadata dicts, or None), ``run`` steps those episodes in lockstep and
@@ -357,6 +360,8 @@ def _run_episodes(model, controllers, references, cfgs, stop_condition,
             object.__setattr__(state, "evaluation", None)   # it points back at the state
             y_ref_k = _log_row(trajs[i], k, state, ts, references[i], u, log)
             reason = stop_condition(state, ts.y - y_ref_k) if stop_condition else ""
+            if not (reason or np.isfinite(u).all()):
+                reason = f"non-finite input at t={t:.6f}"
             if reason:
                 _end(trajs[i], state, reason, k + 1)
             else:

@@ -107,6 +107,16 @@ class TestRobotArgument:
         assert capsys.readouterr().out == builtin
 
 
+    def test_list_gains_prints_every_field_in_order(self, capsys):
+        from clfqp import cli
+
+        assert cli.main(["list", "gains", "--robot", "spirob"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == ("soft-id-clf-qp: kp=500 eps=0.01 w1=1 w2=0.2 w3=0.5 w4=0.1 "
+                            "rho=1000 d_null=1")
+        assert lines[4] == "ic-qp: kp=2000 eps=0.01 w1=1 w2=0.2 w3=0.5 w4=0 rho=1000 d_null=1"
+
+
 class TestFailedConvergence:
     def test_failed_episode_exits_2_and_still_writes(self, monkeypatch, tmp_path, capsys):
         from clfqp import cli, experiments

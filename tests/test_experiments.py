@@ -3,7 +3,7 @@ import pytest
 
 from clfqp import experiments
 from clfqp.multibody import RobotState
-from clfqp.robots import RobotSpecFile, builtin_registry
+from clfqp.robots import RobotSpecFile, builtin_registry, resolve_spec
 
 SHORT = {"t_end": 0.002}
 
@@ -138,6 +138,81 @@ class TestFailureDetection:
         assert scan([(0, window - 1), (window, window - 1)]) == ""
         assert scan([(3, window)]) == "QP infeasible for more than 1 s"
         assert scan([(len(traj) - window, window)]) == "QP infeasible for more than 1 s"
+
+
+class TestReach:
+    """Set points are checked against the arclength L on every robot; the
+    ellipse follows the spec's workspace_scale, never the robot's name."""
+
+    @pytest.mark.parametrize("robot", ["finger", "helix", "spirob"])
+    def test_every_grid_point_is_accepted(self, robot):
+        spec = builtin_registry()[robot]
+        model, _ = spec.load()
+        params = experiments.EllipseParams.for_robot(model, spec.workspace_scale)
+        reach = [np.linalg.norm(experiments.ellipse_point(params, theta))
+                 for theta in experiments.THETA_GRID]
+        assert max(reach) <= model.L + 1e-9
+        summary, _ = experiments.setpoint_suite(robot, "ic", sim_overrides=SHORT)
+        assert len(summary.episodes) == len(experiments.THETA_GRID)
+
+    @pytest.mark.parametrize("robot,scale", [("finger", 1.0), ("helix", 1.0),
+                                             ("spirob", 0.75)])
+    def test_center_offset(self, robot, scale):
+        spec = builtin_registry()[robot]
+        assert spec.workspace_scale == scale
+        model, _ = spec.load()
+        params = experiments.EllipseParams.for_robot(model, spec.workspace_scale)
+        assert params.c == scale * model.L - model.L / 8.0
+
+    def spec_file(self, tmp_path, robot, old, new):
+        text = builtin_registry()[robot].text
+        assert text.count(old) == 1
+        path = tmp_path / f"{robot}-copy.yaml"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        return str(path)
+
+    def test_setpoint_beyond_reach_raises(self, tmp_path):
+        path = self.spec_file(tmp_path, "finger", "task_dim: 2\n",
+                              "task_dim: 2\nworkspace_scale: 1.2\n")
+        with pytest.raises(ValueError, match="exceeds reach"):
+            experiments.setpoint_suite(path, "ic", thetas=experiments.THETA_GRID[:1],
+                                       sim_overrides=SHORT)
+
+    def test_cli_exits_65_beyond_reach(self, tmp_path, capsys):
+        from clfqp import cli
+
+        path = self.spec_file(tmp_path, "finger", "task_dim: 2\n",
+                              "task_dim: 2\nworkspace_scale: 1.2\n")
+        code = cli.main(["run", "--robot", path, "--controller", "ic", "--experiment",
+                         "setpoint", "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_VALIDATION
+        assert "exceeds reach 0.240 m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["0.0", "-1", "true", "wide"])
+    def test_bad_scale_is_validation_error(self, tmp_path, scale):
+        from clfqp.robots import ValidationError
+
+        path = self.spec_file(tmp_path, "finger", "task_dim: 2\n",
+                              f"task_dim: 2\nworkspace_scale: {scale}\n")
+        with pytest.raises(ValidationError, match="bad workspace_scale"):
+            experiments.setpoint_suite(path, "ic", sim_overrides=SHORT)
+
+    def test_renamed_spirob_runs_the_same_episodes(self, tmp_path):
+        path = self.spec_file(tmp_path, "spirob", "name: spirob\n", "name: coil\n")
+        for suite in (experiments.setpoint_suite, experiments.tracking_suite):
+            want, want_trajs = suite("spirob", "ic", sim_overrides=SHORT)
+            got, got_trajs = suite(path, "ic", sim_overrides=SHORT)
+            assert got.robot == "coil"
+            for a, b in zip(got.episodes, want.episodes):
+                assert (a.parameter, repr(a.metric), a.failed) == (
+                    b.parameter, repr(b.metric), b.failed)
+            for a, b in zip(got_trajs, want_trajs):
+                for name in ("t", "q", "dq", "y", "y_ref", "u", "V", "Vdot"):
+                    assert same_bits(getattr(a, name), getattr(b, name)), name
+                assert same_bits(a.final_state.q, b.final_state.q)
+        params = [experiments.EllipseParams.for_robot(spec.load()[0], spec.workspace_scale)
+                  for spec in (resolve_spec("spirob"), resolve_spec(path))]
+        assert params[0] == params[1]
 
 
 class TestEllipseDerivatives:

@@ -229,7 +229,7 @@ class TestLockstepSuites:
 
 
 class _BlowUp:
-    """Controller proxy that commands a runaway input from a given step on."""
+    """Controller proxy that commands a runaway (or NaN) input from a given step on."""
 
     def __init__(self, inner, from_step, size=1e4):
         self._inner = inner
@@ -297,6 +297,23 @@ class TestLockstepEndings:
         assert [t.failed for t in trajs] == [False, True, False, False]
         assert trajs[1].failure_reason.startswith("state magnitude exceeded 1e12")
         assert 0 < len(trajs[1]) < len(trajs[0]) == 12 // decimation
+
+    @pytest.mark.parametrize("integrator", ["rk4", "semi-implicit-euler"])
+    def test_non_finite_input_ends_its_row_only(self, integrator):
+        self.refs = self.refs[:3]
+        cfg = SimConfig(t_end=0.006, integrator=integrator)
+
+        def make():
+            ctrls = self.controllers()
+            ctrls[1] = _BlowUp(ctrls[1], from_step=2, size=np.nan)
+            return ctrls
+
+        trajs = self.compare(make, [cfg] * 3)
+        assert [t.failed for t in trajs] == [False, True, False]
+        assert trajs[1].failure_reason == "non-finite input at t=0.002000"
+        assert [len(t) for t in trajs] == [6, 3, 6]
+        assert np.isnan(trajs[1].u[-1]).all() and np.isfinite(trajs[1].u[:-1]).all()
+        assert trajs[1].final_state.t == trajs[1].t[-1]
 
     def test_episode_without_rows(self):
         cfgs = [SimConfig(t_end=0.004), SimConfig(t_end=1e-4), SimConfig(t_end=0.002),
