@@ -2,12 +2,12 @@
 
 Library layout:
 
-- ``linalg`` / ``qp``: dense numerical layer (pseudoinverse, structured
-  Riccati solve, active-set QP solver).
-- ``_lapack``: the LAPACK routines ``qp`` and ``multibody`` call
-  (``dpotrf``, ``dpotrs``, ``dtrtri``), loaded from scipy's compiled
-  extension without importing the ``scipy.linalg`` package, which would
-  add about 270 ms and 28 MB to every fresh process.
+- ``linalg`` / ``qp``: dense numerical layer (checked SVD, pseudoinverse,
+  structured Riccati solve, active-set QP solver).
+- ``_lapack``: the LAPACK routines ``linalg``, ``qp`` and ``multibody``
+  call (``dpotrf``, ``dpotrs``, ``dtrtri``, ``dgesvd``), loaded from
+  scipy's compiled extension without importing the ``scipy.linalg``
+  package, which would add about 270 ms and 28 MB to every fresh process.
 - ``multibody`` / ``kinematics``: serial-chain dynamics and task-space maps.
 - ``clf``: quadratic Lyapunov certificate and its per-step inequality row.
 - ``controllers``: the five control laws (clf-qp, soft-id-clf-qp, ic, uic,

@@ -1,4 +1,5 @@
-"""The three LAPACK routines clfqp calls: ``dpotrf``, ``dpotrs``, ``dtrtri``.
+"""The LAPACK routines clfqp calls: ``dpotrf``, ``dpotrs``, ``dtrtri`` and
+``dgesvd``.
 
 They come from scipy's compiled LAPACK wrapper ``scipy.linalg._flapack``,
 loaded from scipy's install directory without running
@@ -41,3 +42,4 @@ _flapack = _load_flapack()
 dpotrf = _flapack.dpotrf
 dpotrs = _flapack.dpotrs
 dtrtri = _flapack.dtrtri
+dgesvd = _flapack.dgesvd

@@ -94,13 +94,22 @@ def vdot_coeffs(clf: ClfData, err: TaskError) -> tuple[float, np.ndarray]:
     return a0, a1
 
 
-def clf_row(clf: ClfData, err: TaskError) -> tuple[np.ndarray, float]:
+def clf_terms(clf: ClfData, err: TaskError) -> tuple[float, float, np.ndarray]:
+    """(V, a0, a1) at ``err``: the value and the decomposition of Vdot, which
+    a step's decrease row and its logged V and Vdot share."""
+    a0, a1 = vdot_coeffs(clf, err)
+    return clf_value(clf, err), a0, a1
+
+
+def clf_row(clf: ClfData, err: TaskError,
+            terms: tuple[float, float, np.ndarray] | None = None
+            ) -> tuple[np.ndarray, float]:
     """The decrease condition as an inequality row over (mu, delta).
 
     Returns (row, rhs) with row @ [mu; delta] <= rhs encoding
-    a1 mu - delta <= -a0 - V/eps.
+    a1 mu - delta <= -a0 - V/eps. ``terms`` are ``clf_terms(clf, err)``,
+    when known.
     """
-    a0, a1 = vdot_coeffs(clf, err)
-    v = clf_value(clf, err)
+    v, a0, a1 = clf_terms(clf, err) if terms is None else terms
     row = np.concatenate([a1, [-1.0]])
     return row, -a0 - v / clf.eps

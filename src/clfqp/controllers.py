@@ -36,9 +36,9 @@ from typing import Callable
 
 import numpy as np
 
-from .clf import ClfData, TaskError, clf_row, clf_value, default_clf, vdot_coeffs
+from .clf import ClfData, TaskError, clf_row, clf_terms, default_clf
 from .kinematics import TaskState, task_state
-from .linalg import pinv
+from .linalg import pinv, svd
 from .multibody import DynamicsTerms, RobotModel, RobotState, bias_terms, solve_inertia
 from .qp import Bounds, PsdHessian, QpProblem, QpSolution, QpStatus, solve_qp
 
@@ -126,7 +126,7 @@ class CollocatedSplit:
 def collocated_split(b: np.ndarray) -> CollocatedSplit:
     b = np.asarray(b, dtype=float)
     n, m = b.shape
-    u_svd, sv, _ = np.linalg.svd(b, full_matrices=True)
+    u_svd, sv, _ = svd(b, full_matrices=True)
     if m > 0 and (sv.size < m or sv[m - 1] <= 1e-12 * sv[0]):
         raise RankDeficientB("actuation matrix does not have full column rank")
     w = u_svd[:, m:].T
@@ -179,6 +179,9 @@ class _StepData:
     dy_ref: np.ndarray
     ddy_ref: np.ndarray
     err: TaskError
+    # (V, a0, a1) of the step's certificate at err (``clf.clf_terms``),
+    # made once for the decrease row and the logged V and Vdot
+    certificate: tuple | None = None
 
     @property
     def terms(self) -> DynamicsTerms:
@@ -189,11 +192,13 @@ class _StepData:
         return self.evaluation.ts
 
 
-def _evaluate_step(model: RobotModel, state: RobotState, ref: Reference) -> _StepData:
+def _evaluate_step(model: RobotModel, state: RobotState, ref: Reference,
+                   clf: ClfData | None = None) -> _StepData:
     ev = evaluate(model, state)
     y_ref, dy_ref, ddy_ref = ref.at(state.t)
     err = TaskError(e=ev.ts.y - y_ref, de=ev.ts.dy - dy_ref)
-    return _StepData(evaluation=ev, y_ref=y_ref, dy_ref=dy_ref, ddy_ref=ddy_ref, err=err)
+    return _StepData(evaluation=ev, y_ref=y_ref, dy_ref=dy_ref, ddy_ref=ddy_ref, err=err,
+                     certificate=None if clf is None else clf_terms(clf, err))
 
 
 @dataclass(frozen=True)
@@ -243,7 +248,7 @@ def clf_qp_step(model: RobotModel, state: RobotState, ref: Reference, gains,
     box, and delta >= 0. On infeasibility the previous input is held.
     ``consts`` are ``clf_qp_constants(model, gains)``, when known.
     """
-    data = _evaluate_step(model, state, ref)
+    data = _evaluate_step(model, state, ref, clf)
     consts = clf_qp_constants(model, gains) if consts is None else consts
     n_t, m = model.task_dim, model.m
     lf2y, lglfy = lie_terms(model, state, terms=data.terms, ts=data.ts)
@@ -258,14 +263,14 @@ def clf_qp_step(model: RobotModel, state: RobotState, ref: Reference, gains,
     a_eq[:, m:m + n_t] = -g_pinv
     b_eq = g_pinv @ (-lf2y + data.ddy_ref)
 
-    row, rhs = clf_row(clf, data.err)
+    row, rhs = clf_row(clf, data.err, data.certificate)
     a_in = np.zeros((1, d))
     a_in[0, m:] = row
     b_in = np.array([rhs])
 
     prob = QpProblem(consts.hessian, f_cost, a_eq, b_eq, a_in, b_in, bounds=consts.bounds)
     sol = solve_qp(prob, warm_start=warm_start)
-    return _finish_qp_step(model, state, data, clf, sol, u_hold,
+    return _finish_qp_step(model, state, data, sol, u_hold,
                            lambda x: (x[:m], x[m:m + n_t], x[-1]))
 
 
@@ -304,7 +309,7 @@ def full_body_qp_step(model: RobotModel, state: RobotState, ref: Reference, gain
     Vdot. On infeasibility the previous input is held. ``consts`` are
     ``full_body_constants(model, gains, certify)``, when known.
     """
-    data = _evaluate_step(model, state, ref)
+    data = _evaluate_step(model, state, ref, clf)
     consts = full_body_constants(model, gains, certify) if consts is None else consts
     n, m, n_t = model.n, model.m, model.task_dim
     jac, djac, nproj = data.ts.J, data.ts.dJ, data.ts.N
@@ -327,7 +332,7 @@ def full_body_qp_step(model: RobotModel, state: RobotState, ref: Reference, gain
 
     a_in = b_in = None
     if certify:
-        row, rhs = clf_row(clf, data.err)     # over (mu, delta)
+        row, rhs = clf_row(clf, data.err, data.certificate)     # over (mu, delta)
         a1 = row[:n_t]
         a_in = np.zeros((1, d))
         a_in[0, :n] = a1 @ jac
@@ -336,12 +341,12 @@ def full_body_qp_step(model: RobotModel, state: RobotState, ref: Reference, gain
 
     prob = QpProblem(h_cost, f_cost, a_eq, b_eq, a_in, b_in, bounds=consts.bounds)
     sol = solve_qp(prob, warm_start=warm_start)
-    return _finish_qp_step(model, state, data, clf, sol, u_hold,
+    return _finish_qp_step(model, state, data, sol, u_hold,
                            lambda x: (x[n:n + m], jac @ x[:n] + mu_drift,
                                       x[-1] if certify else 0.0))
 
 
-def _finish_qp_step(model, state, data, clf, sol, u_hold, read):
+def _finish_qp_step(model, state, data, sol, u_hold, read):
     """Applied input and log of a solved QP; ``read(x)`` gives the input,
     mu and delta of a solution. An infeasible QP holds ``u_hold``."""
     if sol.status is QpStatus.INFEASIBLE:
@@ -350,27 +355,27 @@ def _finish_qp_step(model, state, data, clf, sol, u_hold, read):
     else:
         u_cmd, mu, delta = read(sol.x_star)
         u, delta = _clamp(u_cmd, model), float(delta)
-    log = _step_log(model, state, data, clf, u, sol.status.value, sol.solve_time,
+    log = _step_log(model, state, data, u, sol.status.value, sol.solve_time,
                     mu=mu, delta=delta)
     return u, log, sol
 
 
-def _step_log(model, state, data, clf, u, qp_status, solve_time, mu=None, delta=0.0):
+def _step_log(model, state, data, u, qp_status, solve_time, mu=None, delta=0.0):
     """Log of a step that applies u; without a planned ``mu`` (closed-form
     laws, held inputs) it logs the task error acceleration that u produces."""
     if mu is None:
         qdd = solve_inertia(data.terms, model.B @ u - data.terms.h)
         mu = data.ts.J @ qdd + data.ts.dJ @ state.dq - data.ddy_ref
-    v, vdot = _certificate_values(clf, data.err, mu)
+    v, vdot = _certificate_values(data, mu)
     return ControlStepLog(u=u, mu=mu, delta=delta, V=v, Vdot=vdot, qp_status=qp_status,
                           solve_time=solve_time, saturated=_saturation_mask(u, model))
 
 
-def _certificate_values(clf, err, mu):
-    if clf is None:
+def _certificate_values(data, mu):
+    if data.certificate is None:
         return np.nan, np.nan
-    a0, a1 = vdot_coeffs(clf, err)
-    return clf_value(clf, err), a0 + float(a1 @ mu)
+    v, a0, a1 = data.certificate
+    return v, a0 + float(a1 @ mu)
 
 
 def actuation_maps(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -393,10 +398,10 @@ def impedance_step(model: RobotModel, state: RobotState, ref: Reference, gains,
     tau_null = -[(I - Ip) N]^+ (I - Ip) J'f, where Ip = B B^+. ``maps`` are
     ``actuation_maps(model.B)``, when known.
     """
-    data = _evaluate_step(model, state, ref)
+    data = _evaluate_step(model, state, ref, clf)
     maps = actuation_maps(model.B) if maps is None else maps
     u = _clamp(_impedance_torque(model, state, data, gains, maps, uic=uic), model)
-    return u, _step_log(model, state, data, clf, u, "ClosedForm", 0.0)
+    return u, _step_log(model, state, data, u, "ClosedForm", 0.0)
 
 
 def _impedance_torque(model, state, data, gains, maps, uic: bool) -> np.ndarray:

@@ -1,6 +1,13 @@
-"""Dense linear-algebra helpers: tolerant pseudoinverse and the structured
-continuous-time algebraic Riccati solve used to shape the quadratic
-Lyapunov certificate.
+"""Dense linear-algebra helpers: a checked SVD, the tolerant pseudoinverse
+built on it, and the structured continuous-time algebraic Riccati solve
+used to shape the quadratic Lyapunov certificate.
+
+Every SVD whose factors are used goes through ``svd``. LAPACK's gesdd
+(what ``np.linalg.svd`` calls) can return finite singular values with
+non-finite U and V' and report success: it does on a 36 x 36 matrix of
+a helix uic episode, kept as test data. ``svd`` returns a finite
+gesdd result unchanged, so no bit of any other result moves, and redoes a
+matrix whose factors are not finite with gesvd (``_lapack.dgesvd``).
 
 The Riccati solve is specialised to task-error dynamics that are a stack of
 decoupled double integrators, so it reduces to a per-axis closed form
@@ -9,9 +16,12 @@ instead of a general Schur method.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._lapack import dgesvd
 
 DEFAULT_PINV_TOL = 1e-8
 
@@ -20,17 +30,79 @@ class NonPositiveWeight(ValueError):
     """A Riccati weight that must be strictly positive is not."""
 
 
+class SvdFailure(np.linalg.LinAlgError):
+    """Neither gesdd nor gesvd gave a finite SVD of a matrix."""
+
+
+def svd(a: np.ndarray, full_matrices: bool = False
+        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, s, vt) of ``np.linalg.svd(a, full_matrices)``, a float array of
+    shape (..., M, N), with finite factors.
+
+    A finite result of gesdd is returned as is. Otherwise each matrix of
+    the stack is redone on its own: gesdd again, whose one-matrix bits are
+    those of the stacked call, and gesvd where that is not finite either.
+    SvdFailure is raised when gesvd fails too. The entries of U and V' are
+    at most 1 in magnitude, so the sum of both is finite exactly when every
+    entry is.
+    """
+    try:
+        u, s, vt = np.linalg.svd(a, full_matrices=full_matrices)
+        if math.isfinite(u.sum() + vt.sum()):
+            return u, s, vt
+    except np.linalg.LinAlgError:
+        pass
+    return _svd_each(a, full_matrices)
+
+
+def _svd_each(a, full_matrices):
+    """``svd`` of every matrix of the stack a, one call each."""
+    k, m, n = min(a.shape[-2:]), *a.shape[-2:]
+    lead = a.shape[:-2]
+    u = np.empty(lead + ((m, m) if full_matrices else (m, k)))
+    s = np.empty(lead + (k,))
+    vt = np.empty(lead + ((n, n) if full_matrices else (k, n)))
+    for i in np.ndindex(lead):
+        u[i], s[i], vt[i] = _svd_one(a[i], full_matrices)
+    return u, s, vt
+
+
+def _svd_one(a, full_matrices):
+    try:
+        usv = np.linalg.svd(a, full_matrices=full_matrices)
+        if all(np.isfinite(f).all() for f in usv):
+            return usv
+    except np.linalg.LinAlgError:
+        pass
+    *usv, info = dgesvd(a, full_matrices=int(full_matrices))
+    if info != 0 or not all(np.isfinite(f).all() for f in usv):
+        raise SvdFailure(f"no finite SVD of a {a.shape[0]}x{a.shape[1]} matrix "
+                         f"(gesdd, then gesvd with info {info})")
+    return usv
+
+
 def pinv(a: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with a relative singular-value cutoff.
+    """Moore-Penrose pseudoinverse of a (..., M, N) array with a relative
+    singular-value cutoff.
 
     Singular values below ``tol * sigma_max`` are treated as zero, so
     near-singular Jacobians degrade gracefully instead of amplifying noise.
-    A zero matrix maps to a zero matrix.
+    A zero matrix maps to a zero matrix. The arithmetic is that of
+    ``np.linalg.pinv(a, rcond=tol)`` on one ``svd`` (so a non-finite gesdd
+    factor is redone with gesvd), without the wrapper's argument handling,
+    and gives its bits.
     """
     if tol <= 0.0:
         raise ValueError("pinv cutoff must be positive")
     a = np.asarray(a, dtype=float)
-    return np.linalg.pinv(a, rcond=tol)
+    if a.size == 0:
+        m, n = a.shape[-2:]
+        return np.empty(a.shape[:-2] + (n, m))
+    u, s, vt = svd(a)
+    large = s > tol * s.max(-1, keepdims=True)
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return vt.swapaxes(-1, -2) @ (s[..., None] * u.swapaxes(-1, -2))
 
 
 def double_integrator_blocks(n_t: int) -> tuple[np.ndarray, np.ndarray]:

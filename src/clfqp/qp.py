@@ -45,10 +45,20 @@ small without changing a bit of the result:
   ``scipy.linalg`` package (about 270 ms and 28 MB of a fresh process).
 - KKT solves stay ``np.linalg.solve`` on the assembled system: reusing an
   LU factor or stacking right-hand sides changes the bits of the solution.
-- The stationarity part of the reported KKT residual is Z Z' grad, from
-  the null-space basis Z the elimination already made, instead of a
+- Deferred factor. The Cholesky factor of the reduced Hessian serves only
+  solves with an empty working set, so it is made by the first of them.
+  A warm start that keeps its rows solves only KKT systems and never makes
+  it.
+- Diagnostics on demand. ``QpSolution.kkt_residual`` and ``.objective``
+  are worked out on first read, from the arrays the solve ended with, and
+  equal bit for bit what an eager computation gives; a caller that never
+  reads them does not pay for them.
+- The stationarity part of the KKT residual is Z Z' grad, from the
+  null-space basis Z the elimination already made, instead of a
   least-squares solve for the equality multipliers. Only that diagnostic
   changes, and only in its rounding.
+- The equality elimination's SVD is ``linalg.svd``, which redoes a
+  non-finite gesdd result with gesvd and leaves a finite one as it is.
 """
 
 from __future__ import annotations
@@ -56,10 +66,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from ._lapack import dpotrf
+from .linalg import svd
 
 FEAS_TOL = 1e-8          # absolute slack threshold for "satisfied"
 DUAL_TOL = 1e-10         # multiplier nonnegativity slack
@@ -233,15 +245,34 @@ def _check_symmetric_psd(h: np.ndarray):
 
 @dataclass
 class QpSolution:
+    """Result of ``solve_qp``. ``kkt_residual`` and ``objective`` are
+    diagnostics: each is worked out on its first read, from the problem and
+    the multipliers the solve ended with, and then kept. They read the
+    problem's arrays as they are then, so a caller that changes a problem
+    in place reads them first."""
+
     x_star: np.ndarray
     status: QpStatus
-    kkt_residual: float
     iterations: int
     solve_time: float
-    objective: float = np.nan
     # Indices into the stacked inequality list (A_in rows, then lb rows,
     # then ub rows) that were active at the solution; reusable as warm start.
     active_set: tuple = field(default_factory=tuple)
+    # (problem, stacked rows, right-hand sides, null-space basis, working
+    # rows, their multipliers): what the diagnostics are made from
+    _ending: tuple = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def kkt_residual(self) -> float:
+        """Max-norm KKT residual of the original problem (``_kkt_residual``)."""
+        prob, g_all, h_all, z_basis, idx, lam = self._ending
+        lam_full = np.zeros(g_all.shape[0])
+        lam_full[idx] = lam
+        return _kkt_residual(prob, g_all, h_all, self.x_star, lam_full, z_basis)
+
+    @cached_property
+    def objective(self) -> float:
+        return self._ending[0].objective(self.x_star)
 
 
 def _stack_inequalities(prob: QpProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -261,22 +292,24 @@ def _eliminate_equalities(prob: QpProblem):
     d = prob.dim
     if prob.A_eq.shape[0] == 0:
         return np.zeros(d), np.eye(d), True
-    u, s, vt = np.linalg.svd(prob.A_eq, full_matrices=True)
-    rank = int(np.sum(s > EQ_RANK_TOL * max(s[0], 1.0))) if s.size else 0
+    u, s, vt = svd(prob.A_eq, full_matrices=True)
+    rank = int((s > EQ_RANK_TOL * max(s[0], 1.0)).sum()) if s.size else 0
     x_p = vt[:rank].T @ ((u[:, :rank].T @ prob.b_eq) / s[:rank])
     z_basis = vt[rank:].T
-    resid = np.max(np.abs(prob.A_eq @ x_p - prob.b_eq)) if prob.b_eq.size else 0.0
-    consistent = resid <= FEAS_TOL * (1.0 + np.max(np.abs(prob.b_eq), initial=0.0))
+    resid = np.abs(prob.A_eq @ x_p - prob.b_eq).max() if prob.b_eq.size else 0.0
+    consistent = resid <= FEAS_TOL * (1.0 + np.abs(prob.b_eq).max(initial=0.0))
     return x_p, z_basis, consistent
 
 
 def _chol_with_ridge(h: np.ndarray) -> tuple[np.ndarray, float]:
     """Cholesky factor of h, adding a tiny ridge if h is only semidefinite.
 
-    The ridge is a numerical device; optimality is certified afterwards by
-    the KKT residual of the original problem.
+    The ridge is a numerical device, not a guard: ``QpProblem.validate``
+    has already checked H symmetric and PSD, and nothing checks a solution
+    against the problem afterwards. ``QpSolution.kkt_residual`` reports how
+    far from optimal a solution is, when a caller reads it.
     """
-    scale = max(1.0, float(np.max(np.abs(h))))
+    scale = max(1.0, float(np.abs(h).max()))
     ridge = 0.0
     for _ in range(6):
         try:
@@ -288,7 +321,8 @@ def _chol_with_ridge(h: np.ndarray) -> tuple[np.ndarray, float]:
 
 class _WorkingSet:
     """Dual active-set state in the reduced (equality-free) space. z is set
-    by the first ``solve_eqp``."""
+    by the first ``solve_eqp``; the Cholesky factor of h by the first solve
+    with an empty working set, the only one that uses it."""
 
     def __init__(self, h, f, g_rows, h_rhs):
         self.h = h
@@ -297,8 +331,7 @@ class _WorkingSet:
         self.rhs = h_rhs
         self.idx: list[int] = []
         self.lam: list[float] = []
-        chol, _ = _chol_with_ridge(h)
-        self._chol = chol
+        self._chol = None
         # [[h, G_w'], [G_w, 0]] for any working set of distinct rows: h is
         # written once, the working rows per solve, the zero block never.
         nz, r = h.shape[0], g_rows.shape[0]
@@ -306,6 +339,8 @@ class _WorkingSet:
         self._kkt[:nz, :nz] = h
 
     def _solve_h(self, b):
+        if self._chol is None:
+            self._chol, _ = _chol_with_ridge(self.h)
         y = np.linalg.solve(self._chol, b)
         return np.linalg.solve(self._chol.T, y)
 
@@ -357,17 +392,13 @@ def solve_qp(prob: QpProblem, warm_start: tuple | None = None,
     x_p, z_basis, consistent = _eliminate_equalities(prob)
 
     def finish(x, status, iters):
-        lam_full = np.zeros(g_all.shape[0])
-        active = ()
+        idx, lam = [], []
         if status is not QpStatus.INFEASIBLE and ws is not None:
-            for local, p in enumerate(ws.idx):
-                lam_full[p] = ws.lam[local]
-            active = tuple(sorted(ws.idx))
-        resid = _kkt_residual(prob, g_all, h_all, x, lam_full, z_basis)
+            idx, lam = ws.idx, ws.lam
         return QpSolution(
-            x_star=x, status=status, kkt_residual=resid, iterations=iters,
-            solve_time=time.perf_counter() - t0, objective=prob.objective(x),
-            active_set=active)
+            x_star=x, status=status, iterations=iters,
+            solve_time=time.perf_counter() - t0, active_set=tuple(sorted(idx)),
+            _ending=(prob, g_all, h_all, z_basis, idx, lam))
 
     ws = None
     if not consistent:
@@ -380,7 +411,7 @@ def solve_qp(prob: QpProblem, warm_start: tuple | None = None,
         # Equalities pin x completely; only feasibility remains to check.
         x = x_p
         viol = g_all @ x - h_all
-        status = QpStatus.OPTIMAL if (viol.size == 0 or np.max(viol) <= FEAS_TOL) else QpStatus.INFEASIBLE
+        status = QpStatus.OPTIMAL if (viol.size == 0 or viol.max() <= FEAS_TOL) else QpStatus.INFEASIBLE
         return finish(x, status, 0)
 
     h_z = z_basis.T @ prob.H @ z_basis
@@ -402,7 +433,7 @@ def solve_qp(prob: QpProblem, warm_start: tuple | None = None,
         slack = ws.g @ ws.z - ws.rhs
         if slack.size:
             slack[ws.idx] = -np.inf  # working-set rows are tight by construction
-        p = int(np.argmax(slack)) if slack.size else -1
+        p = int(slack.argmax()) if slack.size else -1
         if p < 0 or slack[p] <= FEAS_TOL:
             return finish(x_p + z_basis @ ws.z, QpStatus.OPTIMAL, iters)
 
@@ -483,7 +514,7 @@ def _seed_working_set(ws: _WorkingSet, warm_start):
             return
         if not ws.lam:
             return
-        worst = int(np.argmin(ws.lam))
+        worst = int(np.asarray(ws.lam).argmin())
         if ws.lam[worst] >= -DUAL_TOL:
             return
         ws.drop(worst)

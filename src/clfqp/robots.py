@@ -7,7 +7,9 @@ load time; everything else maps directly onto RobotModel fields.
 
 The optional ``workspace_scale`` (a positive number, 1 by default; the spirob
 sets 0.75) is the share of the arclength L at which the benchmark ellipse is
-centered (``experiments.EllipseParams.for_robot``).
+centered (``experiments.EllipseParams.for_robot``). It and the optional
+``sim`` section are the spec's protocol keys: ``serialize_robot`` writes
+them back when it is given the spec.
 
 All numeric values of the built-in robots (masses, stiffness, damping,
 moment arms, bounds) are desk-scale stand-ins recorded only in the spec
@@ -291,11 +293,18 @@ def _spiral_cable_matrix(cfg: dict, joints, source) -> np.ndarray:
     return b
 
 
-def serialize_robot(model: RobotModel, gains: dict[str, GainSet]) -> str:
+PROTOCOL_KEYS = ("sim", "workspace_scale")
+
+
+def serialize_robot(model: RobotModel, gains: dict[str, GainSet],
+                    spec: RobotSpecFile | None = None) -> str:
     """Serialize a model back to spec-file YAML (B always explicit).
 
     Floats are written with full repr precision, so load(serialize(...))
-    reproduces B, bounds, and gains bit-for-bit.
+    reproduces B, bounds, and gains bit-for-bit. The benchmark protocol's
+    keys (``PROTOCOL_KEYS``: the ``sim`` section and ``workspace_scale``)
+    belong to the spec, not to the model or the gains; given the ``spec``
+    the model came from, they are written as it sets them.
     """
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -317,6 +326,8 @@ def serialize_robot(model: RobotModel, gains: dict[str, GainSet]) -> str:
     }
     if model.ee_offset is not None:
         doc["ee_offset"] = [float(v) for v in model.ee_offset]
+    if spec is not None:
+        doc.update((key, spec.data[key]) for key in PROTOCOL_KEYS if key in spec.data)
     out = io.StringIO()
     yaml.safe_dump(doc, out, sort_keys=False)
     return out.getvalue()

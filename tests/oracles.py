@@ -299,8 +299,10 @@ def assembled_kkt_qp(prob, warm_start=None, max_iter=None):
     candidate, an unconditional first solve with H, and every KKT system
     assembled with np.block. Reads H, f, A_eq, b_eq, A_in, b_in, lb, ub of
     ``prob`` (all present, lb/ub possibly infinite) and returns
-    (x, active_set, iterations, status) with status "Optimal", "Infeasible"
-    or "MaxIter"."""
+    (x, active_set, iterations, status, multipliers) with status "Optimal",
+    "Infeasible" or "MaxIter", and the multiplier of every stacked
+    inequality row (zero off the working set, and all zero when
+    infeasible)."""
     feas_tol, dual_tol, zero_dir_tol, eq_rank_tol = 1e-8, 1e-10, 1e-11, 1e-12
     d = prob.f.shape[0]
     eye = np.eye(d)
@@ -317,14 +319,15 @@ def assembled_kkt_qp(prob, warm_start=None, max_iter=None):
         z_basis = vt[rank:].T
         resid = np.max(np.abs(prob.A_eq @ x_p - prob.b_eq)) if prob.b_eq.size else 0.0
         consistent = resid <= feas_tol * (1.0 + np.max(np.abs(prob.b_eq), initial=0.0))
+    no_lam = np.zeros(g_all.shape[0])
     if not consistent:
-        return x_p, (), 0, "Infeasible"
+        return x_p, (), 0, "Infeasible", no_lam
     g = g_all @ z_basis
     rhs_all = h_all - g_all @ x_p
     if z_basis.shape[1] == 0:
         viol = g_all @ x_p - h_all
         ok = viol.size == 0 or np.max(viol) <= feas_tol
-        return x_p, (), 0, "Optimal" if ok else "Infeasible"
+        return x_p, (), 0, "Optimal" if ok else "Infeasible", no_lam
 
     h = z_basis.T @ prob.H @ z_basis
     h = 0.5 * (h + h.T)
@@ -349,6 +352,12 @@ def assembled_kkt_qp(prob, warm_start=None, max_iter=None):
         kkt = np.block([[h, gw.T], [gw, np.zeros((k, k))]])
         sol = np.linalg.solve(kkt, np.concatenate([top, bottom]))
         return sol[:nz], list(sol[nz:])
+
+    def stacked(idx, lam):
+        lam_full = np.zeros(g_all.shape[0])
+        for local, p in enumerate(idx):
+            lam_full[p] = lam[local]
+        return lam_full
 
     def solve_eqp(idx):
         if not idx:
@@ -385,7 +394,7 @@ def assembled_kkt_qp(prob, warm_start=None, max_iter=None):
             slack[idx] = -np.inf
         p = int(np.argmax(slack)) if slack.size else -1
         if p < 0 or slack[p] <= feas_tol:
-            return x_p + z_basis @ z, tuple(sorted(idx)), iters, "Optimal"
+            return x_p + z_basis @ z, tuple(sorted(idx)), iters, "Optimal", stacked(idx, lam)
         n_p, s_p, lam_p = g[p], slack[p], 0.0
         while True:
             if idx:
@@ -400,7 +409,7 @@ def assembled_kkt_qp(prob, warm_start=None, max_iter=None):
                     t1, block = lam[local] / rate, local
             if not moving:
                 if not np.isfinite(t1):
-                    return x_p + z_basis @ z, (), iters, "Infeasible"
+                    return x_p + z_basis @ z, (), iters, "Infeasible", no_lam
                 for local, rate in enumerate(r):
                     lam[local] -= t1 * rate
                 lam_p += t1
@@ -420,7 +429,7 @@ def assembled_kkt_qp(prob, warm_start=None, max_iter=None):
                 break
             del idx[block]
             del lam[block]
-    return x_p + z_basis @ z, tuple(sorted(idx)), iters, "MaxIter"
+    return x_p + z_basis @ z, tuple(sorted(idx)), iters, "MaxIter", stacked(idx, lam)
 
 
 def rk4_step(accel, q, dq, dt):

@@ -144,6 +144,20 @@ class TestFailedConvergence:
         assert text.count("status=ok") == 3
         assert "Failed Convergence in 1/4" in capsys.readouterr().out
 
+    def test_helix_uic_runs_through_a_nan_gesdd_factor(self, tmp_path):
+        # At t = 1.03 s gesdd returns non-finite U and V' for uic's
+        # (I - B B^+) N (tests/data); linalg.svd redoes it with gesvd, so
+        # the episode runs to its end instead of stopping on a NaN input.
+        from clfqp import cli, experiments
+
+        code = cli.main(["run", "--robot", "helix", "--controller", "uic",
+                         "--experiment", "single", "--omega", "0.2",
+                         "--set", "sim.t_end=1.1", "--out", str(tmp_path)])
+        assert code == 0
+        (path,) = tmp_path.glob("*.csv")
+        data = experiments.read_trajectory_csv(path)
+        assert len(data["t"]) == 1100 and "failed" not in data["metadata"]
+
     def test_bad_ee_offset_is_validation_error(self, tmp_path, capsys):
         from clfqp import cli
 

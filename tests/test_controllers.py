@@ -496,6 +496,27 @@ class TestControllerObjects:
             for state, log in zip(states, logs):
                 assert np.array_equal(fresh.step(state, ref)[1].u, log.u)
 
+    def test_certificate_made_once_per_step(self, monkeypatch):
+        # a step works out V, a0 and a1 once for the decrease row and the
+        # logged V and Vdot, with the bits of working them out for each
+        from clfqp import clf as clf_module
+        from clfqp import controllers
+
+        model = two_link(k_s=(0.4, 0.2), u_lim=2.0)
+        ref = Reference.setpoint(np.array([0.2, -0.1]))
+        state = RobotState(np.array([0.3, -0.2]), np.array([0.5, -0.1]))
+        for name in CONTROLLER_NAMES:
+            calls = []
+            with monkeypatch.context() as m:
+                vdot = clf_module.vdot_coeffs
+                m.setattr(clf_module, "vdot_coeffs", lambda *a: calls.append(1) or vdot(*a))
+                u, log = make_controller(name, model, gset()).step(state, ref)
+            assert len(calls) == 1, name
+            data = controllers._evaluate_step(model, state, ref)
+            a0, a1 = vdot(default_clf(gset().eps, 2), data.err)
+            assert log.V == clf_module.clf_value(default_clf(gset().eps, 2), data.err)
+            assert log.Vdot == a0 + float(a1 @ log.mu)
+
     def test_equivalence_full_actuation(self):
         # clf-qp and soft-id-clf-qp drive the same fully actuated toy to
         # final errors within 1e-4 m of each other

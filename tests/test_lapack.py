@@ -1,4 +1,4 @@
-"""clfqp takes dpotrf, dpotrs and dtrtri from scipy's LAPACK extension
+"""clfqp takes dpotrf, dpotrs, dtrtri and dgesvd from scipy's LAPACK extension
 without importing the scipy.linalg package, and they are scipy's own
 routines whichever of the two is imported first."""
 
@@ -13,7 +13,7 @@ import pytest
 from clfqp import _lapack
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-ROUTINES = ("dpotrf", "dpotrs", "dtrtri")
+ROUTINES = ("dpotrf", "dpotrs", "dtrtri", "dgesvd")
 
 
 def fresh_python(code):
@@ -55,7 +55,7 @@ class TestSameRoutines:
                            "ours, theirs = sys.modules['clfqp._lapack'], "
                            "sys.modules['scipy.linalg.lapack']\n"
                            f"print(*(getattr(ours, n) is getattr(theirs, n) for n in {ROUTINES}))")
-        assert out.split() == ["True"] * 3
+        assert out.split() == ["True"] * len(ROUTINES)
 
 
 class TestMissingExtension:

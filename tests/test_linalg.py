@@ -2,15 +2,32 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from pathlib import Path
+
+from clfqp import linalg
 from clfqp.linalg import (
     CarePair,
     NonPositiveWeight,
+    SvdFailure,
     double_integrator_blocks,
     pinv,
     solve_care_double_integrator,
+    svd,
 )
 
 from oracles import penrose_defect, svd_pinv
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def rank_deficient(rng, shape, rank):
+    *lead, m, n = shape
+    return rng.standard_normal((*lead, m, rank)) @ rng.standard_normal((*lead, rank, n))
 
 
 class TestPinv:
@@ -43,6 +60,133 @@ class TestPinv:
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
             pinv(np.eye(2), tol=0.0)
+
+
+class TestPinvBitsOfNumpy:
+    """pinv runs np.linalg.pinv's arithmetic without its wrapper."""
+
+    @pytest.mark.parametrize("shape,rank", [
+        ((2, 27), 2), ((3, 9), 3), ((27, 3), 3),        # one state
+        ((5, 2, 9), 2), ((4, 3, 27), 3),                # stacked rows
+        ((3, 5), 1), ((6, 6), 4), ((5, 2, 6), 1),       # rank-deficient
+    ])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3])
+    def test_random(self, shape, rank, tol):
+        rng = np.random.default_rng(sum(shape) + rank)
+        for _ in range(20):
+            a = rank_deficient(rng, shape, rank)
+            assert same_bits(pinv(a, tol), np.linalg.pinv(a, rcond=tol))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (4, 2), (3, 2, 4), (0, 3), (3, 0), (0, 0),
+                                       (4, 0, 3), (0, 2, 3)])
+    def test_zero_and_empty(self, shape):
+        a = np.zeros(shape)
+        assert same_bits(pinv(a), np.linalg.pinv(a, rcond=1e-8))
+
+    def test_every_pinv_of_short_lockstep_suites(self, monkeypatch):
+        from clfqp import controllers, experiments, kinematics
+
+        seen = []
+
+        def checked(a, tol=linalg.DEFAULT_PINV_TOL):
+            got = pinv(a, tol)
+            seen.append(np.ndim(a))
+            assert same_bits(got, np.linalg.pinv(np.asarray(a, dtype=float), rcond=tol))
+            return got
+
+        monkeypatch.setattr(kinematics, "pinv", checked)
+        monkeypatch.setattr(controllers, "pinv", checked)
+        for law in ("clf-qp", "uic"):
+            experiments.tracking_suite("spirob", law, sim_overrides={"t_end": 0.005})
+        assert set(seen) == {2, 3}
+
+
+class TestSvd:
+    """One SVD for every site whose factors are used: a finite gesdd result
+    as is, gesvd where gesdd's factors are not finite."""
+
+    def test_finite_result_is_numpys(self):
+        rng = np.random.default_rng(4)
+        for shape, full in (((3, 7), True), ((7, 3), False), ((4, 2, 6), False)):
+            a = rng.standard_normal(shape)
+            for got, want in zip(svd(a, full), np.linalg.svd(a, full_matrices=full)):
+                assert same_bits(got, want)
+
+    def test_helix_matrix_where_gesdd_gives_nan_factors(self):
+        # (I - B B^+) N of helix uic tracking at omega = 0.2 pi, t = 1.03 s:
+        # 36 x 36, 27 singular values above the cutoff (matrix_rank's own
+        # tolerance counts 28). gesdd (np.linalg.svd) returned finite
+        # singular values with non-finite U and V' here, reporting success.
+        a = np.load(DATA / "helix_uic_blocked_null.npy")
+        u, s, vt = svd(a)
+        assert all(np.isfinite(f).all() for f in (u, s, vt))
+        assert np.abs((u * s) @ vt - a).max() < 1e-13
+        got = pinv(a)
+        assert np.isfinite(got).all()
+        u, s, vt, info = scipy.linalg.lapack.dgesvd(a, full_matrices=0)
+        keep = s > linalg.DEFAULT_PINV_TOL * s[0]
+        assert info == 0 and keep.sum() == 27
+        gesvd_pinv = (vt[keep].T / s[keep]) @ u[:, keep].T
+        # the kept singular values are >= 0.67 and the cut ones <= 1.3e-14,
+        # so the two SVDs' pseudoinverses agree to rounding
+        assert np.abs(got - gesvd_pinv).max() < 1e-12
+        assert penrose_defect(a, got) < 1e-12
+
+    @staticmethod
+    def nan_factors_where(monkeypatch, bad):
+        """np.linalg.svd as gesdd on the helix matrix: non-finite U for
+        every matrix m with bad(m)."""
+        real = np.linalg.svd
+
+        def fake(a, full_matrices=True, **kw):
+            u, s, vt = real(a, full_matrices=full_matrices, **kw)
+            mask = np.array([bad(m) for m in a.reshape(-1, *a.shape[-2:])])
+            u.reshape(-1, *u.shape[-2:])[mask] = np.nan
+            return u, s, vt
+
+        monkeypatch.setattr(np.linalg, "svd", fake)
+        return real
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_stack_redoes_only_the_bad_matrix(self, monkeypatch, full):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((4, 5, 3))
+        real = self.nan_factors_where(monkeypatch, lambda m: m[0, 0] == a[2, 0, 0])
+        got = svd(a, full)
+        want = real(a, full_matrices=full)
+        for g, w in zip(got, want):
+            for i in (0, 1, 3):
+                assert same_bits(g[i], w[i])
+        redone = scipy.linalg.lapack.dgesvd(a[2], full_matrices=int(full))[:3]
+        for g, r in zip(got, redone):
+            assert same_bits(g[2], r)
+        thin = scipy.linalg.lapack.dgesvd(a[2], full_matrices=0)[:3]
+        assert same_bits(pinv(a[2]), svd_pinv_from(*thin))
+
+    def test_nonconvergence_error_falls_back(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fails)
+        a = np.arange(6.0).reshape(2, 3)
+        u, s, vt = svd(a)
+        assert np.abs((u * s) @ vt - a).max() < 1e-13
+
+    def test_both_failing_raise_a_named_error(self, monkeypatch):
+        self.nan_factors_where(monkeypatch, lambda m: True)
+        monkeypatch.setattr(linalg, "dgesvd",
+                            lambda a, full_matrices: (a, a[0], a, 1))
+        with pytest.raises(SvdFailure, match="gesvd with info 1") as info:
+            pinv(np.eye(3))
+        assert isinstance(info.value, np.linalg.LinAlgError)
+
+
+def svd_pinv_from(u, s, vt, tol=linalg.DEFAULT_PINV_TOL):
+    """np.linalg.pinv's arithmetic on given factors."""
+    large = s > tol * s.max(-1, keepdims=True)
+    s = np.divide(1, s, where=large, out=s.copy())
+    s[~large] = 0
+    return vt.swapaxes(-1, -2) @ (s[..., None] * u.swapaxes(-1, -2))
 
 
 class TestCare:

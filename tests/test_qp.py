@@ -448,7 +448,7 @@ def controller_qps():
 
 def _same_as_assembled_kkt(prob, warm_start):
     sol = solve_qp(prob, warm_start=warm_start)
-    x, active, iterations, status = assembled_kkt_qp(prob, warm_start=warm_start)
+    x, active, iterations, status, _ = assembled_kkt_qp(prob, warm_start=warm_start)
     return (np.array_equal(sol.x_star, x) and np.array_equal(np.signbit(sol.x_star), np.signbit(x))
             and sol.active_set == active and sol.iterations == iterations
             and sol.status.value == status)
@@ -474,6 +474,74 @@ class TestMatchesAssembledKktSolver:
             for warm in (None, cold.active_set, tuple(rng.choice(rows, 3, replace=False)),
                          (0, 0, 1), (rows + 5, 1)):
                 assert _same_as_assembled_kkt(prob, warm), f"trial {trial}, warm {warm}"
+
+
+def _random_qps_and_warm_starts():
+    """The 100 random problems of TestMatchesAssembledKktSolver, each cold
+    and warm-started from its own active set."""
+    rng = np.random.default_rng(17)
+    out = []
+    for trial in range(100):
+        prob = random_qp(rng, d=6, n_eq=trial % 3, n_in=4, bounded=bool(trial % 2))
+        out += [(prob, None), (prob, solve_qp(prob).active_set)]
+    return out
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestDiagnosticsOnDemand:
+    """kkt_residual and objective are worked out on first read, with the
+    bits the solve used to compute at its end: _kkt_residual at the
+    solution and the multipliers of the solver before the cut (the
+    oracle), and prob.objective(x)."""
+
+    def check(self, cases, monkeypatch):
+        made = []
+        residual = qp._kkt_residual
+        monkeypatch.setattr(qp, "_kkt_residual", lambda *a: made.append(1) or residual(*a))
+        sols = [solve_qp(prob, warm_start=warm) for prob, warm in cases]
+        assert not made    # nothing is computed until it is read
+        for (prob, warm), sol in zip(cases, sols):
+            x, _, _, _, lam = assembled_kkt_qp(prob, warm_start=warm)
+            g_all, h_all = qp._stack_inequalities(prob)
+            _, z_basis, _ = qp._eliminate_equalities(prob)
+            assert _bits(sol.kkt_residual) == _bits(residual(prob, g_all, h_all, x, lam, z_basis))
+            assert _bits(sol.objective) == _bits(prob.objective(x))
+            before = len(made)
+            assert sol.kkt_residual == sol.kkt_residual and len(made) == before   # kept
+        assert len(made) == len(cases)
+
+    def test_controller_qps(self, controller_qps, monkeypatch):
+        assert len(controller_qps) == 360
+        self.check(controller_qps, monkeypatch)
+
+    def test_random_qps(self, monkeypatch):
+        self.check(_random_qps_and_warm_starts(), monkeypatch)
+
+
+class TestDeferredFactor:
+    """The reduced Hessian's Cholesky factor is made by the first solve with
+    an empty working set, the only kind that uses it, and by no other."""
+
+    def test_one_factor_exactly_when_the_working_set_empties(self, controller_qps,
+                                                            monkeypatch):
+        factors, emptied = [], []
+        chol = qp._chol_with_ridge
+        monkeypatch.setattr(qp, "_chol_with_ridge", lambda h: factors.append(1) or chol(h))
+        for name in ("solve_eqp", "step_directions"):
+            method = getattr(qp._WorkingSet, name)
+            monkeypatch.setattr(qp._WorkingSet, name,
+                                lambda ws, *a, m=method: emptied.append(not ws.idx) or m(ws, *a))
+        counts = {0: 0, 1: 0}
+        cold = [(prob, None) for prob, _ in controller_qps]
+        for prob, warm in controller_qps + cold + _random_qps_and_warm_starts():
+            del factors[:], emptied[:]
+            assert _same_as_assembled_kkt(prob, warm)
+            assert len(factors) == (1 if any(emptied) else 0)
+            counts[len(factors)] += 1
+        assert counts[0] > 200 and counts[1] > 400
 
 
 class TestSeeding:

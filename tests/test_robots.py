@@ -265,6 +265,31 @@ class TestRoundTrip:
             for ctrl in gains:
                 assert gains[ctrl] == gains2[ctrl]
 
+    @pytest.mark.parametrize("sim", [None, {"dt_physics": 5e-4, "control_decimation": 2}])
+    def test_spec_keeps_the_protocol_keys(self, tmp_path, sim):
+        from clfqp.experiments import SETPOINT_T_END, EllipseParams, sim_config_for
+
+        spec = builtin_registry()["spirob"]
+        if sim is not None:
+            path = tmp_path / "spirob-sim.yaml"
+            path.write_text(yaml.safe_dump(dict(spec.data, sim=sim)), encoding="utf-8")
+            spec = resolve_spec(str(path))
+        model, gains = spec.load()
+        path = tmp_path / "spirob-roundtrip.yaml"
+        path.write_text(serialize_robot(model, gains, spec), encoding="utf-8")
+        spec2 = resolve_spec(str(path))
+        model2, _ = spec2.load()
+        assert spec2.workspace_scale == spec.workspace_scale == 0.75
+        assert (EllipseParams.for_robot(model2, spec2.workspace_scale)
+                == EllipseParams.for_robot(model, spec.workspace_scale))
+        assert sim_config_for(spec2, SETPOINT_T_END) == sim_config_for(spec, SETPOINT_T_END)
+        assert spec2.data.get("sim") == sim
+
+    def test_without_the_spec_no_protocol_keys(self):
+        model, gains = load_builtin("spirob")
+        doc = yaml.safe_load(serialize_robot(model, gains))
+        assert not {"sim", "workspace_scale"} & set(doc)
+
 
 class TestZeroDynamicsCondition:
     def test_margin_reported_in_workspace(self):
