@@ -31,7 +31,7 @@ class TaskError:
     def __post_init__(self):
         object.__setattr__(self, "e", np.asarray(self.e, dtype=float))
         object.__setattr__(self, "de", np.asarray(self.de, dtype=float))
-        if not (np.all(np.isfinite(self.e)) and np.all(np.isfinite(self.de))):
+        if not (np.isfinite(self.e).all() and np.isfinite(self.de).all()):
             raise ValueError("task error must be finite")
 
     @property

@@ -38,7 +38,8 @@ import numpy as np
 
 from .clf import ClfData, TaskError, clf_row, clf_terms, default_clf
 from .kinematics import TaskState, task_state
-from .linalg import pinv, svd
+from ._lapack import inv, svdvals
+from .linalg import eye, pinv, svd
 from .multibody import DynamicsTerms, RobotModel, RobotState, bias_terms, solve_inertia
 from .qp import Bounds, PsdHessian, QpProblem, QpSolution, QpStatus, solve_qp
 
@@ -131,10 +132,11 @@ def collocated_split(b: np.ndarray) -> CollocatedSplit:
         raise RankDeficientB("actuation matrix does not have full column rank")
     w = u_svd[:, m:].T
     t = np.vstack([b.T, w])
-    cond = np.linalg.cond(t)
+    tsv = svdvals(t)
+    cond = tsv[0] / tsv[-1] if tsv[-1] > 0.0 else np.inf     # np.linalg.cond(t)
     if cond > 1e8:
         raise RankDeficientB(f"collocated transform condition {cond:.2e} too high")
-    s = np.linalg.inv(t)[:, :m].T
+    s = inv(t)[:, :m].T
     return CollocatedSplit(T=t, S=s, W=w)
 
 
@@ -149,7 +151,7 @@ def lie_terms(model: RobotModel, state: RobotState,
         terms = bias_terms(model, state)
     if ts is None:
         ts = task_state(model, state, pose=terms.pose, motion=terms.motion)
-    minv_cols = solve_inertia(terms, np.column_stack([terms.h, model.B]))
+    minv_cols = solve_inertia(terms, np.concatenate((terms.h[:, None], model.B), axis=1))
     lf2y = -ts.J @ minv_cols[:, 0] + ts.dJ @ state.dq
     lglfy = ts.J @ minv_cols[:, 1:]
     return lf2y, lglfy
@@ -410,7 +412,7 @@ def _impedance_torque(model, state, data, gains, maps, uic: bool) -> np.ndarray:
     b_pinv, blocked = maps
     minv_jt = solve_inertia(terms, jac.T)
     lam_inv = jac @ minv_jt
-    lam = np.linalg.inv(lam_inv + LAMBDA_REG * np.eye(model.task_dim))
+    lam = inv(lam_inv + LAMBDA_REG * eye(model.task_dim))
 
     ydd_des = data.ddy_ref - gains.kd * data.err.de - gains.kp * data.err.e
     h_task = data.ts.J_pinv.T @ terms.c_vec - lam @ (djac @ state.dq)

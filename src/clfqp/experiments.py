@@ -18,8 +18,10 @@ alone.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,13 +62,19 @@ class EllipseParams:
         b = length / 8.0
         return cls(a=length / 3.0, b=b, phi=np.pi / 4.0, c=workspace_scale * length - b)
 
+    @cached_property
+    def tilt(self) -> tuple[float, float]:
+        """(sin phi, cos phi), worked out on first use."""
+        return np.sin(self.phi), np.cos(self.phi)
+
 
 def ellipse_point(params: EllipseParams, theta: float) -> tuple[float, float]:
     """Point on the tilted ellipse at parameter theta, in the xz-plane."""
-    s, c_phi = np.sin(params.phi), np.cos(params.phi)
+    s, c_phi = params.tilt
     radial = params.b * np.sin(theta) - params.c
-    x = params.a * np.cos(theta) * c_phi - radial * s
-    z = params.a * np.cos(theta) * s + radial * c_phi
+    along = params.a * np.cos(theta)
+    x = along * c_phi - radial * s
+    z = along * s + radial * c_phi
     return float(x), float(z)
 
 
@@ -83,8 +91,8 @@ def ellipse_trajectory(params: EllipseParams, omega: float, task_dim: int) -> Re
     """Moving reference theta(t) = omega t with analytic derivatives."""
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    a, b, phi = params.a, params.b, params.phi
-    s, c_phi = np.sin(phi), np.cos(phi)
+    a, b = params.a, params.b
+    s, c_phi = params.tilt
 
     def pos(t: float) -> np.ndarray:
         return _embed(ellipse_point(params, omega * t), task_dim)
@@ -160,12 +168,17 @@ def sim_config_for(robot, t_end: float, overrides: dict | None = None) -> SimCon
     t_end override departs from the benchmark protocol and is meant for
     smoke tests; it is echoed in the output metadata like any other override.
     """
-    prefs = dict(resolve_spec(robot).data.get("sim", {}))
+    spec = resolve_spec(robot)
+    prefs = dict(spec.data.get("sim", {}))
     prefs.update(overrides or {})
-    return SimConfig(dt_physics=float(prefs.get("dt_physics", 1e-3)),
-                     control_decimation=int(prefs.get("control_decimation", 1)),
-                     integrator=prefs.get("integrator", "rk4"),
-                     t_end=float(prefs.get("t_end", t_end)))
+    try:
+        return SimConfig(dt_physics=prefs.get("dt_physics", 1e-3),
+                         control_decimation=prefs.get("control_decimation", 1),
+                         integrator=prefs.get("integrator", "rk4"),
+                         t_end=prefs.get("t_end", t_end))
+    except ValueError as exc:
+        # SimConfig's messages begin with the field they reject
+        raise ValidationError(f"{spec.source or spec.name}: sim.{exc}") from None
 
 
 def _divergence_stop(model: RobotModel):
@@ -173,9 +186,10 @@ def _divergence_stop(model: RobotModel):
     limit = DIVERGENCE_FACTOR * model.L
 
     def check(state: RobotState, task_error: np.ndarray) -> str:
-        if np.linalg.norm(task_error) > limit:
+        # the 2-norm as np.linalg.norm forms it, without its wrapper
+        if math.sqrt(task_error.dot(task_error)) > limit:
             return f"task error beyond {DIVERGENCE_FACTOR:.0f}L"
-        if np.max(np.abs(state.dq)) > SPEED_LIMIT:
+        if np.abs(state.dq).max() > SPEED_LIMIT:
             return f"joint speed beyond {SPEED_LIMIT:.0e} rad/s"
         return ""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import pinv
+from .linalg import eye, pinv
 from .multibody import (ChainMotion, ChainPose, RobotModel, RobotState, chain_motion,
                         chain_pose, cross3, matvec)
 
@@ -60,7 +60,7 @@ def null_projector(jac: np.ndarray, jac_pinv: np.ndarray | None = None) -> np.nd
     ``jac_pinv`` is J^+ when already known."""
     if jac_pinv is None:
         jac_pinv = pinv(jac)
-    return np.eye(jac.shape[-1]) - jac_pinv @ jac
+    return eye(jac.shape[-1]) - jac_pinv @ jac
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,13 @@ a helix uic episode, kept as test data. ``svd`` returns a finite
 gesdd result unchanged, so no bit of any other result moves, and redoes a
 matrix whose factors are not finite with gesvd (``_lapack.dgesvd``).
 
+Both SVDs come from ``_lapack``: gesdd is numpy's gufunc, called as
+``np.linalg.svd`` calls it but without the wrapper's fixed cost per call,
+and gesvd is scipy's LAPACK routine. ``_lapack`` also holds the other
+numpy kernels of the per-step path (module docstring there); this module
+adds ``matrix_rank`` on the singular values alone and ``eye``, the read-only
+identity the per-step projectors subtract from, made once per size.
+
 The Riccati solve is specialised to task-error dynamics that are a stack of
 decoupled double integrators, so it reduces to a per-axis closed form
 instead of a general Schur method.
@@ -18,10 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
-from ._lapack import dgesvd
+from ._lapack import dgesvd, svdvals
+from ._lapack import svd as gesdd
 
 DEFAULT_PINV_TOL = 1e-8
 
@@ -30,7 +40,7 @@ class NonPositiveWeight(ValueError):
     """A Riccati weight that must be strictly positive is not."""
 
 
-class SvdFailure(np.linalg.LinAlgError):
+class SvdFailure(LinAlgError):
     """Neither gesdd nor gesvd gave a finite SVD of a matrix."""
 
 
@@ -47,10 +57,10 @@ def svd(a: np.ndarray, full_matrices: bool = False
     entry is.
     """
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=full_matrices)
+        u, s, vt = gesdd(a, full_matrices=full_matrices)
         if math.isfinite(u.sum() + vt.sum()):
             return u, s, vt
-    except np.linalg.LinAlgError:
+    except LinAlgError:
         pass
     return _svd_each(a, full_matrices)
 
@@ -69,16 +79,33 @@ def _svd_each(a, full_matrices):
 
 def _svd_one(a, full_matrices):
     try:
-        usv = np.linalg.svd(a, full_matrices=full_matrices)
+        usv = gesdd(a, full_matrices=full_matrices)
         if all(np.isfinite(f).all() for f in usv):
             return usv
-    except np.linalg.LinAlgError:
+    except LinAlgError:
         pass
     *usv, info = dgesvd(a, full_matrices=int(full_matrices))
     if info != 0 or not all(np.isfinite(f).all() for f in usv):
         raise SvdFailure(f"no finite SVD of a {a.shape[0]}x{a.shape[1]} matrix "
                          f"(gesdd, then gesvd with info {info})")
     return usv
+
+
+def matrix_rank(a: np.ndarray, tol: float | None = None) -> int:
+    """``np.linalg.matrix_rank(a, tol)`` of a 2-D float array: the number of
+    singular values above tol, by default numpy's max(M, N) eps sigma_max."""
+    s = svdvals(a)
+    if tol is None:
+        tol = s.max(initial=0.0) * (max(a.shape) * np.finfo(float).eps)
+    return int((s > tol).sum())
+
+
+@lru_cache(maxsize=None)
+def eye(n: int) -> np.ndarray:
+    """The n x n identity, read-only and made once per n."""
+    out = np.eye(n)
+    out.setflags(write=False)
+    return out
 
 
 def pinv(a: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:

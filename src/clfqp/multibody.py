@@ -45,7 +45,12 @@ terms reuses it. Both call LAPACK (``dpotrf``, ``dpotrs``, ``dtrtri``)
 directly, and for terms stacked along a leading axis they run row by row.
 The routines are scipy's, taken from its compiled LAPACK extension by
 ``_lapack`` rather than through ``scipy.linalg``, whose package import
-costs a fresh process about 270 ms and 28 MB for nothing used here.
+costs a fresh process about 270 ms and 28 MB for nothing used here. The
+einsums and the guard's ``eigvalsh`` likewise call numpy's compiled kernels
+through ``_lapack`` (``c_einsum``, the ``eigvalsh`` gufunc), and the
+one-state frame product calls ``ndarray.dot``: the same C functions as
+``np.einsum``, ``np.linalg.eigvalsh`` and ``np.dot``, without their
+wrappers' cost per call.
 The guard rejects an M that is not positive definite or whose
 condition number exceeds COND_LIMIT; it first tries the cheap upper bound
 cond(M) <= trace(M) ||L^-1||_F^2 from the factor L, and only when that bound
@@ -59,8 +64,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
-from ._lapack import dpotrf, dpotrs, dtrtri
+from ._lapack import c_einsum, dpotrf, dpotrs, dtrtri, eigvalsh
+from .linalg import matrix_rank
 
 GRAVITY_DEFAULT = (0.0, 0.0, -9.81)
 COND_LIMIT = 1e12
@@ -134,8 +141,9 @@ class DynamicsTerms:
     pose: ChainPose | None = field(default=None, repr=False, compare=False)
     motion: ChainMotion | None = field(default=None, repr=False, compare=False)
 
-    @property
+    @cached_property
     def h(self) -> np.ndarray:
+        """c + d + k + g, summed on first use."""
         return self.c_vec + self.d_vec + self.k_vec + self.g_vec
 
     @cached_property
@@ -210,7 +218,7 @@ class RobotModel:
         m = self.m
         if m > n:
             raise ValueError("more inputs than degrees of freedom")
-        if np.linalg.matrix_rank(self.B) < m:
+        if matrix_rank(self.B) < m:
             raise ValueError("B must have full column rank")
         if self.u_min.shape != (m,) or self.u_max.shape != (m,):
             raise ValueError(f"input bounds must have {m} entries")
@@ -223,17 +231,18 @@ class RobotModel:
                 raise ValueError(f"unknown joint kind {joint.kind!r}")
         axes = [joint.axis for joint in self.joints if joint.kind == "revolute"]
         if axes:
-            # the rule of np.isclose(norm, 1, atol=1e-9), for all axes at once
+            # the rule of np.isclose(norm, 1, atol=1e-9), for all axes at once,
+            # with the norm's arithmetic
             arr = _as_floats(axes)
             if (arr.shape != (len(axes), 3)
-                    or not (np.abs(np.linalg.norm(arr, axis=1) - 1.0) <= 1e-9 + 1e-5).all()):
+                    or not (np.abs(np.sqrt((arr * arr).sum(axis=1)) - 1.0) <= 1e-9 + 1e-5).all()):
                 raise ValueError("revolute joints need a unit 3-vector axis")
         if self.ee_offset is not None:
             offset = _as_floats(self.ee_offset)
             if offset.shape != (3,) or not np.isfinite(offset).all():
                 raise ValueError(f"ee_offset must be 3 finite numbers, got {self.ee_offset!r}")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(j.dofs for j in self.joints)
 
@@ -367,9 +376,9 @@ def chain_pose(model: RobotModel, q: np.ndarray) -> ChainPose:
     rots = _rodrigues_stack(ch, q).swapaxes(0, -3)
     frames = np.empty((len(rots) + 1,) + rots.shape[1:])
     frames[0] = _EYE3      # the identity frame, over every leading index
-    # For one state np.dot makes the same BLAS dgemm call as matmul, with
-    # less overhead per call; stacked states need matmul's loop over them.
-    product = np.matmul if rots.ndim > 3 else np.dot
+    # For one state ndarray.dot makes the same BLAS dgemm call as matmul,
+    # with less overhead per call; stacked states need matmul's loop over them.
+    product = np.matmul if rots.ndim > 3 else np.ndarray.dot
     for parent, elementary, child in zip(frames, rots, frames[1:]):
         product(parent, elementary, out=child)
     frames = np.ascontiguousarray(frames.swapaxes(0, -3))
@@ -377,8 +386,8 @@ def chain_pose(model: RobotModel, q: np.ndarray) -> ChainPose:
     rot_prev = frames[..., :-1, :, :]     # parent frame of each element, identity first
     axes_w = (rot_prev @ ch.axes[:, :, None])[..., 0]
     origins = (rot_prev @ ch.offsets[:, :, None])[..., 0].cumsum(-2)
-    com_w = origins + np.einsum("...kij,kj->...ki", rot, ch.com_local)
-    inertia_w = np.einsum("...kij,kj,...klj->...kil", rot, ch.inertia_local, rot)
+    com_w = origins + c_einsum("...kij,kj->...ki", rot, ch.com_local)
+    inertia_w = c_einsum("...kij,kj,...klj->...kil", rot, ch.inertia_local, rot)
     ee = origins[..., -1, :] + rot[..., -1, :, :] @ ch.ee_local
     offsets_w = np.empty_like(origins)    # np.diff from a zero origin
     offsets_w[..., 0, :] = origins[..., 0, :]
@@ -443,13 +452,13 @@ def _mass_matrix_from_pose(pose: ChainPose, ch: _CompiledChain) -> np.ndarray:
     m_cx = m * cx
     spatial = np.empty(cx.shape[:-2] + (6, 6))
     spatial[...] = ch.spatial_rest      # m I already in the lower-right block
-    np.add(pose.inertia_w, m * np.einsum("...kij,...klj->...kil", cx, cx),
+    np.add(pose.inertia_w, m * c_einsum("...kij,...klj->...kil", cx, cx),
            out=spatial[..., :3, :3])
     spatial[..., :3, 3:] = m_cx
     np.negative(m_cx, out=spatial[..., 3:, :3])
 
     composite = spatial[..., ::-1, :, :].cumsum(-3)[..., ::-1, :, :]
-    f = np.einsum("...kij,...kj->...ki", composite, s_motion)
+    f = c_einsum("...kij,...kj->...ki", composite, s_motion)
     full = f @ s_motion.swapaxes(-1, -2)
     # Mirror the lower triangle; + 0.0 turns a -0.0 entry into +0.0.
     return np.where(ch.lower, full, full.swapaxes(-1, -2)) + 0.0
@@ -473,14 +482,14 @@ def _inverse_dynamics_zero_qdd(pose: ChainPose, motion: ChainMotion,
     np.multiply(pose.mass[:, None], motion.a_com, out=f_body[0])
     f_body[1] = f_gravity
     moment_origin[...] = cross3(pose.com_w, f_body)
-    moment_origin[0] += (np.einsum("...kij,...kj->...ki", iw, motion.domega)
+    moment_origin[0] += (c_einsum("...kij,...kj->...ki", iw, motion.domega)
                          + cross3(motion.omega,
-                                  np.einsum("...kij,...kj->...ki", iw, motion.omega)))
+                                  c_einsum("...kij,...kj->...ki", iw, motion.omega)))
     moment_origin[1] += 0.0    # the rest pass adds a zero body moment
     f_sub, m_sub = loads[..., ::-1, :].cumsum(-2)[..., ::-1, :]
     n_joint = m_sub - cross3(pose.origins, f_sub)
-    return (np.einsum("...ki,...ki->...k", pose.axes_w, n_joint[0]),
-            np.einsum("...ki,...ki->...k", pose.axes_w, n_joint[1]))
+    return (c_einsum("...ki,...ki->...k", pose.axes_w, n_joint[0]),
+            c_einsum("...ki,...ki->...k", pose.axes_w, n_joint[1]))
 
 
 def bias_terms(model: RobotModel, state: RobotState) -> DynamicsTerms:
@@ -548,12 +557,12 @@ def factor_inertia(mass: np.ndarray) -> np.ndarray:
         inv = inv.ravel("K")
         if inv_info == 0 and mass.trace() * (inv @ inv) <= _BOUND_MARGIN * COND_LIMIT:
             return factor
-    w = np.linalg.eigvalsh(mass)
+    w = eigvalsh(mass)
     if w[0] <= 0.0 or w[-1] / w[0] > COND_LIMIT:
         raise IllConditioned(
             f"inertia matrix condition {w[-1] / max(w[0], 1e-300):.2e} exceeds {COND_LIMIT:.0e}")
     if info != 0:
-        raise np.linalg.LinAlgError(f"inertia matrix factorisation failed (potrf info {info})")
+        raise LinAlgError(f"inertia matrix factorisation failed (potrf info {info})")
     return factor
 
 

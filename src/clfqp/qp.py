@@ -40,11 +40,16 @@ small without changing a bit of the result:
   A Hessian that never changes is checked once, as a ``PsdHessian``: its
   problems take its read-only matrix without checking it again (clf-qp's
   H, which would otherwise fail ``dpotrf`` and run ``eigvalsh`` per step).
-- ``dpotrf`` is scipy's, taken from its compiled LAPACK extension by
-  ``_lapack``, so that importing the solver does not import the
+- Kernels. ``dpotrf`` is scipy's, taken from its compiled LAPACK extension
+  by ``_lapack``, so that importing the solver does not import the
   ``scipy.linalg`` package (about 270 ms and 28 MB of a fresh process).
-- KKT solves stay ``np.linalg.solve`` on the assembled system: reusing an
-  LU factor or stacking right-hand sides changes the bits of the solution.
+  The KKT and triangular solves, the ridged Cholesky factor, the
+  eigenvalues of the PSD rule and the seeding SVD call numpy's LAPACK
+  gufuncs through ``_lapack``: the bits of ``np.linalg.solve``,
+  ``cholesky``, ``eigvalsh`` and ``svd``, and their ``LinAlgError`` on a
+  singular or indefinite matrix, without the wrappers' fixed cost per call.
+- KKT solves stay LU solves of the assembled system: reusing an LU factor
+  or stacking right-hand sides changes the bits of the solution.
 - Deferred factor. The Cholesky factor of the reduced Hessian serves only
   solves with an empty working set, so it is made by the first of them.
   A warm start that keeps its rows solves only KKT systems and never makes
@@ -69,9 +74,10 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
-from ._lapack import dpotrf
-from .linalg import svd
+from ._lapack import cholesky, dpotrf, eigvalsh, solve, svdvals
+from .linalg import eye, matrix_rank, svd
 
 FEAS_TOL = 1e-8          # absolute slack threshold for "satisfied"
 DUAL_TOL = 1e-10         # multiplier nonnegativity slack
@@ -124,10 +130,9 @@ class Bounds:
                 raise ValueError(f"{name} contains NaN entries")
         if np.any(lb > ub):
             raise ValueError("lb must not exceed ub")
-        eye = np.eye(d)
         lo = np.isfinite(lb)
         hi = np.isfinite(ub)
-        rows = np.vstack([-eye[lo], eye[hi]])
+        rows = np.concatenate((-eye(d)[lo], eye(d)[hi]))
         rhs = np.concatenate([-lb[lo], ub[hi]])
         for arr in (lb, ub, rows, rhs):
             arr.setflags(write=False)
@@ -238,7 +243,7 @@ def _check_symmetric_psd(h: np.ndarray):
     h_sym = 0.5 * (h + h.T)
     if h_sym.shape[0] <= PSD_CERT_MAX_DIM and dpotrf(h_sym)[1] == 0:
         return
-    w = np.linalg.eigvalsh(h_sym)
+    w = eigvalsh(h_sym)
     if w[0] < -PSD_TOL * scale:
         raise ValueError(f"H must be positive semidefinite (min eig {w[0]:.3e})")
 
@@ -284,14 +289,14 @@ def _stack_inequalities(prob: QpProblem) -> tuple[np.ndarray, np.ndarray]:
     bounds = prob.bounds
     if prob.A_in.shape[0] == 0:
         return bounds.rows, bounds.rhs
-    return np.vstack([prob.A_in, bounds.rows]), np.concatenate([prob.b_in, bounds.rhs])
+    return np.concatenate((prob.A_in, bounds.rows)), np.concatenate((prob.b_in, bounds.rhs))
 
 
 def _eliminate_equalities(prob: QpProblem):
     """Return (x_p, Z, consistent) with x = x_p + Z z spanning A_eq x = b_eq."""
     d = prob.dim
     if prob.A_eq.shape[0] == 0:
-        return np.zeros(d), np.eye(d), True
+        return np.zeros(d), eye(d), True
     u, s, vt = svd(prob.A_eq, full_matrices=True)
     rank = int((s > EQ_RANK_TOL * max(s[0], 1.0)).sum()) if s.size else 0
     x_p = vt[:rank].T @ ((u[:, :rank].T @ prob.b_eq) / s[:rank])
@@ -313,10 +318,10 @@ def _chol_with_ridge(h: np.ndarray) -> tuple[np.ndarray, float]:
     ridge = 0.0
     for _ in range(6):
         try:
-            return np.linalg.cholesky(h + ridge * np.eye(h.shape[0])), ridge
-        except np.linalg.LinAlgError:
+            return cholesky(h + ridge * eye(h.shape[0])), ridge
+        except LinAlgError:
             ridge = max(ridge * 100.0, 1e-12 * scale)
-    raise np.linalg.LinAlgError("reduced Hessian is not positive semidefinite")
+    raise LinAlgError("reduced Hessian is not positive semidefinite")
 
 
 class _WorkingSet:
@@ -341,8 +346,8 @@ class _WorkingSet:
     def _solve_h(self, b):
         if self._chol is None:
             self._chol, _ = _chol_with_ridge(self.h)
-        y = np.linalg.solve(self._chol, b)
-        return np.linalg.solve(self._chol.T, y)
+        y = solve(self._chol, b)
+        return solve(self._chol.T, y)
 
     def _kkt_matrix(self):
         nz, k = self.h.shape[0], len(self.idx)
@@ -358,7 +363,7 @@ class _WorkingSet:
             self.lam = []
             return
         rhs = np.concatenate([-self.f, self.rhs[self.idx]])
-        sol = np.linalg.solve(self._kkt_matrix(), rhs)
+        sol = solve(self._kkt_matrix(), rhs)
         self.z = sol[: self.h.shape[0]]
         self.lam = list(sol[self.h.shape[0]:])
 
@@ -367,7 +372,7 @@ class _WorkingSet:
         if not self.idx:
             return self._solve_h(n_p), np.zeros(0)
         rhs = np.concatenate([n_p, np.zeros(len(self.idx))])
-        sol = np.linalg.solve(self._kkt_matrix(), rhs)
+        sol = solve(self._kkt_matrix(), rhs)
         return sol[: self.h.shape[0]], sol[self.h.shape[0]:]
 
     def drop(self, local_k: int):
@@ -488,13 +493,13 @@ def _independent_rows(g: np.ndarray, candidates: list[int]) -> list[int]:
     """
     k, nz = len(candidates), g.shape[1]
     if 0 < k <= nz:
-        s = np.linalg.svd(g[candidates], compute_uv=False)
+        s = svdvals(g[candidates])
         if s[-1] - SEED_RANK_TOL > 20 * nz * _EPS * s[0]:
             return list(candidates)
     rows = []
     for p in candidates:
         trial = rows + [p]
-        if np.linalg.matrix_rank(g[trial], tol=SEED_RANK_TOL) == len(trial):
+        if matrix_rank(g[trial], tol=SEED_RANK_TOL) == len(trial):
             rows = trial
     return rows
 
@@ -508,7 +513,7 @@ def _seed_working_set(ws: _WorkingSet, warm_start):
     while True:
         try:
             ws.solve_eqp()
-        except np.linalg.LinAlgError:
+        except LinAlgError:
             ws.idx, ws.lam = [], []
             ws.solve_eqp()
             return

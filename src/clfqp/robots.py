@@ -5,7 +5,7 @@ built-in finger, helix, and spirob files). The actuation matrix may be
 given explicitly or through a tendon-routing shorthand that is expanded at
 load time; everything else maps directly onto RobotModel fields.
 
-The optional ``workspace_scale`` (a positive number, 1 by default; the spirob
+The optional ``workspace_scale`` (a number above 1/8, 1 by default; the spirob
 sets 0.75) is the share of the arclength L at which the benchmark ellipse is
 centered (``experiments.EllipseParams.for_robot``). It and the optional
 ``sim`` section are the spec's protocol keys: ``serialize_robot`` writes
@@ -85,10 +85,13 @@ class RobotSpecFile:
 
     @property
     def workspace_scale(self) -> float:
-        """The spec's ``workspace_scale``, 1 unless it sets a positive number."""
+        """The spec's ``workspace_scale``, 1 unless it sets a number above
+        1/8: the ellipse is centred s L - L/8 from the base, so a scale of
+        1/8 or less would put its centre at or behind the base."""
         scale = self.data.get("workspace_scale", 1.0)
-        if type(scale) not in (int, float) or not scale > 0.0:
-            raise ValidationError(f"{self.source or self.name}: bad workspace_scale {scale!r}")
+        if type(scale) not in (int, float) or not scale > 0.125:
+            raise ValidationError(f"{self.source or self.name}: bad workspace_scale {scale!r}"
+                                  " (a number above 1/8)")
         return float(scale)
 
 

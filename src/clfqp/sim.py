@@ -47,6 +47,7 @@ from typing import Callable
 import numpy as np
 
 from . import multibody
+from ._lapack import solve
 from .controllers import ControlStepLog, Evaluation, Reference, evaluate
 from .kinematics import TaskState, task_rows, task_state
 from .multibody import DynamicsTerms, RobotModel, RobotState, bias_terms, matvec
@@ -69,8 +70,9 @@ class SimConfig:
     def __post_init__(self):
         for name in ("dt_physics", "t_end"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not (math.isfinite(value) and value > 0.0)):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         steps = self.control_decimation
         if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
             raise ValueError(f"control_decimation must be an integer of at least 1, got {steps!r}")
@@ -138,7 +140,7 @@ def step(model: RobotModel, state: RobotState | StateBatch, u: np.ndarray,
         rest = terms.c_vec + terms.k_vec + terms.g_vec
         lhs = terms.M + dt * np.diag(model.D_s)
         rhs = matvec(terms.M, dq) + dt * (matvec(model.B, u) - rest)
-        dq_next = np.linalg.solve(lhs, rhs[..., None])[..., 0]
+        dq_next = solve(lhs, rhs[..., None])[..., 0]
         q_next = q + dt * dq_next
     else:
         # Stage j's velocity is also its position slope k_jq (k_1q = dq).

@@ -197,6 +197,28 @@ class TestReach:
         with pytest.raises(ValidationError, match="bad workspace_scale"):
             experiments.setpoint_suite(path, "ic", sim_overrides=SHORT)
 
+    @pytest.mark.parametrize("scale", ["0.1", "0.125"])
+    def test_scale_of_an_eighth_or_less_is_validation_error(self, tmp_path, capsys, scale):
+        # the centre offset s L - L/8 would put the ellipse at or behind the base
+        from clfqp import cli
+        from clfqp.robots import ValidationError
+
+        path = self.spec_file(tmp_path, "spirob", "workspace_scale: 0.75\n",
+                              f"workspace_scale: {scale}\n")
+        with pytest.raises(ValidationError, match=f"{path}: bad workspace_scale"):
+            resolve_spec(path).workspace_scale
+        code = cli.main(["run", "--robot", path, "--controller", "ic", "--experiment",
+                         "setpoint", "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_VALIDATION
+        assert "bad workspace_scale" in capsys.readouterr().err
+
+    def test_scale_just_above_an_eighth_is_accepted(self, tmp_path):
+        path = self.spec_file(tmp_path, "spirob", "workspace_scale: 0.75\n",
+                              "workspace_scale: 0.13\n")
+        spec = resolve_spec(path)
+        params = experiments.EllipseParams.for_robot(spec.load()[0], spec.workspace_scale)
+        assert spec.workspace_scale == 0.13 and params.c > 0.0
+
     def test_renamed_spirob_runs_the_same_episodes(self, tmp_path):
         path = self.spec_file(tmp_path, "spirob", "name: spirob\n", "name: coil\n")
         for suite in (experiments.setpoint_suite, experiments.tracking_suite):
@@ -215,6 +237,43 @@ class TestReach:
         assert params[0] == params[1]
 
 
+class TestSimSection:
+    """A spec's sim values reach SimConfig as written; one it rejects is a
+    ValidationError naming the spec file and the key."""
+
+    def spec_with_sim(self, tmp_path, lines):
+        text = builtin_registry()["finger"].text
+        path = tmp_path / "finger-copy.yaml"
+        path.write_text(text.replace("task_dim: 2\n", "task_dim: 2\nsim:\n" + "".join(
+            f"  {line}\n" for line in lines), 1), encoding="utf-8")
+        return str(path)
+
+    def test_values_pass_through(self, tmp_path):
+        path = self.spec_with_sim(tmp_path, ["dt_physics: 5.0e-4", "control_decimation: 2",
+                                             "integrator: semi-implicit-euler"])
+        cfg = experiments.sim_config_for(path, 3.0)
+        assert (cfg.dt_physics, cfg.control_decimation, cfg.integrator, cfg.t_end) == (
+            5e-4, 2, "semi-implicit-euler", 3.0)
+
+    # PyYAML reads 1e-3 (no decimal point) as a string
+    @pytest.mark.parametrize("line,key", [("control_decimation: 2.7", "control_decimation"),
+                                          ("control_decimation: true", "control_decimation"),
+                                          ("dt_physics: 1e-3", "dt_physics")])
+    def test_bad_value_is_validation_error(self, tmp_path, capsys, line, key):
+        from clfqp import cli
+        from clfqp.robots import ValidationError
+
+        path = self.spec_with_sim(tmp_path, [line])
+        with pytest.raises(ValidationError) as info:
+            experiments.sim_config_for(path, 1.0)
+        assert str(info.value).startswith(f"{path}: sim.{key} must be ")
+        code = cli.main(["run", "--robot", path, "--controller", "ic", "--experiment",
+                         "setpoint", "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_VALIDATION
+        assert f"{path}: sim.{key} must be " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestEllipseDerivatives:
     @pytest.mark.parametrize("task_dim", [2, 3])
     def test_match_central_differences(self, task_dim):
@@ -229,3 +288,23 @@ class TestEllipseDerivatives:
             ddy_fd = (ref.y_ref(t + h2) - 2.0 * y + ref.y_ref(t - h2)) / h2 ** 2
             assert np.allclose(dy, dy_fd, rtol=0.0, atol=1e-9)
             assert np.allclose(ddy, ddy_fd, rtol=0.0, atol=1e-6)
+
+
+class TestEllipseBits:
+    """The tilt's sine and cosine are made once per ellipse and give the
+    bits of working them out at every point."""
+
+    @pytest.mark.parametrize("task_dim", [2, 3])
+    def test_points_match_the_per_call_formula(self, task_dim):
+        params = experiments.EllipseParams(a=0.1, b=0.04, phi=np.pi / 4.0, c=0.2)
+        omega = 0.3 * np.pi
+        ref = experiments.ellipse_trajectory(params, omega, task_dim)
+        rows = [0, 2] if task_dim == 3 else [0, 1]
+        for t in np.linspace(0.0, 7.0, 29):
+            theta = omega * t
+            s, c_phi = np.sin(params.phi), np.cos(params.phi)
+            radial = params.b * np.sin(theta) - params.c
+            x = params.a * np.cos(theta) * c_phi - radial * s
+            z = params.a * np.cos(theta) * s + radial * c_phi
+            assert experiments.ellipse_point(params, theta) == (float(x), float(z))
+            assert same_bits(ref.y_ref(t)[rows], np.array([x, z]))

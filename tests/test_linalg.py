@@ -134,9 +134,9 @@ class TestSvd:
 
     @staticmethod
     def nan_factors_where(monkeypatch, bad):
-        """np.linalg.svd as gesdd on the helix matrix: non-finite U for
-        every matrix m with bad(m)."""
-        real = np.linalg.svd
+        """gesdd as on the helix matrix: non-finite U for every matrix m
+        with bad(m)."""
+        real = linalg.gesdd
 
         def fake(a, full_matrices=True, **kw):
             u, s, vt = real(a, full_matrices=full_matrices, **kw)
@@ -144,7 +144,7 @@ class TestSvd:
             u.reshape(-1, *u.shape[-2:])[mask] = np.nan
             return u, s, vt
 
-        monkeypatch.setattr(np.linalg, "svd", fake)
+        monkeypatch.setattr(linalg, "gesdd", fake)
         return real
 
     @pytest.mark.parametrize("full", [False, True])
@@ -167,7 +167,7 @@ class TestSvd:
         def fails(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", fails)
+        monkeypatch.setattr(linalg, "gesdd", fails)
         a = np.arange(6.0).reshape(2, 3)
         u, s, vt = svd(a)
         assert np.abs((u * s) @ vt - a).max() < 1e-13
@@ -242,3 +242,24 @@ class TestCare:
         pair = solve_care_double_integrator(np.eye(4), np.eye(2))
         assert pair.n_t == 2
         assert isinstance(pair, CarePair)
+
+
+class TestMatrixRank:
+    """matrix_rank counts the singular values above numpy's cutoff."""
+
+    def test_matches_numpy(self):
+        rng = np.random.default_rng(12)
+        for shape, rank in (((3, 27), 2), ((27, 3), 3), ((6, 6), 4), ((5, 2), 1)):
+            a = rank_deficient(rng, shape, rank)
+            assert linalg.matrix_rank(a) == np.linalg.matrix_rank(a) == rank
+            for tol in (1e-10, 1.0, 1e3):
+                assert linalg.matrix_rank(a, tol=tol) == np.linalg.matrix_rank(a, tol=tol)
+        assert linalg.matrix_rank(np.zeros((3, 2))) == np.linalg.matrix_rank(np.zeros((3, 2))) == 0
+
+
+class TestEye:
+    def test_read_only_identity_made_once(self):
+        for n in (1, 3, 27):
+            ident = linalg.eye(n)
+            assert linalg.eye(n) is ident
+            assert same_bits(ident, np.eye(n)) and not ident.flags.writeable

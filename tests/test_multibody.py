@@ -214,6 +214,19 @@ class TestHVector:
             expected = terms.c_vec + terms.d_vec + terms.k_vec + terms.g_vec
             assert np.array_equal(h_vector(model, state), expected)
 
+    def test_summed_once_per_terms(self):
+        model = two_link(k_s=(0.5, 0.2), d_s=(0.1, 0.3))
+        terms = bias_terms(model, RobotState(np.array([0.3, -0.2]), np.array([0.5, -0.1])))
+        h = terms.h
+        assert terms.h is h
+        assert bitwise_equal(h, terms.c_vec + terms.d_vec + terms.k_vec + terms.g_vec)
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_dof_count_counted_once(self, name):
+        model = load_model(name)
+        assert model.n == sum(joint.dofs for joint in model.joints)
+        assert vars(model)["n"] == model.n
+
 
 class TestForwardDynamics:
     def test_zero_everything(self):
@@ -257,10 +270,10 @@ class TestInertiaGuard:
     def test_guard_runs_once_per_evaluation(self, monkeypatch):
         factor_calls, eig_calls = [], []
         factor = multibody.factor_inertia
-        eigvalsh = np.linalg.eigvalsh
+        eigvalsh = multibody.eigvalsh
         monkeypatch.setattr(multibody, "factor_inertia",
                             lambda m: factor_calls.append(1) or factor(m))
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eig_calls.append(1) or eigvalsh(a))
+        monkeypatch.setattr(multibody, "eigvalsh", lambda a: eig_calls.append(1) or eigvalsh(a))
         terms = bias_terms(self.model, self.state)
         first = solve_inertia(terms, np.ones(2))
         second = solve_inertia(terms, np.eye(2))
@@ -311,8 +324,8 @@ class TestInertiaGuard:
         m = bias_terms(self.model, self.state).M
         expected = factor_inertia(m)
         calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        eigvalsh = multibody.eigvalsh
+        monkeypatch.setattr(multibody, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
         monkeypatch.setattr(multibody, "dtrtri", lambda c, lower: (c, 1))
         assert np.array_equal(factor_inertia(m), expected)
         assert len(calls) == 1

@@ -250,10 +250,10 @@ class TestPsdCertificate:
     @pytest.mark.parametrize("d", [2, 46])
     def test_indefinite_h_uses_factorisation_then_eigenvalues(self, monkeypatch, d):
         seen = []
-        potrf, eigvalsh = qp.dpotrf, np.linalg.eigvalsh
+        potrf, eigvalsh = qp.dpotrf, qp.eigvalsh
         monkeypatch.setattr(qp, "dpotrf",
                             lambda a, *k, **kw: seen.append("potrf") or potrf(a, *k, **kw))
-        monkeypatch.setattr(np.linalg, "eigvalsh",
+        monkeypatch.setattr(qp, "eigvalsh",
                             lambda a, *k, **kw: seen.append("eigvalsh") or eigvalsh(a, *k, **kw))
         h = _psd_case(np.random.default_rng(d), d, -1e7)     # lambda_min = -1e-3
         with pytest.raises(ValueError, match="positive semidefinite"):
@@ -262,10 +262,10 @@ class TestPsdCertificate:
 
     def test_beyond_the_bound_range_eigenvalues_alone(self, monkeypatch):
         seen = []
-        potrf, eigvalsh = qp.dpotrf, np.linalg.eigvalsh
+        potrf, eigvalsh = qp.dpotrf, qp.eigvalsh
         monkeypatch.setattr(qp, "dpotrf",
                             lambda a, *k, **kw: seen.append("potrf") or potrf(a, *k, **kw))
-        monkeypatch.setattr(np.linalg, "eigvalsh",
+        monkeypatch.setattr(qp, "eigvalsh",
                             lambda a, *k, **kw: seen.append("eigvalsh") or eigvalsh(a, *k, **kw))
         d = qp.PSD_CERT_MAX_DIM + 1
         QpProblem(np.eye(d), np.zeros(d))
@@ -281,8 +281,8 @@ class TestPsdHessian:
     @staticmethod
     def count_eigvalsh(monkeypatch):
         seen = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh",
+        eigvalsh = qp.eigvalsh
+        monkeypatch.setattr(qp, "eigvalsh",
                             lambda a, *k, **kw: seen.append(a.shape) or eigvalsh(a, *k, **kw))
         return seen
 
@@ -560,8 +560,8 @@ class TestSeeding:
 
     def test_sigma_min_near_the_cutoff(self, monkeypatch):
         rank_calls = []
-        matrix_rank = np.linalg.matrix_rank
-        monkeypatch.setattr(np.linalg, "matrix_rank",
+        matrix_rank = qp.matrix_rank
+        monkeypatch.setattr(qp, "matrix_rank",
                             lambda *a, **k: rank_calls.append(1) or matrix_rank(*a, **k))
         rng = np.random.default_rng(41)
         paths = set()
