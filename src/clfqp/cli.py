@@ -17,7 +17,7 @@ import numpy as np
 from . import experiments, robots
 from .controllers import CONTROLLER_NAMES
 from .robots import ParseError, RobotSpecFile, ValidationError, builtin_registry, resolve_spec
-from .sim import SimConfig
+from .sim import SIM_DEFAULTS, SimConfig
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -25,8 +25,7 @@ EXIT_FAILED_CONVERGENCE = 2
 EXIT_USAGE = 64
 EXIT_VALIDATION = 65
 
-SIM_KEYS = {"dt_physics": float, "control_decimation": int, "integrator": str,
-            "t_end": float}
+SIM_KEYS = {key: type(default) for key, default in SIM_DEFAULTS.items()}
 GAIN_KEYS = dict.fromkeys(robots.GAIN_DEFAULTS, float)
 
 

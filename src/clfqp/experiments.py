@@ -7,6 +7,11 @@ Set points sit on an ellipse in the xz-plane (semi axes L/3 and L/8, tilted
 ``workspace_scale``) no farther from the base than L; tracking sweeps the
 same ellipse at constant angular rate, two full cycles per episode.
 
+Each episode's SimConfig holds its protocol length and whatever the robot
+spec's ``sim`` section, then the caller's overrides, set (``sim_config_for``);
+a key there that is not a SimConfig protocol key is a ValidationError naming
+the spec.
+
 Both suites pass only their reference, protocol length and metric to one
 runner. It hands all of a call's episodes, one controller each, to one
 lockstep ``sim.run``: their states are evaluated and integrated as the rows
@@ -29,7 +34,7 @@ from .controllers import Reference, make_controller
 from .multibody import RobotModel, RobotState
 # builtin_registry stays a name of this module: bench/tracer.py patches it here
 from .robots import ValidationError, builtin_registry, resolve_spec  # noqa: F401
-from .sim import SimConfig, Trajectory, run
+from .sim import SIM_DEFAULTS, SimConfig, Trajectory, run
 
 THETA_GRID = tuple(t * np.pi for t in (0.0, 0.5, 1.0, 1.5))
 OMEGA_GRID = tuple(w * np.pi for w in (0.1, 0.2, 0.3, 0.4, 0.5))
@@ -162,20 +167,21 @@ class MetricSummary:
 
 
 def sim_config_for(robot, t_end: float, overrides: dict | None = None) -> SimConfig:
-    """SimConfig from the robot spec's sim section plus overrides.
+    """SimConfig from the robot spec's sim section plus overrides, over the
+    given t_end; an unknown key or a bad value is a ValidationError.
 
     Only the spec document is read; the model is not built. An explicit
     t_end override departs from the benchmark protocol and is meant for
     smoke tests; it is echoed in the output metadata like any other override.
     """
     spec = resolve_spec(robot)
-    prefs = dict(spec.data.get("sim", {}))
-    prefs.update(overrides or {})
+    section, overrides = spec.data.get("sim", {}), overrides or {}
+    for where, keys in (("sim", section), ("sim override", overrides)):
+        unknown = [key for key in keys if key not in SIM_DEFAULTS]
+        if unknown:
+            raise ValidationError(f"{spec.source or spec.name}: unknown {where} keys {unknown}")
     try:
-        return SimConfig(dt_physics=prefs.get("dt_physics", 1e-3),
-                         control_decimation=prefs.get("control_decimation", 1),
-                         integrator=prefs.get("integrator", "rk4"),
-                         t_end=prefs.get("t_end", t_end))
+        return SimConfig(**{"t_end": t_end, **section, **overrides})
     except ValueError as exc:
         # SimConfig's messages begin with the field they reject
         raise ValidationError(f"{spec.source or spec.name}: sim.{exc}") from None

@@ -1,15 +1,17 @@
 """Benchmark robot descriptions and their controller gain tables.
 
 Robots are described by a versioned YAML document (see ``specs/`` for the
-built-in finger, helix, and spirob files). The actuation matrix may be
-given explicitly or through a tendon-routing shorthand that is expanded at
-load time; everything else maps directly onto RobotModel fields.
+built-in finger, helix, and spirob files) whose top-level keys are those of
+``SPEC_KEYS``; any other key is a ParseError that names it. The actuation
+matrix may be given explicitly or through a tendon-routing shorthand that is
+expanded at load time; everything else maps directly onto RobotModel fields.
 
 The optional ``workspace_scale`` (a number above 1/8, 1 by default; the spirob
 sets 0.75) is the share of the arclength L at which the benchmark ellipse is
 centered (``experiments.EllipseParams.for_robot``). It and the optional
-``sim`` section are the spec's protocol keys: ``serialize_robot`` writes
-them back when it is given the spec.
+``sim`` section, a mapping of ``sim.SimConfig``'s protocol keys
+(``experiments.sim_config_for``), are the spec's protocol keys:
+``serialize_robot`` writes them back when it is given the spec.
 
 All numeric values of the built-in robots (masses, stiffness, damping,
 moment arms, bounds) are desk-scale stand-ins recorded only in the spec
@@ -30,6 +32,10 @@ from .controllers import CONTROLLER_NAMES
 from .multibody import Joint, Link, RobotModel
 
 SCHEMA_VERSION = 1
+PROTOCOL_KEYS = ("sim", "workspace_scale")
+SPEC_KEYS = ("schema_version", "name", "task_dim", "gravity", "links", "joints", "stiffness",
+             "damping", "actuation", "bounds", "gains", "ee_offset") + PROTOCOL_KEYS
+
 
 class ParseError(ValueError):
     """Spec document failed to parse; message carries field diagnostics."""
@@ -109,6 +115,11 @@ def _parse_document(text: str, source: str) -> dict:
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ParseError(f"{source}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    unknown = [key for key in data if key not in SPEC_KEYS]
+    if unknown:
+        raise ParseError(f"{source}: unknown keys {unknown}")
+    if not isinstance(data.get("sim", {}), dict):
+        raise ParseError(f"{source}: sim must be a mapping, got {data['sim']!r}")
     return data
 
 
@@ -294,9 +305,6 @@ def _spiral_cable_matrix(cfg: dict, joints, source) -> np.ndarray:
             bend = np.array([np.sin(az), -np.cos(az), 0.0]) * arm
             b[j, i] = bend @ np.asarray(joint.axis)
     return b
-
-
-PROTOCOL_KEYS = ("sim", "workspace_scale")
 
 
 def serialize_robot(model: RobotModel, gains: dict[str, GainSet],

@@ -3,7 +3,13 @@
 Control inputs update every ``control_decimation`` physics steps and are
 held constant in between (zero-order hold). State and per-step diagnostics
 are logged at the control rate; a non-finite input or state ends the
-episode, and its partial trajectory is returned with a failure marker.
+episode, and its partial trajectory is returned with a failure marker, as
+does a LinAlgError or IllConditioned raised by the episode's controller.
+
+``SimConfig`` declares the simulation protocol. Its fields but the start
+state are the protocol keys (``SIM_DEFAULTS``, with their defaults): the
+only keys of a spec's ``sim`` section and of the CLI's ``--set sim.*``, and
+the keys each trajectory's metadata records.
 
 One loop runs every episode, alone or several of one model in lockstep
 (``run`` given lists: one controller, reference and config per episode,
@@ -41,16 +47,18 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from . import multibody
 from ._lapack import solve
 from .controllers import ControlStepLog, Evaluation, Reference, evaluate
 from .kinematics import TaskState, task_rows, task_state
-from .multibody import DynamicsTerms, RobotModel, RobotState, bias_terms, matvec
+from .multibody import (DynamicsTerms, IllConditioned, RobotModel, RobotState, bias_terms,
+                        matvec)
 
 INTEGRATORS = ("rk4", "semi-implicit-euler")
 
@@ -78,6 +86,9 @@ class SimConfig:
             raise ValueError(f"control_decimation must be an integer of at least 1, got {steps!r}")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
+
+
+SIM_DEFAULTS = {f.name: f.default for f in fields(SimConfig) if f.name != "initial_state"}
 
 
 @dataclass(frozen=True)
@@ -226,7 +237,10 @@ def run(model: RobotModel, controller, reference: Reference, cfg: SimConfig,
     abort early (used by the benchmark suites for divergence detection).
     An episode also ends failed, keeping its last logged row, when its
     controller returns a non-finite input, which is then not applied
-    ("non-finite input at t=..."), or its state turns non-finite.
+    ("non-finite input at t=..."), or its state turns non-finite. A
+    LinAlgError (``linalg.SvdFailure`` among them) or IllConditioned raised
+    by its controller ends it failed with the rows logged before that step
+    ("<ExceptionName> at t=...: <message>"); any other exception propagates.
 
     Given lists of controllers, references and configs (and a list of
     metadata dicts, or None), ``run`` steps those episodes in lockstep and
@@ -254,9 +268,7 @@ def _new_trajectory(model: RobotModel, cfg: SimConfig, metadata: dict | None) ->
         mu=np.zeros((n_ctrl, n_t)), delta=np.zeros(n_ctrl), V=np.zeros(n_ctrl),
         Vdot=np.zeros(n_ctrl), qp_status=[""] * n_ctrl,
         solve_time=np.zeros(n_ctrl), saturated=np.zeros((n_ctrl, m), dtype=bool),
-        metadata=dict(metadata or {}, dt_physics=cfg.dt_physics,
-                      control_decimation=cfg.control_decimation,
-                      integrator=cfg.integrator, t_end=cfg.t_end))
+        metadata=dict(metadata or {}, **{key: getattr(cfg, key) for key in SIM_DEFAULTS}))
 
 
 def _log_row(traj: Trajectory, k: int, state: RobotState, ts: TaskState,
@@ -331,9 +343,8 @@ def _run_episodes(model, controllers, references, cfgs, stop_condition,
         return []
     cfg = cfgs[0]
     for other in cfgs[1:]:
-        if ((other.dt_physics, other.control_decimation, other.integrator)
-                != (cfg.dt_physics, cfg.control_decimation, cfg.integrator)
-                or other.initial_state is not cfg.initial_state):
+        if (any(getattr(other, key) != getattr(cfg, key) for key in SIM_DEFAULTS
+                if key != "t_end") or other.initial_state is not cfg.initial_state):
             raise ValueError("episodes run in lockstep may differ only in t_end")
     start = cfg.initial_state if cfg.initial_state is not None else model.rest_state()
     trajs = [_new_trajectory(model, c, meta) for c, meta in zip(cfgs, metadata)]
@@ -358,8 +369,13 @@ def _run_episodes(model, controllers, references, cfgs, stop_condition,
         stay, inputs = [], []
         for j, (i, state) in enumerate(zip(live, states)):
             ts = state.evaluation.ts
-            u, log = controllers[i].step(state, references[i])
-            object.__setattr__(state, "evaluation", None)   # it points back at the state
+            try:
+                u, log = controllers[i].step(state, references[i])
+            except (LinAlgError, IllConditioned) as exc:
+                _end(trajs[i], state, f"{type(exc).__name__} at t={t:.6f}: {exc}", k)
+                continue
+            finally:
+                object.__setattr__(state, "evaluation", None)   # it points back at the state
             y_ref_k = _log_row(trajs[i], k, state, ts, references[i], u, log)
             reason = stop_condition(state, ts.y - y_ref_k) if stop_condition else ""
             if not (reason or np.isfinite(u).all()):

@@ -184,3 +184,38 @@ class TestBadSimOverride:
         err = capsys.readouterr().err
         assert err.startswith(f"validation error: override {pair.partition('=')[0]}: ")
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("pair", ["sim.dt=1", "sim.initial_state=0"])
+    def test_unknown_key_exits_as_validation_error(self, pair, tmp_path, capsys):
+        from clfqp import cli
+
+        code = cli.main(["run", "--robot", "finger", "--controller", "ic",
+                         "--experiment", "setpoint", "--set", pair, "--out", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION == 65
+        assert capsys.readouterr().err == (
+            f"validation error: unknown override key {pair.partition('=')[0]!r}\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_sim_keys_are_simconfig_fields_but_the_start_state(self):
+        from clfqp import cli
+
+        assert cli.SIM_KEYS == {"dt_physics": float, "control_decimation": int,
+                                "integrator": str, "t_end": float}
+
+
+class TestUnknownSpecKey:
+    @pytest.mark.parametrize("line,message", [
+        ("workspace_scal: 0.75", "unknown keys ['workspace_scal']"),
+        ("sim: 3", "sim must be a mapping, got 3")])
+    def test_exits_as_validation_error_naming_the_key(self, line, message, tmp_path, capsys):
+        from clfqp import cli
+
+        path = tmp_path / "finger.yaml"
+        assert cli.main(["export-spec", "--robot", "finger", "--out", str(path)]) == 0
+        path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = cli.main(["run", "--robot", str(path), "--controller", "ic",
+                         "--experiment", "setpoint", "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_VALIDATION == 65
+        assert capsys.readouterr().err == f"validation error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()

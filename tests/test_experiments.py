@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -238,8 +240,9 @@ class TestReach:
 
 
 class TestSimSection:
-    """A spec's sim values reach SimConfig as written; one it rejects is a
-    ValidationError naming the spec file and the key."""
+    """A spec's sim values reach SimConfig as written; one it rejects, or a
+    key that is not one of SimConfig's protocol fields, is a ValidationError
+    naming the spec file and the key."""
 
     def spec_with_sim(self, tmp_path, lines):
         text = builtin_registry()["finger"].text
@@ -272,6 +275,41 @@ class TestSimSection:
         assert code == cli.EXIT_VALIDATION
         assert f"{path}: sim.{key} must be " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("lines,keys", [(["dt: 0.5", "control_decimaton: 3"],
+                                             ["dt", "control_decimaton"]),
+                                            (["initial_state: 0"], ["initial_state"])])
+    def test_unknown_key_is_validation_error(self, tmp_path, capsys, lines, keys):
+        from clfqp import cli
+        from clfqp.robots import ValidationError
+
+        path = self.spec_with_sim(tmp_path, lines)
+        message = f"{path}: unknown sim keys {keys}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            experiments.sim_config_for(path, 1.0)
+        code = cli.main(["run", "--robot", path, "--controller", "ic", "--experiment",
+                         "setpoint", "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_override_key_is_validation_error(self):
+        from clfqp.robots import ValidationError
+
+        with pytest.raises(ValidationError,
+                           match=r"^finger: unknown sim override keys \['initial_state'\]$"):
+            experiments.sim_config_for("finger", 1.0, {"initial_state": None})
+
+    def test_defaults_and_metadata_come_from_simconfig(self):
+        from clfqp.sim import SimConfig, _new_trajectory
+
+        cfg = experiments.sim_config_for("finger", 2.0)
+        assert cfg == SimConfig(t_end=2.0)
+        model, _ = builtin_registry()["finger"].load()
+        assert _new_trajectory(model, cfg, {"robot": "finger"}).metadata == {
+            "robot": "finger", "dt_physics": 1e-3, "control_decimation": 1,
+            "integrator": "rk4", "t_end": 2.0}
 
 
 class TestEllipseDerivatives:

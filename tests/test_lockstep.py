@@ -6,12 +6,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
 from clfqp import experiments, kinematics, multibody, sim
 from clfqp.controllers import CONTROLLER_NAMES, evaluate, make_controller
 from clfqp.experiments import EllipseParams, setpoint_reference
 from clfqp.kinematics import task_state
-from clfqp.multibody import RobotState, bias_terms, forward_dynamics
+from clfqp.linalg import SvdFailure
+from clfqp.multibody import IllConditioned, RobotState, bias_terms, forward_dynamics
 from clfqp.robots import builtin_registry
 from clfqp.sim import SimConfig, StateBatch, run
 
@@ -247,6 +249,23 @@ class _BlowUp:
         return (u if self._k <= self._from else np.full_like(u, self._size)), log
 
 
+class _RaiseFrom:
+    """Controller proxy that raises a given exception from a given time on."""
+
+    def __init__(self, inner, t_from, error):
+        self._inner = inner
+        self._t_from = t_from
+        self._error = error
+
+    def reset(self):
+        self._inner.reset()
+
+    def step(self, state, ref):
+        if state.t >= self._t_from:
+            raise self._error
+        return self._inner.step(state, ref)
+
+
 class TestLockstepEndings:
     """Episodes leave the batch on their own; every other episode goes on
     as if run alone."""
@@ -314,6 +333,31 @@ class TestLockstepEndings:
         assert [len(t) for t in trajs] == [6, 3, 6]
         assert np.isnan(trajs[1].u[-1]).all() and np.isfinite(trajs[1].u[:-1]).all()
         assert trajs[1].final_state.t == trajs[1].t[-1]
+
+    @pytest.mark.parametrize("error", [SvdFailure("gesvd did not converge"),
+                                       IllConditioned("inertia matrix condition 1e+13"),
+                                       LinAlgError("Singular matrix")])
+    def test_numerical_error_ends_its_row_only(self, error):
+        self.refs = self.refs[:3]
+        cfg = SimConfig(t_end=0.006)
+
+        def make():
+            ctrls = self.controllers()
+            ctrls[1] = _RaiseFrom(ctrls[1], 0.0015, error)
+            return ctrls
+
+        trajs = self.compare(make, [cfg] * 3)
+        assert [t.failed for t in trajs] == [False, True, False]
+        assert trajs[1].failure_reason == f"{type(error).__name__} at t=0.002000: {error}"
+        assert [len(t) for t in trajs] == [6, 2, 6]
+        assert trajs[1].final_state.t == 0.002
+        assert trajs[1].final_state.evaluation is None
+
+    def test_other_errors_propagate(self):
+        ctrls = self.controllers()
+        ctrls[1] = _RaiseFrom(ctrls[1], 0.0015, TypeError("not a number"))
+        with pytest.raises(TypeError, match="not a number"):
+            run(self.model, ctrls, self.refs, [SimConfig(t_end=0.006)] * len(ctrls))
 
     def test_episode_without_rows(self):
         cfgs = [SimConfig(t_end=0.004), SimConfig(t_end=1e-4), SimConfig(t_end=0.002),

@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from clfqp.robots import (
+    SPEC_KEYS,
     GainSet,
     ParseError,
     RobotSpecFile,
@@ -179,6 +180,21 @@ class TestParsing:
         bad = MINIMAL.replace("rho: 500.0", "rho: 500.0, kq: 2")
         with pytest.raises(ParseError, match="gains"):
             loads_robot(bad)
+
+    @pytest.mark.parametrize("line,message", [
+        ("workspace_scal: 0.75", "unknown keys ['workspace_scal']"),
+        ("sim: [0.001]", "sim must be a mapping, got [0.001]"),
+        ("sim:", "sim must be a mapping, got None")])
+    def test_unread_key_named(self, line, message):
+        with pytest.raises(ParseError, match=f"^<string>: {re.escape(message)}$"):
+            loads_robot(MINIMAL + line + "\n")
+
+    def test_every_spec_key_is_read(self):
+        # a document with every key loads, so no key of SPEC_KEYS is refused
+        text = MINIMAL + "gravity: [0, 0, -9.81]\nee_offset: [0, 0, -0.01]\n" \
+            "workspace_scale: 0.75\nsim: {dt_physics: 5.0e-4}\n"
+        assert set(yaml.safe_load(text)) == set(SPEC_KEYS)
+        assert loads_robot(text)[0].n == 2
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from clfqp import kinematics, multibody, sim
 from clfqp.controllers import ControlStepLog, Evaluation, make_controller
-from clfqp.experiments import EllipseParams, ellipse_trajectory
+from clfqp.experiments import EllipseParams, ellipse_trajectory, sim_config_for
 from clfqp.kinematics import task_state
 from clfqp.multibody import RobotState, bias_terms, forward_dynamics
 from clfqp.robots import builtin_registry
@@ -263,3 +264,39 @@ class TestConvergenceOrder:
             errors.append(np.max(np.abs(np.concatenate([state.q, state.dq]) - reference)))
         observed = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(np.abs(observed - order) < 0.15 * order), observed
+
+
+class TestRk4Stability:
+    """Every built-in robot's passive dynamics, linearized about rest
+    (M ddq + D_s dq + (K_s + dg/dq) q = 0), keep each mode inside RK4's
+    stability region at the spec's physics step; ten times the damping
+    puts some mode outside it on every robot."""
+
+    @staticmethod
+    def amplification(model, dt, fd_step=1e-6):
+        """Largest |R(z)| over the modes, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
+        the RK4 amplification factor at z = lambda dt."""
+        n = model.n
+        zero = np.zeros(n)
+        dg = np.zeros((n, n))
+        for k in range(n):
+            dq = np.zeros(n)
+            dq[k] = fd_step
+            g_plus = bias_terms(model, RobotState(dq, zero)).g_vec
+            g_minus = bias_terms(model, RobotState(-dq, zero)).g_vec
+            dg[:, k] = (g_plus - g_minus) / (2.0 * fd_step)
+        m_inv = np.linalg.inv(bias_terms(model, RobotState(zero, zero)).M)
+        a = np.block([[np.zeros((n, n)), np.eye(n)],
+                      [-m_inv @ (np.diag(model.K_s) + dg), -m_inv @ np.diag(model.D_s)]])
+        z = np.linalg.eigvals(a) * dt
+        return np.abs(1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0).max()
+
+    @pytest.mark.parametrize("name", ["finger", "helix", "spirob"])
+    def test_built_ins_stable_and_ten_times_damping_not(self, name):
+        spec = builtin_registry()[name]
+        model, _ = spec.load()
+        cfg = sim_config_for(spec, 1.0)
+        assert cfg.integrator == "rk4"
+        assert self.amplification(model, cfg.dt_physics) < 1.0
+        damped = dataclasses.replace(model, D_s=10.0 * model.D_s)
+        assert self.amplification(damped, cfg.dt_physics) > 1.0
