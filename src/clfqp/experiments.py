@@ -9,16 +9,19 @@ same ellipse at constant angular rate, two full cycles per episode.
 
 Each episode's SimConfig holds its protocol length and whatever the robot
 spec's ``sim`` section, then the caller's overrides, set (``sim_config_for``);
-a key there that is not a SimConfig protocol key is a ValidationError naming
-the spec.
+a key there that is not a SimConfig protocol key, or a t_end in the spec, is
+a ValidationError naming the spec.
 
 Both suites pass only their reference, protocol length and metric to one
-runner. It hands all of a call's episodes, one controller each, to one
-lockstep ``sim.run``: their states are evaluated and integrated as the rows
-of one stacked chain pass per step, and each episode leaves the batch at its
-own t_end (tracking rates differ in length), on its stop condition or on a
-non-finite input or state. Every episode is bitwise what it would be run
-alone.
+runner. It hands all of a call's episodes, one controller and one stop
+condition each, to one lockstep ``sim.run``: their states are evaluated and
+integrated as the rows of one stacked chain pass per step. ``run`` alone
+ends every episode, each on its own: at its t_end (tracking rates differ in
+length), or failed on its stop, on a non-finite input or state, or on a
+numerical error of its own row. Each episode's stop (``_episode_stop``)
+ends it on task divergence, on joint-speed blowup, or at the control step
+that completes INFEASIBLE_WINDOW of consecutive infeasible QPs. Every
+episode is bitwise what it would be run alone.
 """
 
 from __future__ import annotations
@@ -168,7 +171,8 @@ class MetricSummary:
 
 def sim_config_for(robot, t_end: float, overrides: dict | None = None) -> SimConfig:
     """SimConfig from the robot spec's sim section plus overrides, over the
-    given t_end; an unknown key or a bad value is a ValidationError.
+    given t_end; an unknown key or a bad value is a ValidationError, and so
+    is a t_end in the spec: the protocol length belongs to the experiment.
 
     Only the spec document is read; the model is not built. An explicit
     t_end override departs from the benchmark protocol and is meant for
@@ -180,6 +184,9 @@ def sim_config_for(robot, t_end: float, overrides: dict | None = None) -> SimCon
         unknown = [key for key in keys if key not in SIM_DEFAULTS]
         if unknown:
             raise ValidationError(f"{spec.source or spec.name}: unknown {where} keys {unknown}")
+    if "t_end" in section:
+        raise ValidationError(f"{spec.source or spec.name}: sim.t_end is set by the experiment, "
+                              "not by the spec")
     try:
         return SimConfig(**{"t_end": t_end, **section, **overrides})
     except ValueError as exc:
@@ -187,30 +194,24 @@ def sim_config_for(robot, t_end: float, overrides: dict | None = None) -> SimCon
         raise ValidationError(f"{spec.source or spec.name}: sim.{exc}") from None
 
 
-def _divergence_stop(model: RobotModel):
-    """Stop-condition closure: task divergence or joint-speed blowup."""
+def _episode_stop(model: RobotModel, cfg: SimConfig):
+    """Stop condition of one episode: task divergence, joint-speed blowup,
+    or a QP infeasible on every control step of INFEASIBLE_WINDOW."""
     limit = DIVERGENCE_FACTOR * model.L
+    window = max(1, int(round(INFEASIBLE_WINDOW / (cfg.dt_physics * cfg.control_decimation))))
+    streak = 0
 
-    def check(state: RobotState, task_error: np.ndarray) -> str:
+    def check(state: RobotState, task_error: np.ndarray, log) -> str:
+        nonlocal streak
         # the 2-norm as np.linalg.norm forms it, without its wrapper
         if math.sqrt(task_error.dot(task_error)) > limit:
             return f"task error beyond {DIVERGENCE_FACTOR:.0f}L"
         if np.abs(state.dq).max() > SPEED_LIMIT:
             return f"joint speed beyond {SPEED_LIMIT:.0e} rad/s"
-        return ""
+        streak = streak + 1 if log.qp_status == "Infeasible" else 0
+        return f"QP infeasible for more than {INFEASIBLE_WINDOW:.0f} s" if streak >= window else ""
 
     return check
-
-
-def _persistent_infeasibility(traj: Trajectory, cfg: SimConfig) -> str:
-    dt_ctrl = cfg.dt_physics * cfg.control_decimation
-    window = max(1, int(round(INFEASIBLE_WINDOW / dt_ctrl)))
-    streak = 0
-    for status in traj.qp_status:
-        streak = streak + 1 if status == "Infeasible" else 0
-        if streak >= window:
-            return f"QP infeasible for more than {INFEASIBLE_WINDOW:.0f} s"
-    return ""
 
 
 def _reachable_setpoint(model: RobotModel, params: EllipseParams, theta: float) -> Reference:
@@ -236,8 +237,8 @@ def _suite(robot, controller: str, experiment: str, key: str, grid, sim_override
            reference, t_end, metric) -> tuple[MetricSummary, list[Trajectory]]:
     """One episode per grid value, all in one lockstep ``run``: its reference
     is ``reference(model, params, value)``, its protocol length
-    ``t_end(value)`` and its score ``metric(traj, reference)``; a score that
-    is not finite, or a QP infeasible for too long, fails it."""
+    ``t_end(value)``, its stop ``_episode_stop`` and its score
+    ``metric(traj, reference)``; a score that is not finite fails it."""
     grid = tuple(grid)
     spec = resolve_spec(robot)
     model, gains = spec.load()
@@ -247,13 +248,10 @@ def _suite(robot, controller: str, experiment: str, key: str, grid, sim_override
     metas = [{"robot": model.name, "controller": controller, "experiment": experiment,
               key: value} for value in grid]
     controllers = [make_controller(controller, model, gains[controller]) for _ in grid]
-    trajs = run(model, controllers, refs, cfgs, stop_condition=_divergence_stop(model),
-                metadata=metas)
+    stops = [_episode_stop(model, cfg) for cfg in cfgs]
+    trajs = run(model, controllers, refs, cfgs, stop_condition=stops, metadata=metas)
     summary = MetricSummary(robot=model.name, controller=controller, experiment=experiment)
-    for value, traj, ref, cfg in zip(grid, trajs, refs, cfgs):
-        if not traj.failed:
-            traj.failure_reason = _persistent_infeasibility(traj, cfg)
-            traj.failed = bool(traj.failure_reason)
+    for value, traj, ref in zip(grid, trajs, refs):
         score = metric(traj, ref)
         summary.episodes.append(EpisodeResult(parameter=value, trajectory=traj, metric=score,
                                               failed=traj.failed or not np.isfinite(score),

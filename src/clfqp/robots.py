@@ -9,8 +9,9 @@ expanded at load time; everything else maps directly onto RobotModel fields.
 The optional ``workspace_scale`` (a number above 1/8, 1 by default; the spirob
 sets 0.75) is the share of the arclength L at which the benchmark ellipse is
 centered (``experiments.EllipseParams.for_robot``). It and the optional
-``sim`` section, a mapping of ``sim.SimConfig``'s protocol keys
-(``experiments.sim_config_for``), are the spec's protocol keys:
+``sim`` section, a mapping of ``sim.SimConfig``'s protocol keys but
+``t_end``, which each experiment sets (``experiments.sim_config_for``), are
+the spec's protocol keys:
 ``serialize_robot`` writes them back when it is given the spec.
 
 All numeric values of the built-in robots (masses, stiffness, damping,

@@ -2,19 +2,22 @@
 
 Control inputs update every ``control_decimation`` physics steps and are
 held constant in between (zero-order hold). State and per-step diagnostics
-are logged at the control rate; a non-finite input or state ends the
-episode, and its partial trajectory is returned with a failure marker, as
-does a LinAlgError or IllConditioned raised by the episode's controller.
+are logged at the control rate.
 
 ``SimConfig`` declares the simulation protocol. Its fields but the start
 state are the protocol keys (``SIM_DEFAULTS``, with their defaults): the
 only keys of a spec's ``sim`` section and of the CLI's ``--set sim.*``, and
 the keys each trajectory's metadata records.
 
-One loop runs every episode, alone or several of one model in lockstep
-(``run`` given lists: one controller, reference and config per episode,
-the configs differing at most in t_end). At each control step the
-simulator evaluates every live episode's state once and attaches the
+One loop runs and ends every episode, alone or several of one model in
+lockstep (``run`` given lists: one controller, reference, config and stop
+condition per episode, the configs differing at most in t_end). An episode
+ends at its t_end, or failed, with the rows it logged and a named reason:
+on its stop condition, which sees each row it logs and that row's
+``ControlStepLog`` (the benchmark suites stop on divergence and on a QP
+that stays infeasible); on a non-finite input or state; or on a
+LinAlgError or IllConditioned raised by its evaluation, its controller or
+its physics step. At each control step the simulator evaluates every live episode's state once and attaches the
 evaluation to a fresh ``RobotState`` (``RobotState.evaluation``), which it
 hands the episode's controller. The logged task position and velocity
 come from that evaluation, and the first physics step after the control
@@ -37,8 +40,8 @@ rows are evaluated in one stacked chain pass and advanced in one call of
 ``step``, with the inertia guard and the Cholesky solve per row; a single
 row runs on the shapes of one state, where a step costs less. Each
 controller still steps its own episode, and each episode leaves the batch
-on its own: at t_end, on its stop condition, or on a non-finite input or state.
-Stacking changes no bit of any row: matrix-vector products over rows are
+on its own; when a stacked evaluation or step raises, its rows are redone
+one at a time, so only the row that raised ends. Stacking changes no bit of any row: matrix-vector products over rows are
 written (A @ x[..., None])[..., 0], the form whose every row is bitwise the
 one-row A @ x, and the LAPACK calls stay per row.
 """
@@ -210,17 +213,6 @@ class Trajectory:
     def state(self, i: int) -> RobotState:
         return RobotState(q=self.q[i], dq=self.dq[i], t=float(self.t[i]))
 
-    def task_state(self, i: int):
-        """Recompute the full task-space snapshot at a logged row."""
-        return task_state(self.model, self.state(i))
-
-    def log(self, i: int) -> ControlStepLog:
-        return ControlStepLog(u=self.u[i], mu=self.mu[i], delta=float(self.delta[i]),
-                              V=float(self.V[i]), Vdot=float(self.Vdot[i]),
-                              qp_status=self.qp_status[i],
-                              solve_time=float(self.solve_time[i]),
-                              saturated=self.saturated[i])
-
     def final_task_position(self) -> np.ndarray:
         from .kinematics import forward_kinematics
 
@@ -228,32 +220,40 @@ class Trajectory:
         return forward_kinematics(self.model, state.q)[task_rows(self.model)]
 
 
+# The Trajectory columns with one entry per logged row
+_ROWS = ("t", "q", "dq", "y", "dy", "y_ref", "u", "mu", "delta", "V", "Vdot", "qp_status",
+         "solve_time", "saturated")
+_NUMERICAL = (LinAlgError, IllConditioned)
+
+
 def run(model: RobotModel, controller, reference: Reference, cfg: SimConfig,
-        stop_condition: Callable[[RobotState, np.ndarray], str] | None = None,
+        stop_condition: Callable[[RobotState, np.ndarray, ControlStepLog], str] | None = None,
         metadata: dict | None = None) -> Trajectory:
     """Simulate the closed loop until t_end or failure.
 
-    ``stop_condition(state, task_error)`` may return a failure reason to
-    abort early (used by the benchmark suites for divergence detection).
-    An episode also ends failed, keeping its last logged row, when its
-    controller returns a non-finite input, which is then not applied
-    ("non-finite input at t=..."), or its state turns non-finite. A
-    LinAlgError (``linalg.SvdFailure`` among them) or IllConditioned raised
-    by its controller ends it failed with the rows logged before that step
-    ("<ExceptionName> at t=...: <message>"); any other exception propagates.
+    ``stop_condition(state, task_error, log)`` is called for every row the
+    episode logs, with its state, task error y - y_ref and ControlStepLog;
+    a reason it returns ends the episode failed at that row. A non-finite
+    input ends it keeping that row, unapplied ("non-finite input at
+    t=..."). A LinAlgError (``linalg.SvdFailure`` among them) or
+    IllConditioned ends it with the rows logged before ("<ExceptionName> at
+    t=...: <message>", t that of the control step or of the physics step's
+    start); any other exception propagates.
 
-    Given lists of controllers, references and configs (and a list of
-    metadata dicts, or None), ``run`` steps those episodes in lockstep and
-    returns the list of their trajectories, each bitwise the one a run of
-    its own gives; ``stop_condition`` applies to every episode, and the
-    configs may differ only in t_end.
+    Given lists of controllers, references and configs (and lists of stop
+    conditions and metadata dicts, or None), ``run`` steps those episodes in
+    lockstep and returns the list of their trajectories, each bitwise the
+    one a run of its own gives; the configs may differ only in t_end.
     """
     if not isinstance(controller, (list, tuple)):
-        return _run_episodes(model, [controller], [reference], [cfg], stop_condition,
+        return _run_episodes(model, [controller], [reference], [cfg], [stop_condition],
                              [metadata])[0]
+    stop_condition = [None] * len(controller) if stop_condition is None else stop_condition
     metadata = [None] * len(controller) if metadata is None else metadata
-    if not len(controller) == len(reference) == len(cfg) == len(metadata):
-        raise ValueError("need one reference, config and metadata entry per controller")
+    if not (len(controller) == len(reference) == len(cfg) == len(stop_condition)
+            == len(metadata)):
+        raise ValueError("need one reference, config, stop condition and metadata entry "
+                         "per controller")
     return _run_episodes(model, controller, reference, cfg, stop_condition, metadata)
 
 
@@ -299,12 +299,26 @@ def _end(traj: Trajectory, final_state: RobotState, reason: str = "",
     if reason:
         traj.failed = True
         traj.failure_reason = reason
-        for name in ("t", "q", "dq", "y", "dy", "y_ref", "u", "mu", "delta", "V",
-                     "Vdot", "solve_time", "saturated"):
+        for name in _ROWS:
             setattr(traj, name, getattr(traj, name)[:rows])
-        traj.qp_status = traj.qp_status[:rows]
     traj.final_state = final_state
     return traj
+
+
+def _raised(exc: Exception, t: float) -> str:
+    return f"{type(exc).__name__} at t={t:.6f}: {exc}"
+
+
+def _drop(trajs: list[Trajectory], live: list[int], ends: dict, *rows: np.ndarray):
+    """End the episodes of the rows in ``ends`` (row j -> the final state,
+    reason and rows kept that ``_end`` takes) and return ``live`` and each
+    array of ``rows`` without those rows."""
+    if not ends:
+        return live, *rows
+    for j, end in ends.items():
+        _end(trajs[live[j]], *end)
+    keep = [j for j in range(len(live)) if j not in ends]
+    return [live[j] for j in keep], *(a[keep] for a in rows)
 
 
 def _evaluate_rows(model: RobotModel, states: list[RobotState], q: np.ndarray,
@@ -330,15 +344,26 @@ def _evaluate_rows(model: RobotModel, states: list[RobotState], q: np.ndarray,
 def _step_rows(model: RobotModel, q: np.ndarray, dq: np.ndarray, t: float,
                inputs: np.ndarray, cfg: SimConfig, terms: DynamicsTerms | None) -> StateBatch:
     """One physics step of the rows of q and dq; one row steps on the shapes
-    of one state and comes back as a row."""
-    if len(q) > 1:
-        return step(model, StateBatch(q, dq, t), inputs, cfg, terms=terms)
-    nxt = step(model, StateBatch(q[0], dq[0], t), inputs[0], cfg, terms=terms)
-    return StateBatch(nxt.q[None], nxt.dq[None], nxt.t, nxt.failure)
+    of one state and comes back as a row. A row whose step raises a
+    LinAlgError or IllConditioned is named in the batch's ``failure`` and
+    keeps its state; when a stacked step raises, every row steps again on
+    its own, bitwise its stacked row."""
+    try:
+        if len(q) > 1:
+            return step(model, StateBatch(q, dq, t), inputs, cfg, terms=terms)
+        nxt = step(model, StateBatch(q[0], dq[0], t), inputs[0], cfg, terms=terms)
+        return StateBatch(nxt.q[None], nxt.dq[None], nxt.t, nxt.failure)
+    except _NUMERICAL as exc:
+        if len(q) == 1:
+            return StateBatch(q, dq, t + cfg.dt_physics, (_raised(exc, t),))
+    rows = [_step_rows(model, q[j:j + 1], dq[j:j + 1], t, inputs[j:j + 1], cfg,
+                       None if terms is None else terms.rows[j]) for j in range(len(q))]
+    return StateBatch(np.concatenate([row.q for row in rows]),
+                      np.concatenate([row.dq for row in rows]), t + cfg.dt_physics,
+                      tuple(row.failure[0] if row.failure else "" for row in rows))
 
 
-def _run_episodes(model, controllers, references, cfgs, stop_condition,
-                  metadata) -> list[Trajectory]:
+def _run_episodes(model, controllers, references, cfgs, stops, metadata) -> list[Trajectory]:
     if not cfgs:
         return []
     cfg = cfgs[0]
@@ -352,64 +377,51 @@ def _run_episodes(model, controllers, references, cfgs, stop_condition,
         if hasattr(controller, "reset"):
             controller.reset()
 
-    # live[j] is the episode in row j of q and dq
-    live = []
-    for i, traj in enumerate(trajs):
-        if len(traj):
-            live.append(i)
-        else:
-            _end(traj, start)
+    live = list(range(len(trajs)))   # live[j] is the episode in row j of q and dq
     q = np.tile(start.q, (len(live), 1))
     dq = np.tile(start.dq, (len(live), 1))
     t = start.t
     k = 0
-    while live:
+    while True:
+        done = {j: (RobotState(q=q[j], dq=dq[j], t=t),) for j, i in enumerate(live)
+                if len(trajs[i]) == k}
+        live, q, dq = _drop(trajs, live, done, q, dq)
+        if not live:
+            return trajs
         states = [RobotState(q=row_q, dq=row_dq, t=t) for row_q, row_dq in zip(q, dq)]
-        terms = _evaluate_rows(model, states, q, dq)
-        stay, inputs = [], []
+        try:
+            terms = _evaluate_rows(model, states, q, dq)
+        except _NUMERICAL:
+            terms = None   # each row is evaluated on its own below
+        ends, inputs = {}, np.zeros((len(live), model.m))
         for j, (i, state) in enumerate(zip(live, states)):
-            ts = state.evaluation.ts
             try:
+                if state.evaluation is None:
+                    _evaluate_rows(model, [state], q[j], dq[j])
+                ts = state.evaluation.ts
                 u, log = controllers[i].step(state, references[i])
-            except (LinAlgError, IllConditioned) as exc:
-                _end(trajs[i], state, f"{type(exc).__name__} at t={t:.6f}: {exc}", k)
+            except _NUMERICAL as exc:
+                ends[j] = (state, _raised(exc, t), k)
                 continue
             finally:
                 object.__setattr__(state, "evaluation", None)   # it points back at the state
             y_ref_k = _log_row(trajs[i], k, state, ts, references[i], u, log)
-            reason = stop_condition(state, ts.y - y_ref_k) if stop_condition else ""
+            reason = stops[i](state, ts.y - y_ref_k, log) if stops[i] else ""
             if not (reason or np.isfinite(u).all()):
                 reason = f"non-finite input at t={t:.6f}"
             if reason:
-                _end(trajs[i], state, reason, k + 1)
-            else:
-                stay.append(j)
-                inputs.append(u)
-        if len(stay) < len(live):
-            live, q, dq, terms = [live[j] for j in stay], q[stay], dq[stay], None
-        inputs = np.array(inputs)
+                ends[j] = (state, reason, k + 1)
+            inputs[j] = u
+        if ends:
+            terms = None
+        live, q, dq, inputs = _drop(trajs, live, ends, q, dq, inputs)
         for _ in range(cfg.control_decimation):
             if not live:
                 break
             nxt = _step_rows(model, q, dq, t, inputs, cfg, terms)
             terms = None
-            if nxt.failure:
-                stay = []
-                for j, reason in enumerate(nxt.failure):
-                    if reason:
-                        _end(trajs[live[j]], RobotState(q=q[j], dq=dq[j], t=t), reason, k + 1)
-                    else:
-                        stay.append(j)
-                live, inputs = [live[j] for j in stay], inputs[stay]
-                nxt = StateBatch(nxt.q[stay], nxt.dq[stay], nxt.t)
-            q, dq, t = nxt.q, nxt.dq, nxt.t
+            ends = {j: (RobotState(q=q[j], dq=dq[j], t=t), reason, k + 1)
+                    for j, reason in enumerate(nxt.failure) if reason}
+            t = nxt.t
+            live, q, dq, inputs = _drop(trajs, live, ends, nxt.q, nxt.dq, inputs)
         k += 1
-        stay = []
-        for j, i in enumerate(live):
-            if len(trajs[i]) == k:
-                _end(trajs[i], RobotState(q=q[j], dq=dq[j], t=t))
-            else:
-                stay.append(j)
-        if len(stay) < len(live):
-            live, q, dq = [live[j] for j in stay], q[stay], dq[stay]
-    return trajs

@@ -1,4 +1,8 @@
+import dataclasses
+import importlib.util
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from clfqp import experiments
 from clfqp.multibody import RobotState
 from clfqp.robots import RobotSpecFile, builtin_registry, resolve_spec
+from test_lockstep import assert_same_episode
 
 SHORT = {"t_end": 0.002}
 
@@ -105,41 +110,134 @@ class TestOneShotGrids:
             assert same_bits(a.final_state.q, b.final_state.q)
 
 
+def _workloads(monkeypatch):
+    """bench/workloads.py, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)   # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+class _ReportsInfeasible:
+    """Controller that holds zero input and reports its QP infeasible on the
+    control steps in ``rows``."""
+
+    def __init__(self, model, rows):
+        self.model, self.rows, self.k = model, set(rows), 0
+
+    def reset(self):
+        self.k = 0
+
+    def step(self, state, ref):
+        from clfqp.controllers import ControlStepLog
+
+        status = "Infeasible" if self.k in self.rows else "Optimal"
+        self.k += 1
+        u = np.zeros(self.model.m)
+        return u, ControlStepLog(u=u, mu=np.zeros(self.model.task_dim), delta=0.0, V=1.0,
+                                 Vdot=0.0, qp_status=status, solve_time=0.0,
+                                 saturated=np.zeros(self.model.m, dtype=bool))
+
+
+class _AlwaysInfeasible:
+    """Controller proxy that reports every QP it steps infeasible."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def reset(self):
+        self._inner.reset()
+
+    def step(self, state, ref):
+        u, log = self._inner.step(state, ref)
+        return u, dataclasses.replace(log, qp_status="Infeasible")
+
+
 class TestFailureDetection:
+    def log(self, status="Optimal"):
+        from clfqp.controllers import ControlStepLog
+
+        return ControlStepLog(u=np.zeros(2), mu=np.zeros(2), delta=0.0, V=1.0, Vdot=0.0,
+                              qp_status=status, solve_time=0.0,
+                              saturated=np.zeros(2, dtype=bool))
+
     def test_divergence_stop(self):
+        from clfqp.sim import SimConfig
         from toys import two_link
 
         model = two_link()
-        check = experiments._divergence_stop(model)
+        check = experiments._episode_stop(model, SimConfig())
         limit = experiments.DIVERGENCE_FACTOR * model.L
         rest = model.rest_state()
-        assert check(rest, np.array([0.0, 0.99 * limit])) == ""
-        assert check(rest, np.array([0.0, 1.01 * limit])) == "task error beyond 2L"
+        assert check(rest, np.array([0.0, 0.99 * limit]), self.log()) == ""
+        assert check(rest, np.array([0.0, 1.01 * limit]), self.log()) == "task error beyond 2L"
         at_limit = RobotState(np.zeros(2), np.array([0.0, -experiments.SPEED_LIMIT]))
-        assert check(at_limit, np.zeros(2)) == ""
+        assert check(at_limit, np.zeros(2), self.log()) == ""
         fast = RobotState(np.zeros(2), np.array([0.0, -1.01 * experiments.SPEED_LIMIT]))
-        assert check(fast, np.zeros(2)) == "joint speed beyond 1e+03 rad/s"
+        assert check(fast, np.zeros(2), self.log()) == "joint speed beyond 1e+03 rad/s"
 
     @pytest.mark.parametrize("decimation", [1, 4])
-    def test_persistent_infeasibility(self, decimation):
-        from clfqp.sim import SimConfig, _new_trajectory
+    def test_persistent_infeasibility(self, monkeypatch, decimation):
+        """A QP infeasible on every control step of INFEASIBLE_WINDOW ends the
+        episode at the step that completes the window; a shorter streak
+        does not, and a lockstep sibling is untouched."""
+        from clfqp.sim import SimConfig, run
         from toys import two_link
 
-        cfg = SimConfig(dt_physics=2.5e-3, control_decimation=decimation, t_end=3.0)
+        model = two_link()
+        cfg = SimConfig(dt_physics=1e-2, control_decimation=decimation, t_end=2.2)
         window = round(experiments.INFEASIBLE_WINDOW / (cfg.dt_physics * decimation))
-        traj = _new_trajectory(two_link(), cfg, None)
-        assert len(traj) > 2 * window + 2
+        rows = round(cfg.t_end / (cfg.dt_physics * decimation))
+        assert rows > 2 * window
+        streaks = [range(3, 3 + window - 1),                          # one short
+                   [*range(0, window - 1), *range(window, 2 * window - 1)],  # two short
+                   range(3, 3 + window),                              # one full
+                   range(rows - window, rows)]                        # full at the end
+        refs = [experiments.Reference.setpoint(np.array([0.1, -0.8]))] * len(streaks)
+        cfgs = [cfg] * len(streaks)
 
-        def scan(streaks):
-            traj.qp_status = ["Optimal"] * len(traj)
-            for start, length in streaks:
-                traj.qp_status[start:start + length] = ["Infeasible"] * length
-            return experiments._persistent_infeasibility(traj, cfg)
+        def episodes(together):
+            ctrls = [_ReportsInfeasible(model, streak) for streak in streaks]
+            stops = [experiments._episode_stop(model, cfg) for cfg in cfgs]
+            if together:
+                return run(model, ctrls, refs, cfgs, stops)
+            return [run(model, *args) for args in zip(ctrls, refs, cfgs, stops)]
 
-        assert scan([(3, window - 1)]) == ""
-        assert scan([(0, window - 1), (window, window - 1)]) == ""
-        assert scan([(3, window)]) == "QP infeasible for more than 1 s"
-        assert scan([(len(traj) - window, window)]) == "QP infeasible for more than 1 s"
+        trajs = episodes(together=True)
+        for got, want in zip(trajs, episodes(together=False)):
+            assert_same_episode(got, want)
+        reason = "QP infeasible for more than 1 s"
+        assert [t.failure_reason for t in trajs] == ["", "", reason, reason]
+        assert [len(t) for t in trajs] == [rows, rows, 3 + window, rows]
+        assert trajs[2].qp_status[-window:] == ["Infeasible"] * window
+        assert trajs[2].final_state.t == trajs[2].t[-1]
+        episode = experiments.EpisodeResult(0.0, trajs[2], 0.0, True, trajs[2].failure_reason)
+        assert _workloads(monkeypatch).failure_code(episode) == "qp_infeasible"
+
+    def test_suite_stops_each_episode_on_its_own(self, monkeypatch):
+        """The suites give each episode its own stop: one that stays
+        infeasible ends alone, and its sibling is the one a suite call of
+        its own gives."""
+        make = experiments.make_controller
+        made = []
+
+        def make_controller(name, model, gains):
+            made.append(make(name, model, gains))
+            return _AlwaysInfeasible(made[-1]) if len(made) == 2 else made[-1]
+
+        monkeypatch.setattr(experiments, "make_controller", make_controller)
+        monkeypatch.setattr(experiments, "INFEASIBLE_WINDOW", 0.04)   # 10 control steps
+        overrides = {"t_end": 0.06, "control_decimation": 4}
+        grid = experiments.THETA_GRID[:2]
+        summary, (ok, stopped) = experiments.setpoint_suite("finger", "ic", thetas=grid,
+                                                            sim_overrides=overrides)
+        assert not ok.failed and stopped.failure_reason.startswith("QP infeasible for more")
+        assert (len(ok), len(stopped)) == (15, 10)
+        _, (alone,) = experiments.setpoint_suite("finger", "ic", thetas=grid[:1],
+                                                 sim_overrides=overrides)
+        assert_same_episode(ok, alone)
 
 
 class TestReach:
@@ -293,6 +391,32 @@ class TestSimSection:
         assert code == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == f"validation error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_t_end_in_spec_is_validation_error(self, tmp_path, capsys):
+        from clfqp import cli
+        from clfqp.robots import ValidationError
+
+        path = self.spec_with_sim(tmp_path, ["dt_physics: 1.0e-3", "t_end: 0.5"])
+        message = f"{path}: sim.t_end is set by the experiment, not by the spec"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            experiments.sim_config_for(path, 1.0)
+        code = cli.main(["run", "--robot", path, "--controller", "ic", "--experiment",
+                         "tracking", "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_t_end_override_still_sets_every_episode(self, tmp_path):
+        from clfqp import cli
+
+        assert experiments.sim_config_for("finger", 1.0, {"t_end": 0.5}).t_end == 0.5
+        out = tmp_path / "out"
+        code = cli.main(["run", "--robot", "finger", "--controller", "ic", "--experiment",
+                         "tracking", "--set", "sim.t_end=0.002", "--out", str(out)])
+        assert code == cli.EXIT_OK
+        files = sorted(out.glob("*.csv"))
+        assert len(files) == len(experiments.OMEGA_GRID)
+        assert [len(experiments.read_trajectory_csv(f)["t"]) for f in files] == [2] * 5
 
     def test_unknown_override_key_is_validation_error(self):
         from clfqp.robots import ValidationError

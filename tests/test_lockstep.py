@@ -9,7 +9,7 @@ import pytest
 from numpy.linalg import LinAlgError
 
 from clfqp import experiments, kinematics, multibody, sim
-from clfqp.controllers import CONTROLLER_NAMES, evaluate, make_controller
+from clfqp.controllers import CONTROLLER_NAMES, ControlStepLog, evaluate, make_controller
 from clfqp.experiments import EllipseParams, setpoint_reference
 from clfqp.kinematics import task_state
 from clfqp.linalg import SvdFailure
@@ -22,6 +22,8 @@ from toys import ball_chain, two_link
 MODELS = ["finger", "helix", "spirob", "ball_chain", "two_link"]
 ROBOTS = ["finger", "helix", "spirob"]
 LOGGED = ("t", "q", "dq", "y", "dy", "y_ref", "u", "mu", "delta", "V", "Vdot", "saturated")
+# An input inside finger's box, in every entry, that marks a row.
+MARKER = 0.015625
 # Sweep rates whose two-cycle episodes last 5, 4 and 2 control steps at 1 kHz.
 UNEQUAL_OMEGAS = tuple(w * np.pi for w in (800.0, 1000.0, 2000.0))
 
@@ -279,12 +281,15 @@ class TestLockstepEndings:
     def controllers(self, name="ic"):
         return [make_controller(name, self.model, self.gains[name]) for _ in self.refs]
 
-    def compare(self, make, cfgs, stop=None):
+    def compare(self, make, cfgs, make_stops=lambda: None):
+        """Run the episodes in lockstep and one by one, each with fresh
+        controllers and stop conditions, and check that they agree."""
         metas = [{"episode": i} for i in range(len(cfgs))]
-        together = run(self.model, make(), self.refs, cfgs, stop_condition=stop,
+        together = run(self.model, make(), self.refs, cfgs, stop_condition=make_stops(),
                        metadata=metas)
         alone = [run(self.model, c, r, cfg, stop_condition=stop, metadata=meta)
-                 for c, r, cfg, meta in zip(make(), self.refs, cfgs, metas)]
+                 for c, r, cfg, stop, meta in zip(make(), self.refs, cfgs,
+                                                  make_stops() or [None] * len(cfgs), metas)]
         for got, want in zip(together, alone):
             assert_same_episode(got, want)
         return together
@@ -296,10 +301,11 @@ class TestLockstepEndings:
         errors = sorted(np.linalg.norm(y0 - r.y_ref(0.0)) for r in self.refs)
         limit = 0.5 * (errors[1] + errors[2])
 
-        def stop(state, task_error):
+        def stop(state, task_error, log):
+            assert isinstance(log, ControlStepLog)
             return "far" if state.t > 0.0025 and np.linalg.norm(task_error) > limit else ""
 
-        trajs = self.compare(self.controllers, [cfg] * 4, stop)
+        trajs = self.compare(self.controllers, [cfg] * 4, lambda: [stop] * 4)
         assert sorted(len(t) for t in trajs) == [4, 4, 8, 8]
         assert sorted(t.failure_reason for t in trajs) == ["", "", "far", "far"]
 
@@ -358,6 +364,69 @@ class TestLockstepEndings:
         ctrls[1] = _RaiseFrom(ctrls[1], 0.0015, TypeError("not a number"))
         with pytest.raises(TypeError, match="not a number"):
             run(self.model, ctrls, self.refs, [SimConfig(t_end=0.006)] * len(ctrls))
+
+    def poison_physics_step(self, monkeypatch, error):
+        """Make the RK4 stages k2-k4 raise ``error`` for a row whose input is
+        MARKER in every entry."""
+        poison = multibody.matvec(self.model.B, np.full(self.model.m, MARKER))
+        original = multibody.accelerations
+
+        def accelerations(model, q, dq, force):
+            if (force == poison).all(-1).any():
+                raise error
+            return original(model, q, dq, force)
+
+        monkeypatch.setattr(multibody, "accelerations", accelerations)
+
+    def marked_controllers(self):
+        """ic controllers; the second commands MARKER from its third step on."""
+        ctrls = self.controllers()
+        ctrls[1] = _BlowUp(ctrls[1], from_step=2, size=MARKER)
+        return ctrls
+
+    @pytest.mark.parametrize("error", [IllConditioned("inertia matrix condition 1e+13"),
+                                       SvdFailure("gesvd did not converge"),
+                                       LinAlgError("Singular matrix")])
+    def test_numerical_error_in_physics_step_ends_its_row_only(self, monkeypatch, error):
+        self.poison_physics_step(monkeypatch, error)
+        cfg = SimConfig(t_end=0.006)
+        trajs = self.compare(self.marked_controllers, [cfg] * 4)
+        assert [t.failed for t in trajs] == [False, True, False, False]
+        assert trajs[1].failure_reason == f"{type(error).__name__} at t=0.002000: {error}"
+        assert [len(t) for t in trajs] == [6, 3, 6, 6]
+        assert trajs[1].final_state.t == trajs[1].t[-1] == 0.002
+        # the other rows are those of runs without the poisoned input
+        clean = run(self.model, self.controllers(), self.refs, [cfg] * 4,
+                    metadata=[{"episode": i} for i in range(4)])
+        for i in (0, 2, 3):
+            assert_same_episode(trajs[i], clean[i])
+
+    def test_other_errors_in_physics_step_propagate(self, monkeypatch):
+        self.poison_physics_step(monkeypatch, TypeError("not a number"))
+        with pytest.raises(TypeError, match="not a number"):
+            run(self.model, self.marked_controllers(), self.refs, [SimConfig(t_end=0.006)] * 4)
+
+    @pytest.mark.parametrize("error", [SvdFailure("gesvd did not converge"),
+                                       IllConditioned("inertia matrix condition 1e+13")])
+    def test_numerical_error_in_evaluation_ends_its_row_only(self, monkeypatch, error):
+        cfg = SimConfig(t_end=0.006)
+        poison = run(self.model, self.controllers()[1], self.refs[1], cfg).q[2]
+        original_task_state, original_evaluate = sim.task_state, sim.evaluate
+
+        def check(q):
+            if (q == poison).all(-1).any():
+                raise error
+
+        monkeypatch.setattr(sim, "task_state", lambda model, batch, **kw: (
+            check(batch.q), original_task_state(model, batch, **kw))[1])
+        monkeypatch.setattr(sim, "evaluate", lambda model, state: (
+            check(state.q), original_evaluate(model, state))[1])
+        trajs = self.compare(self.controllers, [cfg] * 4)
+        assert [t.failed for t in trajs] == [False, True, False, False]
+        assert trajs[1].failure_reason == f"{type(error).__name__} at t=0.002000: {error}"
+        assert [len(t) for t in trajs] == [6, 2, 6, 6]
+        assert trajs[1].final_state.t == 0.002
+        assert bitwise_equal(trajs[1].final_state.q, poison)
 
     def test_episode_without_rows(self):
         cfgs = [SimConfig(t_end=0.004), SimConfig(t_end=1e-4), SimConfig(t_end=0.002),
