@@ -19,8 +19,8 @@ Library layout:
   a flag, and one ``Controller`` class that runs any law by name.
 - ``robots``: benchmark robot descriptions (finger, helix, spirob) loaded
   from YAML spec files.
-- ``sim``: fixed-step integration with zero-order-hold control; the one
-  loop that runs and ends every episode, alone or in lockstep.
+- ``sim``: fixed-step zero-order-hold integration: one step over rows of
+  states that names each row's end, and the one loop over every episode.
 - ``experiments``: set-point and trajectory benchmarks, metrics, CSV export.
 - ``cli``: command-line entry point.
 """

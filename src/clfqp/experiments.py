@@ -20,8 +20,9 @@ ends every episode, each on its own: at its t_end (tracking rates differ in
 length), or failed on its stop, on a non-finite input or state, or on a
 numerical error of its own row. Each episode's stop (``_episode_stop``)
 ends it on task divergence, on joint-speed blowup, or at the control step
-that completes INFEASIBLE_WINDOW of consecutive infeasible QPs. Every
-episode is bitwise what it would be run alone.
+that completes round(INFEASIBLE_WINDOW / dt_ctrl) consecutive infeasible
+QPs, dt_ctrl the control step. Every episode is bitwise what it would be
+run alone.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ OMEGA_GRID = tuple(w * np.pi for w in (0.1, 0.2, 0.3, 0.4, 0.5))
 SETPOINT_T_END = 10.0
 DIVERGENCE_FACTOR = 2.0          # |e| beyond this multiple of L means divergence
 SPEED_LIMIT = 1e3                # rad/s; joint-space divergence guard
-INFEASIBLE_WINDOW = 1.0          # s of persistent infeasibility before failing
+INFEASIBLE_WINDOW = 1.0          # s; round(this / dt_ctrl) infeasible QPs in a row fail
 
 
 @dataclass(frozen=True)
@@ -171,8 +172,9 @@ class MetricSummary:
 
 def sim_config_for(robot, t_end: float, overrides: dict | None = None) -> SimConfig:
     """SimConfig from the robot spec's sim section plus overrides, over the
-    given t_end; an unknown key or a bad value is a ValidationError, and so
-    is a t_end in the spec: the protocol length belongs to the experiment.
+    given t_end; an unknown key or a bad value is a ValidationError naming
+    the override or the spec it came from, and so is a t_end in the spec:
+    the protocol length belongs to the experiment.
 
     Only the spec document is read; the model is not built. An explicit
     t_end override departs from the benchmark protocol and is meant for
@@ -191,14 +193,21 @@ def sim_config_for(robot, t_end: float, overrides: dict | None = None) -> SimCon
         return SimConfig(**{"t_end": t_end, **section, **overrides})
     except ValueError as exc:
         # SimConfig's messages begin with the field they reject
+        key = str(exc).partition(" ")[0]
+        if key in overrides:
+            raise ValidationError(f"override sim.{key}: {exc}") from None
         raise ValidationError(f"{spec.source or spec.name}: sim.{exc}") from None
 
 
 def _episode_stop(model: RobotModel, cfg: SimConfig):
     """Stop condition of one episode: task divergence, joint-speed blowup,
-    or a QP infeasible on every control step of INFEASIBLE_WINDOW."""
+    or a QP infeasible on round(INFEASIBLE_WINDOW / dt_ctrl) control steps
+    in a row, which ends the episode at the last of them, the reason naming
+    that count and dt_ctrl."""
     limit = DIVERGENCE_FACTOR * model.L
-    window = max(1, int(round(INFEASIBLE_WINDOW / (cfg.dt_physics * cfg.control_decimation))))
+    dt_ctrl = cfg.dt_physics * cfg.control_decimation
+    window = max(1, int(round(INFEASIBLE_WINDOW / dt_ctrl)))
+    infeasible = f"QP infeasible on {window} consecutive control steps of {dt_ctrl * 1e3:g} ms"
     streak = 0
 
     def check(state: RobotState, task_error: np.ndarray, log) -> str:
@@ -209,7 +218,7 @@ def _episode_stop(model: RobotModel, cfg: SimConfig):
         if np.abs(state.dq).max() > SPEED_LIMIT:
             return f"joint speed beyond {SPEED_LIMIT:.0e} rad/s"
         streak = streak + 1 if log.qp_status == "Infeasible" else 0
-        return f"QP infeasible for more than {INFEASIBLE_WINDOW:.0f} s" if streak >= window else ""
+        return infeasible if streak >= window else ""
 
     return check
 
@@ -249,7 +258,7 @@ def _suite(robot, controller: str, experiment: str, key: str, grid, sim_override
               key: value} for value in grid]
     controllers = [make_controller(controller, model, gains[controller]) for _ in grid]
     stops = [_episode_stop(model, cfg) for cfg in cfgs]
-    trajs = run(model, controllers, refs, cfgs, stop_condition=stops, metadata=metas)
+    trajs = run(model, controllers, refs, cfgs, stop_conditions=stops, metadata=metas)
     summary = MetricSummary(robot=model.name, controller=controller, experiment=experiment)
     for value, traj, ref in zip(grid, trajs, refs):
         score = metric(traj, ref)

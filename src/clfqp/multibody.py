@@ -29,10 +29,10 @@ and keeps only M and h, for the guarded factor and the solve.
 The recursions take leading batch axes: ``chain_pose``, ``chain_motion``,
 the mass matrix, the Newton-Euler pass, ``bias_terms`` and
 ``forward_dynamics`` accept q and dq of shape (..., n), so the states of
-several episodes (one row each) are evaluated in one pass, and without a
-leading axis they run on the shapes of one state. The passes stay the
-composite-rigid-body and Newton-Euler recursions (Featherstone, Rigid Body
-Dynamics Algorithms, 2008); only the axes they run over grow. Every row
+several episodes (one ``RobotState`` row each) are evaluated in one pass,
+and without a leading axis they run on the shapes of one state. The passes
+stay the composite-rigid-body and Newton-Euler recursions (Featherstone,
+Rigid Body Dynamics Algorithms, 2008); only the axes they run over grow. Every row
 comes out bitwise as evaluated alone: the elementwise operations, cumsum,
 the einsums and the stacked matmuls keep each row's operations and order,
 and a matrix-vector product over rows is written ``matvec(a, x)``, i.e.
@@ -105,7 +105,8 @@ class Joint:
 
 @dataclass(frozen=True)
 class RobotState:
-    """Joint positions [rad], velocities [rad/s], and time [s].
+    """Joint positions [rad], velocities [rad/s], and time [s], all finite,
+    of one state (shape (n,)) or of several at one time, as rows (..., n).
 
     ``evaluation`` may carry a ``controllers.Evaluation`` made beforehand
     for exactly this state; it is used only while its ``state`` is this very
@@ -493,8 +494,8 @@ def _inverse_dynamics_zero_qdd(pose: ChainPose, motion: ChainMotion,
 
 
 def bias_terms(model: RobotModel, state: RobotState) -> DynamicsTerms:
-    """All dynamics terms at a state: a RobotState, or any object whose q
-    and dq share a shape (..., n), stacked terms then.
+    """All dynamics terms at a state: a RobotState of one state, or of
+    stacked rows (q and dq of shape (..., n)), stacked terms then.
 
     Coriolis forces come from a Newton-Euler pass with zero acceleration and
     zero gravity, gravity from a rest pass (both in one stacked pass);

@@ -124,6 +124,26 @@ def _parse_document(text: str, source: str) -> dict:
     return data
 
 
+class _Section:
+    """Context of reading one section of a spec: a LookupError, TypeError,
+    ValueError or AttributeError raised there (a missing key, a value of the
+    wrong kind or shape) becomes a ParseError naming the source and the
+    section."""
+
+    def __init__(self, source: str, name: str):
+        self.where = f"{source}: {name}"
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if (kind is None or issubclass(kind, (ParseError, ValidationError))
+                or not issubclass(kind, (LookupError, TypeError, ValueError, AttributeError))):
+            return False
+        detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise ParseError(f"{self.where}: {detail}") from exc
+
+
 def _require(data: dict, key: str, source: str):
     if key not in data:
         raise ParseError(f"{source}: missing required field {key!r}")
@@ -149,54 +169,60 @@ def loads_robot(text: str, source: str = "<string>") -> tuple[RobotModel, dict[s
 def _build_model(data: dict, source: str) -> tuple[RobotModel, dict[str, GainSet]]:
     name = _require(data, "name", source)
     task_dim = _require(data, "task_dim", source)
-    gravity = tuple(float(v) for v in data.get("gravity", (0.0, 0.0, -9.81)))
+    with _Section(source, "gravity"):
+        gravity = tuple(float(v) for v in data.get("gravity", (0.0, 0.0, -9.81)))
 
     links = []
     for i, entry in enumerate(_require(data, "links", source)):
-        try:
+        with _Section(source, f"links[{i}]"):
             links.append(Link(mass=float(entry["mass"]),
                               com=tuple(float(v) for v in entry["com"]),
                               inertia=tuple(float(v) for v in entry["inertia"]),
                               length=float(entry["length"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{source}: links[{i}]: {exc}") from exc
 
     joints = []
     for i, entry in enumerate(_require(data, "joints", source)):
-        kind = entry.get("type")
-        if kind == "revolute":
-            axis = entry.get("axis")
-            if axis is None:
-                raise ParseError(f"{source}: joints[{i}]: revolute joint needs an axis")
-            joints.append(Joint(kind="revolute", axis=tuple(float(v) for v in axis)))
-        elif kind == "ball":
-            joints.append(Joint(kind="ball"))
-        else:
-            raise ParseError(f"{source}: joints[{i}]: unknown joint type {kind!r}")
+        with _Section(source, f"joints[{i}]"):
+            kind = entry.get("type")
+            if kind == "revolute":
+                axis = entry.get("axis")
+                if axis is None:
+                    raise ParseError(f"{source}: joints[{i}]: revolute joint needs an axis")
+                joints.append(Joint(kind="revolute", axis=tuple(float(v) for v in axis)))
+            elif kind == "ball":
+                joints.append(Joint(kind="ball"))
+            else:
+                raise ParseError(f"{source}: joints[{i}]: unknown joint type {kind!r}")
 
     n = sum(j.dofs for j in joints)
-    k_s = _per_dof_array(_require(data, "stiffness", source), n, joints, f"{source}: stiffness")
-    d_s = _per_dof_array(_require(data, "damping", source), n, joints, f"{source}: damping")
+    with _Section(source, "stiffness"):
+        k_s = _per_dof_array(_require(data, "stiffness", source), n, joints,
+                             f"{source}: stiffness")
+    with _Section(source, "damping"):
+        d_s = _per_dof_array(_require(data, "damping", source), n, joints, f"{source}: damping")
 
-    b_matrix = _expand_actuation(_require(data, "actuation", source), joints, links, source)
-    m = b_matrix.shape[1]
+    with _Section(source, "actuation"):
+        b_matrix = _expand_actuation(_require(data, "actuation", source), joints, links, source)
+        m = b_matrix.shape[1]
 
-    bounds = _require(data, "bounds", source)
-    if "symmetric" in bounds:
-        lim = float(bounds["symmetric"])
-        u_min, u_max = np.full(m, -lim), np.full(m, lim)
-    else:
-        u_min = np.asarray(bounds["min"], dtype=float)
-        u_max = np.asarray(bounds["max"], dtype=float)
+    with _Section(source, "bounds"):
+        bounds = _require(data, "bounds", source)
+        if "symmetric" in bounds:
+            lim = float(bounds["symmetric"])
+            u_min, u_max = np.full(m, -lim), np.full(m, lim)
+        else:
+            u_min = np.asarray(bounds["min"], dtype=float)
+            u_max = np.asarray(bounds["max"], dtype=float)
 
     gains = {}
     table = data.get("gains", {}) or {}
     for ctrl in CONTROLLER_NAMES:
-        row = table.get(ctrl, {})
-        unknown = set(row) - set(GAIN_DEFAULTS)
-        if unknown:
-            raise ParseError(f"{source}: gains[{ctrl}]: unknown keys {sorted(unknown)}")
-        gains[ctrl] = GainSet(**{k: float(v) for k, v in row.items()})
+        with _Section(source, f"gains[{ctrl}]"):
+            row = table.get(ctrl, {})
+            unknown = set(row) - set(GAIN_DEFAULTS)
+            if unknown:
+                raise ParseError(f"{source}: gains[{ctrl}]: unknown keys {sorted(unknown)}")
+            gains[ctrl] = GainSet(**{k: float(v) for k, v in row.items()})
 
     try:
         model = RobotModel(name=name, links=tuple(links), joints=tuple(joints),

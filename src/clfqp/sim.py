@@ -7,25 +7,27 @@ are logged at the control rate.
 ``SimConfig`` declares the simulation protocol. Its fields but the start
 state are the protocol keys (``SIM_DEFAULTS``, with their defaults): the
 only keys of a spec's ``sim`` section and of the CLI's ``--set sim.*``, and
-the keys each trajectory's metadata records.
+the keys each trajectory's metadata records. A config runs at least one
+control step: round(t_end / (dt_physics * control_decimation)) >= 1.
 
-One loop runs and ends every episode, alone or several of one model in
-lockstep (``run`` given lists: one controller, reference, config and stop
-condition per episode, the configs differing at most in t_end). An episode
+One loop runs and ends every episode: ``run`` takes lists, one controller,
+reference, config and stop condition per episode, and steps the episodes of
+one model in lockstep, the configs differing at most in t_end. An episode
 ends at its t_end, or failed, with the rows it logged and a named reason:
 on its stop condition, which sees each row it logs and that row's
 ``ControlStepLog`` (the benchmark suites stop on divergence and on a QP
 that stays infeasible); on a non-finite input or state; or on a
 LinAlgError or IllConditioned raised by its evaluation, its controller or
-its physics step. At each control step the simulator evaluates every live episode's state once and attaches the
-evaluation to a fresh ``RobotState`` (``RobotState.evaluation``), which it
-hands the episode's controller. The logged task position and velocity
-come from that evaluation, and the first physics step after the control
-update reuses its dynamics terms (RK4 stage k1, or the semi-implicit
-update), including the guarded Cholesky factor of M, so the inertia guard
-runs once per evaluated M under either integrator. An evaluation points
-back at its state, so the attachment is cleared once the controller has
-stepped, and the pair is freed without waiting for the cyclic collector.
+its physics step. At each control step the simulator evaluates every live
+episode's state once and attaches the evaluation to a fresh ``RobotState``
+(``RobotState.evaluation``), which it hands the episode's controller. The
+logged task position and velocity come from that evaluation, and the first
+physics step after the control update reuses its dynamics terms (RK4 stage
+k1, or the semi-implicit update), including the guarded Cholesky factor of
+M, so the inertia guard runs once per evaluated M under either integrator.
+An evaluation points back at its state, so the attachment is cleared once
+the controller has stepped, and the pair is freed without waiting for the
+cyclic collector.
 
 An RK4 step forms the joint force B u once. Each later stage (k2 to k4)
 is a pair of plain arrays held to the rule RobotState enforces, finite
@@ -36,12 +38,13 @@ serves as its position slope. A first stage without given terms is
 computed the same way.
 
 The states of the live episodes are the rows of one (B, n) array. Several
-rows are evaluated in one stacked chain pass and advanced in one call of
-``step``, with the inertia guard and the Cholesky solve per row; a single
-row runs on the shapes of one state, where a step costs less. Each
-controller still steps its own episode, and each episode leaves the batch
-on its own; when a stacked evaluation or step raises, its rows are redone
-one at a time, so only the row that raised ends. Stacking changes no bit of any row: matrix-vector products over rows are
+rows are evaluated in one stacked chain pass and advanced in one ``step``,
+which returns the reason each row ends on, with the inertia guard and the
+Cholesky solve per row; a single row runs on the shapes of one state, where
+a step costs less. Each controller steps its own episode, and each episode
+leaves the batch on its own: a stacked evaluation or step that raises is
+redone one row at a time (``_by_row``), so only the row that raised ends.
+Stacking changes no bit of any row: matrix-vector products over rows are
 written (A @ x[..., None])[..., 0], the form whose every row is bitwise the
 one-row A @ x, and the LAPACK calls stay per row.
 """
@@ -66,10 +69,6 @@ from .multibody import (DynamicsTerms, IllConditioned, RobotModel, RobotState, b
 INTEGRATORS = ("rk4", "semi-implicit-euler")
 
 
-class NonFinite(RuntimeError):
-    """State left the finite range; diagnostics carried in the message."""
-
-
 @dataclass(frozen=True)
 class SimConfig:
     dt_physics: float = 1e-3
@@ -89,23 +88,91 @@ class SimConfig:
             raise ValueError(f"control_decimation must be an integer of at least 1, got {steps!r}")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
+        if round(self.t_end / (self.dt_physics * steps)) < 1:
+            raise ValueError(f"t_end must give at least one control step, got {self.t_end!r}"
+                             f" with dt_physics {self.dt_physics!r} and control_decimation"
+                             f" {steps!r}")
 
 
 SIM_DEFAULTS = {f.name: f.default for f in fields(SimConfig) if f.name != "initial_state"}
 
 
-@dataclass(frozen=True)
-class StateBatch:
-    """The states of several episodes at one time: row i of q and dq, each
-    (B, n), is episode i; q and dq of shape (n,) hold one episode on the
-    shapes of one state. Entries are not checked on construction; a batch
-    returned by ``step`` names in ``failure`` the NonFinite reason of each
-    row that left the finite range ("" for the others, empty when none did)."""
+def _failures(q: np.ndarray, dq: np.ndarray, t: float) -> list[str]:
+    """The reason each stepped row of q and dq ends on, "" for a row that
+    may go on."""
+    finite = np.isfinite(q).all(-1) & np.isfinite(dq).all(-1)
+    # Abort runaway states before squared terms overflow downstream.
+    huge = np.maximum(np.abs(q).max(-1), np.abs(dq).max(-1)) > 1e12
+    if finite.all() and not huge.any():
+        return [""] * len(q)
+    return np.where(finite, np.where(huge, f"state magnitude exceeded 1e12 at t={t:.6f}", ""),
+                    f"non-finite state at t={t:.6f}").tolist()
 
-    q: np.ndarray
-    dq: np.ndarray
-    t: float = 0.0
-    failure: tuple[str, ...] = ()
+
+def _raised(exc: Exception, t: float) -> str:
+    return f"{type(exc).__name__} at t={t:.6f}: {exc}"
+
+
+_NUMERICAL = (LinAlgError, IllConditioned)
+
+
+def _by_row(call: Callable, rows: int, t: float) -> tuple:
+    """``call(None)``, one call over every row, and no reasons; if it raises
+    a LinAlgError or IllConditioned, the results of ``call(j)`` for each row
+    j alone, None where it raised, and the reason each row ends on."""
+    try:
+        return call(None), None
+    except _NUMERICAL:
+        pass
+    results, reasons = [], []
+    for j in range(rows):
+        try:
+            results.append(call(j))
+            reasons.append("")
+        except _NUMERICAL as exc:
+            results.append(None)
+            reasons.append(_raised(exc, t))
+    return results, reasons
+
+
+def step(model: RobotModel, q: np.ndarray, dq: np.ndarray, t: float, u: np.ndarray,
+         cfg: SimConfig, terms: DynamicsTerms | None = None) -> tuple:
+    """Advance the rows of q and dq, each (B, n), one physics step from time
+    t under held inputs, row j of u for row j; returns the next rows and the
+    reason each row ends on, "" for a row that goes on.
+
+    The semi-implicit integrator treats the diagonal joint damping term
+    implicitly (velocity update solves (M + dt D) v' = M v + dt (Bu - rest)),
+    which stays stable for damping far stiffer than an explicit step allows;
+    M itself still passes the inertia guard first, as in the RK4 step.
+    ``terms``, if given, are the dynamics already evaluated at the rows
+    (those of the one state for one row); the step then starts from them.
+
+    Each row comes out bitwise as it steps alone. A row ends on leaving the
+    finite range ("non-finite state at t=..." or "state magnitude exceeded
+    1e12 at t=...", t after the step) or, keeping its state, on a
+    LinAlgError or IllConditioned its step raises ("<ExceptionName> at
+    t=...: <message>", t before it). A non-finite RK4 stage state raises
+    ValueError for any row, as constructing a RobotState from it would.
+    """
+    def advance(j):
+        if j is None and len(q) > 1:
+            return _advance(model, q, dq, u, cfg, terms)
+        i = j or 0   # one row, alone or the only one, on the shapes of one state
+        row_terms = terms if len(q) == 1 or terms is None else terms.rows[i]
+        q_next, dq_next = _advance(model, q[i], dq[i], u[i], cfg, row_terms)
+        return (q_next[None], dq_next[None]) if j is None else (q_next, dq_next)
+
+    nxt, raised = _by_row(advance, len(q), t)
+    if raised is None:
+        q_next, dq_next = nxt
+        return q_next, dq_next, _failures(q_next, dq_next, t + cfg.dt_physics)
+    q_next, dq_next = q.copy(), dq.copy()   # a row that raised keeps its state
+    for j, row in enumerate(nxt):
+        if row is not None:
+            q_next[j], dq_next[j] = row
+    reasons = _failures(q_next, dq_next, t + cfg.dt_physics)
+    return q_next, dq_next, [first or reason for first, reason in zip(raised, reasons)]
 
 
 def _stage(model: RobotModel, q: np.ndarray, dq: np.ndarray, force: np.ndarray) -> np.ndarray:
@@ -116,75 +183,39 @@ def _stage(model: RobotModel, q: np.ndarray, dq: np.ndarray, force: np.ndarray) 
     return multibody.accelerations(model, q, dq, force)
 
 
-def _failures(q: np.ndarray, dq: np.ndarray, t: float):
-    """None when every row of a stepped state may go on; otherwise the
-    NonFinite reason of each row, "" for the rows that may."""
-    finite = np.isfinite(q).all(-1) & np.isfinite(dq).all(-1)
-    # Abort runaway states before squared terms overflow downstream.
-    huge = np.maximum(np.abs(q).max(-1), np.abs(dq).max(-1)) > 1e12
-    if finite.all() and not huge.any():
-        return None
-    return np.where(finite, np.where(huge, f"state magnitude exceeded 1e12 at t={t:.6f}", ""),
-                    f"non-finite state at t={t:.6f}")
-
-
-def step(model: RobotModel, state: RobotState | StateBatch, u: np.ndarray,
-         cfg: SimConfig, terms: DynamicsTerms | None = None) -> RobotState | StateBatch:
-    """Advance one physics step under a constant input.
-
-    The semi-implicit integrator treats the diagonal joint damping term
-    implicitly (velocity update solves (M + dt D) v' = M v + dt (Bu - rest)),
-    which stays stable for damping far stiffer than an explicit step allows;
-    M itself still passes the inertia guard first, as in the RK4 step.
-    ``terms``, if given, are the dynamics already evaluated at ``state``; the
-    step then starts from them instead of re-evaluating the chain.
-
-    A StateBatch advances every row at once, with one row of ``u`` per row
-    and ``terms`` stacked the same way; each row comes out bitwise as a
-    step of its own would give it. A row leaving the finite range raises no
-    NonFinite but is named in the returned batch's ``failure``; a non-finite
-    RK4 stage state raises ValueError for any row, as a RobotState would.
-    """
+def _advance(model: RobotModel, q: np.ndarray, dq: np.ndarray, u: np.ndarray,
+             cfg: SimConfig, terms: DynamicsTerms | None) -> tuple[np.ndarray, np.ndarray]:
+    """The next q and dq of one physics step, for q and dq of shape (..., n)."""
     dt = cfg.dt_physics
-    q, dq = state.q, state.dq
     if cfg.integrator == "semi-implicit-euler":
         if terms is None:
-            terms = bias_terms(model, state)
+            terms = bias_terms(model, RobotState(q, dq))
         terms.factor  # inertia guard on M; the update below solves with M + dt D
         rest = terms.c_vec + terms.k_vec + terms.g_vec
         lhs = terms.M + dt * np.diag(model.D_s)
         rhs = matvec(terms.M, dq) + dt * (matvec(model.B, u) - rest)
         dq_next = solve(lhs, rhs[..., None])[..., 0]
-        q_next = q + dt * dq_next
-    else:
-        # Stage j's velocity is also its position slope k_jq (k_1q = dq).
-        force = matvec(model.B, np.asarray(u, dtype=float))
-        k1d = (multibody.accelerations(model, q, dq, force) if terms is None
-               else multibody.solve_inertia(terms, force - terms.h))
-        k2q = dq + 0.5 * dt * k1d
-        k2d = _stage(model, q + 0.5 * dt * dq, k2q, force)
-        k3q = dq + 0.5 * dt * k2d
-        k3d = _stage(model, q + 0.5 * dt * k2q, k3q, force)
-        k4q = dq + dt * k3d
-        k4d = _stage(model, q + dt * k3q, k4q, force)
-        q_next = q + dt / 6.0 * (dq + 2.0 * k2q + 2.0 * k3q + k4q)
-        dq_next = dq + dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-    t_next = state.t + dt
-    failures = _failures(q_next, dq_next, t_next)
-    if isinstance(state, StateBatch):
-        return StateBatch(q_next, dq_next, t_next,
-                          () if failures is None else tuple(failures.reshape(-1).tolist()))
-    if failures is not None:
-        raise NonFinite(str(failures))
-    return RobotState(q=q_next, dq=dq_next, t=t_next)
+        return q + dt * dq_next, dq_next
+    # Stage j's velocity is also its position slope k_jq (k_1q = dq).
+    force = matvec(model.B, np.asarray(u, dtype=float))
+    k1d = (multibody.accelerations(model, q, dq, force) if terms is None
+           else multibody.solve_inertia(terms, force - terms.h))
+    k2q = dq + 0.5 * dt * k1d
+    k2d = _stage(model, q + 0.5 * dt * dq, k2q, force)
+    k3q = dq + 0.5 * dt * k2d
+    k3d = _stage(model, q + 0.5 * dt * k2q, k3q, force)
+    k4q = dq + dt * k3d
+    k4d = _stage(model, q + dt * k3q, k4q, force)
+    return (q + dt / 6.0 * (dq + 2.0 * k2q + 2.0 * k3q + k4q),
+            dq + dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d))
 
 
 @dataclass
 class Trajectory:
     """Control-rate log of a run, as flat arrays plus lazy views.
 
-    Rows sit on a uniform control-time grid; ``final_state`` holds the
-    state at termination (one physics step past the last logged row).
+    Rows sit on a uniform control-time grid; ``final_state``, set on every
+    trajectory ``run`` returns, holds the state the episode ended at.
     """
 
     model: RobotModel
@@ -210,51 +241,41 @@ class Trajectory:
     def __len__(self) -> int:
         return self.t.shape[0]
 
-    def state(self, i: int) -> RobotState:
-        return RobotState(q=self.q[i], dq=self.dq[i], t=float(self.t[i]))
-
     def final_task_position(self) -> np.ndarray:
         from .kinematics import forward_kinematics
 
-        state = self.final_state if self.final_state is not None else self.state(len(self) - 1)
-        return forward_kinematics(self.model, state.q)[task_rows(self.model)]
+        return forward_kinematics(self.model, self.final_state.q)[task_rows(self.model)]
 
 
 # The Trajectory columns with one entry per logged row
 _ROWS = ("t", "q", "dq", "y", "dy", "y_ref", "u", "mu", "delta", "V", "Vdot", "qp_status",
          "solve_time", "saturated")
-_NUMERICAL = (LinAlgError, IllConditioned)
 
 
-def run(model: RobotModel, controller, reference: Reference, cfg: SimConfig,
-        stop_condition: Callable[[RobotState, np.ndarray, ControlStepLog], str] | None = None,
-        metadata: dict | None = None) -> Trajectory:
-    """Simulate the closed loop until t_end or failure.
+def run(model: RobotModel, controllers: list, references: list[Reference],
+        cfgs: list[SimConfig], stop_conditions: list | None = None,
+        metadata: list | None = None) -> list[Trajectory]:
+    """Simulate the closed loops of episodes of one model in lockstep, each
+    until its t_end or failure; returns their trajectories, each bitwise
+    what the episode run alone gives. Each episode has one controller,
+    reference and config (the configs differ at most in t_end), and a stop
+    condition and a metadata dict, or None.
 
-    ``stop_condition(state, task_error, log)`` is called for every row the
-    episode logs, with its state, task error y - y_ref and ControlStepLog;
-    a reason it returns ends the episode failed at that row. A non-finite
-    input ends it keeping that row, unapplied ("non-finite input at
-    t=..."). A LinAlgError (``linalg.SvdFailure`` among them) or
-    IllConditioned ends it with the rows logged before ("<ExceptionName> at
-    t=...: <message>", t that of the control step or of the physics step's
-    start); any other exception propagates.
-
-    Given lists of controllers, references and configs (and lists of stop
-    conditions and metadata dicts, or None), ``run`` steps those episodes in
-    lockstep and returns the list of their trajectories, each bitwise the
-    one a run of its own gives; the configs may differ only in t_end.
+    ``stop(state, task_error, log)`` is called for every row its episode
+    logs, with its state, task error y - y_ref and ControlStepLog; a reason
+    it returns ends the episode failed at that row. A non-finite input ends
+    it keeping that row, unapplied ("non-finite input at t=..."). A
+    LinAlgError (``linalg.SvdFailure`` among them) or IllConditioned ends it
+    with the rows logged before ("<ExceptionName> at t=...: <message>", t
+    that of the control step or of the physics step's start); any other
+    exception propagates.
     """
-    if not isinstance(controller, (list, tuple)):
-        return _run_episodes(model, [controller], [reference], [cfg], [stop_condition],
-                             [metadata])[0]
-    stop_condition = [None] * len(controller) if stop_condition is None else stop_condition
-    metadata = [None] * len(controller) if metadata is None else metadata
-    if not (len(controller) == len(reference) == len(cfg) == len(stop_condition)
-            == len(metadata)):
+    n = len(controllers)
+    stop_conditions, metadata = stop_conditions or [None] * n, metadata or [None] * n
+    if not len(references) == len(cfgs) == len(stop_conditions) == len(metadata) == n:
         raise ValueError("need one reference, config, stop condition and metadata entry "
                          "per controller")
-    return _run_episodes(model, controller, reference, cfg, stop_condition, metadata)
+    return _run_episodes(model, controllers, references, cfgs, stop_conditions, metadata)
 
 
 def _new_trajectory(model: RobotModel, cfg: SimConfig, metadata: dict | None) -> Trajectory:
@@ -305,10 +326,6 @@ def _end(traj: Trajectory, final_state: RobotState, reason: str = "",
     return traj
 
 
-def _raised(exc: Exception, t: float) -> str:
-    return f"{type(exc).__name__} at t={t:.6f}: {exc}"
-
-
 def _drop(trajs: list[Trajectory], live: list[int], ends: dict, *rows: np.ndarray):
     """End the episodes of the rows in ``ends`` (row j -> the final state,
     reason and rows kept that ``_end`` takes) and return ``live`` and each
@@ -322,45 +339,29 @@ def _drop(trajs: list[Trajectory], live: list[int], ends: dict, *rows: np.ndarra
 
 
 def _evaluate_rows(model: RobotModel, states: list[RobotState], q: np.ndarray,
-                   dq: np.ndarray) -> DynamicsTerms:
+                   dq: np.ndarray, t: float) -> tuple:
     """Evaluate the states in the rows of q and dq and attach to each state
-    its evaluation; returns the terms the first physics step starts from.
-    One row is evaluated on the shapes of one state, several in one stacked
-    pass whose per-row factors are those of the attached evaluations."""
-    if len(states) == 1:
-        ev = evaluate(model, states[0])
-        object.__setattr__(states[0], "evaluation", ev)
-        return ev.terms
-    batch = StateBatch(q, dq)
-    terms = bias_terms(model, batch)
-    ts = task_state(model, batch, pose=terms.pose, motion=terms.motion)
-    for state, row_terms, *row_ts in zip(states, terms.rows, ts.y, ts.dy, ts.J, ts.dJ,
-                                         ts.N, ts.J_pinv):
-        ev = Evaluation(state=state, terms=row_terms, ts=TaskState(*row_ts), model=model)
-        object.__setattr__(state, "evaluation", ev)
-    return terms
+    its evaluation; returns the terms the first physics step starts from
+    (None if the rows were redone one by one) and the reason each row ends
+    on. One row is evaluated on the shapes of one state, several in one
+    stacked pass whose per-row factors are those of the evaluations."""
+    def attach(j):
+        if j is not None or len(states) == 1:
+            state = states[j or 0]
+            ev = evaluate(model, state)
+            object.__setattr__(state, "evaluation", ev)
+            return ev.terms
+        rows = RobotState(q, dq)
+        terms = bias_terms(model, rows)
+        ts = task_state(model, rows, pose=terms.pose, motion=terms.motion)
+        for state, row_terms, *row_ts in zip(states, terms.rows, ts.y, ts.dy, ts.J, ts.dJ,
+                                             ts.N, ts.J_pinv):
+            ev = Evaluation(state=state, terms=row_terms, ts=TaskState(*row_ts), model=model)
+            object.__setattr__(state, "evaluation", ev)
+        return terms
 
-
-def _step_rows(model: RobotModel, q: np.ndarray, dq: np.ndarray, t: float,
-               inputs: np.ndarray, cfg: SimConfig, terms: DynamicsTerms | None) -> StateBatch:
-    """One physics step of the rows of q and dq; one row steps on the shapes
-    of one state and comes back as a row. A row whose step raises a
-    LinAlgError or IllConditioned is named in the batch's ``failure`` and
-    keeps its state; when a stacked step raises, every row steps again on
-    its own, bitwise its stacked row."""
-    try:
-        if len(q) > 1:
-            return step(model, StateBatch(q, dq, t), inputs, cfg, terms=terms)
-        nxt = step(model, StateBatch(q[0], dq[0], t), inputs[0], cfg, terms=terms)
-        return StateBatch(nxt.q[None], nxt.dq[None], nxt.t, nxt.failure)
-    except _NUMERICAL as exc:
-        if len(q) == 1:
-            return StateBatch(q, dq, t + cfg.dt_physics, (_raised(exc, t),))
-    rows = [_step_rows(model, q[j:j + 1], dq[j:j + 1], t, inputs[j:j + 1], cfg,
-                       None if terms is None else terms.rows[j]) for j in range(len(q))]
-    return StateBatch(np.concatenate([row.q for row in rows]),
-                      np.concatenate([row.dq for row in rows]), t + cfg.dt_physics,
-                      tuple(row.failure[0] if row.failure else "" for row in rows))
+    terms, raised = _by_row(attach, len(states), t)
+    return (terms, [""] * len(states)) if raised is None else (None, raised)
 
 
 def _run_episodes(model, controllers, references, cfgs, stops, metadata) -> list[Trajectory]:
@@ -389,22 +390,20 @@ def _run_episodes(model, controllers, references, cfgs, stops, metadata) -> list
         if not live:
             return trajs
         states = [RobotState(q=row_q, dq=row_dq, t=t) for row_q, row_dq in zip(q, dq)]
-        try:
-            terms = _evaluate_rows(model, states, q, dq)
-        except _NUMERICAL:
-            terms = None   # each row is evaluated on its own below
+        terms, reasons = _evaluate_rows(model, states, q, dq, t)
         ends, inputs = {}, np.zeros((len(live), model.m))
-        for j, (i, state) in enumerate(zip(live, states)):
-            try:
-                if state.evaluation is None:
-                    _evaluate_rows(model, [state], q[j], dq[j])
-                ts = state.evaluation.ts
-                u, log = controllers[i].step(state, references[i])
-            except _NUMERICAL as exc:
-                ends[j] = (state, _raised(exc, t), k)
+        for j, (i, state, reason) in enumerate(zip(live, states, reasons)):
+            if not reason:
+                try:
+                    ts = state.evaluation.ts
+                    u, log = controllers[i].step(state, references[i])
+                except _NUMERICAL as exc:
+                    reason = _raised(exc, t)
+                finally:
+                    object.__setattr__(state, "evaluation", None)   # it points back at the state
+            if reason:
+                ends[j] = (state, reason, k)
                 continue
-            finally:
-                object.__setattr__(state, "evaluation", None)   # it points back at the state
             y_ref_k = _log_row(trajs[i], k, state, ts, references[i], u, log)
             reason = stops[i](state, ts.y - y_ref_k, log) if stops[i] else ""
             if not (reason or np.isfinite(u).all()):
@@ -418,10 +417,10 @@ def _run_episodes(model, controllers, references, cfgs, stops, metadata) -> list
         for _ in range(cfg.control_decimation):
             if not live:
                 break
-            nxt = _step_rows(model, q, dq, t, inputs, cfg, terms)
+            q_next, dq_next, reasons = step(model, q, dq, t, inputs, cfg, terms)
             terms = None
             ends = {j: (RobotState(q=q[j], dq=dq[j], t=t), reason, k + 1)
-                    for j, reason in enumerate(nxt.failure) if reason}
-            t = nxt.t
-            live, q, dq, inputs = _drop(trajs, live, ends, nxt.q, nxt.dq, inputs)
+                    for j, reason in enumerate(reasons) if reason}
+            t += cfg.dt_physics
+            live, q, dq, inputs = _drop(trajs, live, ends, q_next, dq_next, inputs)
         k += 1

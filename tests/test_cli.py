@@ -174,7 +174,8 @@ class TestFailedConvergence:
 
 class TestBadSimOverride:
     @pytest.mark.parametrize("pair", ["sim.t_end=-1", "sim.integrator=euler",
-                                      "sim.dt_physics=nan", "sim.t_end=inf"])
+                                      "sim.dt_physics=nan", "sim.t_end=inf",
+                                      "sim.t_end=0.0004"])
     def test_exits_as_validation_error_naming_the_key(self, pair, tmp_path, capsys):
         from clfqp import cli
 
@@ -213,6 +214,27 @@ class TestUnknownSpecKey:
         path = tmp_path / "finger.yaml"
         assert cli.main(["export-spec", "--robot", "finger", "--out", str(path)]) == 0
         path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = cli.main(["run", "--robot", str(path), "--controller", "ic",
+                         "--experiment", "setpoint", "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_VALIDATION == 65
+        assert capsys.readouterr().err == f"validation error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+class TestMalformedSpecValue:
+    @pytest.mark.parametrize("old,new,message", [
+        ("symmetric: 1.0", "symmetric: abc", "bounds: could not convert string to float: 'abc'"),
+        ("symmetric: 1.0", "min: [-1.0, -1.0]", "bounds: missing 'max'")])
+    def test_exits_as_validation_error_naming_spec_and_section(self, old, new, message,
+                                                               tmp_path, capsys):
+        from clfqp import cli
+
+        path = tmp_path / "f.yaml"
+        assert cli.main(["export-spec", "--robot", "finger", "--out", str(path)]) == 0
+        text = path.read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new), encoding="utf-8")
         capsys.readouterr()
         code = cli.main(["run", "--robot", str(path), "--controller", "ic",
                          "--experiment", "setpoint", "--out", str(tmp_path / "out")])

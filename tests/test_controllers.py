@@ -332,7 +332,7 @@ class TestImpedance:
         ctrl = make_controller("ic", model, gset(kp=100.0))
         cfg = SimConfig(t_end=2.0,
                         initial_state=RobotState(np.array([0.3, -0.2]), np.zeros(2)))
-        traj = run(model, ctrl, ref, cfg)
+        (traj,) = run(model, [ctrl], [ref], [cfg])
         err = np.linalg.norm(traj.y - traj.y_ref, axis=1)
         e0 = err[0]
         assert err[-1] < 1e-4
@@ -531,7 +531,7 @@ class TestControllerObjects:
         finals = {}
         for name in ("clf-qp", "soft-id-clf-qp"):
             ctrl = make_controller(name, model, g)
-            traj = run(model, ctrl, ref, SimConfig(t_end=2.0, initial_state=start))
+            (traj,) = run(model, [ctrl], [ref], [SimConfig(t_end=2.0, initial_state=start)])
             assert not traj.failed
             finals[name] = traj.final_task_position()
         assert np.linalg.norm(finals["clf-qp"] - finals["soft-id-clf-qp"]) < 1e-4

@@ -203,15 +203,21 @@ class TestFailureDetection:
             stops = [experiments._episode_stop(model, cfg) for cfg in cfgs]
             if together:
                 return run(model, ctrls, refs, cfgs, stops)
-            return [run(model, *args) for args in zip(ctrls, refs, cfgs, stops)]
+            return [run(model, *([arg] for arg in args))[0]
+                    for args in zip(ctrls, refs, cfgs, stops)]
 
         trajs = episodes(together=True)
         for got, want in zip(trajs, episodes(together=False)):
             assert_same_episode(got, want)
-        reason = "QP infeasible for more than 1 s"
+        # the reason names what was counted: window rows, each infeasible
+        reason = f"QP infeasible on {window} consecutive control steps of {10 * decimation} ms"
         assert [t.failure_reason for t in trajs] == ["", "", reason, reason]
         assert [len(t) for t in trajs] == [rows, rows, 3 + window, rows]
         assert trajs[2].qp_status[-window:] == ["Infeasible"] * window
+        assert trajs[2].qp_status[-window - 1] != "Infeasible"
+        # the boundary row lies (window - 1) control steps after the first
+        dt_ctrl = cfg.dt_physics * decimation
+        assert round((trajs[2].t[-1] - trajs[2].t[-window]) / dt_ctrl) == window - 1
         assert trajs[2].final_state.t == trajs[2].t[-1]
         episode = experiments.EpisodeResult(0.0, trajs[2], 0.0, True, trajs[2].failure_reason)
         assert _workloads(monkeypatch).failure_code(episode) == "qp_infeasible"
@@ -233,7 +239,8 @@ class TestFailureDetection:
         grid = experiments.THETA_GRID[:2]
         summary, (ok, stopped) = experiments.setpoint_suite("finger", "ic", thetas=grid,
                                                             sim_overrides=overrides)
-        assert not ok.failed and stopped.failure_reason.startswith("QP infeasible for more")
+        assert not ok.failed and stopped.failure_reason == (
+            "QP infeasible on 10 consecutive control steps of 4 ms")
         assert (len(ok), len(stopped)) == (15, 10)
         _, (alone,) = experiments.setpoint_suite("finger", "ic", thetas=grid[:1],
                                                  sim_overrides=overrides)

@@ -15,7 +15,7 @@ from clfqp.kinematics import task_state
 from clfqp.linalg import SvdFailure
 from clfqp.multibody import IllConditioned, RobotState, bias_terms, forward_dynamics
 from clfqp.robots import builtin_registry
-from clfqp.sim import SimConfig, StateBatch, run
+from clfqp.sim import SimConfig, run
 
 from toys import ball_chain, two_link
 
@@ -80,7 +80,7 @@ class TestStackedEvaluation:
         model = load_model(name)
         q, dq = random_rows(model, rows, seed=3)
         u = np.random.default_rng(4).standard_normal((rows, model.m))
-        batch = StateBatch(q, dq)
+        batch = RobotState(q, dq)
         terms = bias_terms(model, batch)
         ts = task_state(model, batch, pose=terms.pose, motion=terms.motion)
         qdd = forward_dynamics(model, batch, u, terms=terms)
@@ -103,17 +103,22 @@ class TestStackedEvaluation:
     def test_two_leading_axes(self, name):
         model = load_model(name)
         q, dq = random_rows(model, 6, seed=14)
-        grid = bias_terms(model, StateBatch(q.reshape(2, 3, -1), dq.reshape(2, 3, -1)))
-        flat = bias_terms(model, StateBatch(q, dq))
+        grid = bias_terms(model, RobotState(q.reshape(2, 3, -1), dq.reshape(2, 3, -1)))
+        flat = bias_terms(model, RobotState(q, dq))
         for f in ("M", "c_vec", "d_vec", "k_vec", "g_vec"):
             got = getattr(grid, f)
             assert bitwise_equal(got.reshape((6,) + got.shape[2:]), getattr(flat, f)), f
 
     def test_stacked_factor_is_the_rows_factors(self):
         model = load_model("finger")
-        terms = bias_terms(model, StateBatch(*random_rows(model, 3, seed=5)))
+        terms = bias_terms(model, RobotState(*random_rows(model, 3, seed=5)))
         assert [f is r.factor for f, r in zip(terms.factor, terms.rows)] == [True] * 3
         assert terms.rows is terms.rows
+
+
+def step_alone(model, q, dq, t, u, cfg, i):
+    """sim.step of row i alone, on the shapes of one state."""
+    return sim.step(model, q[i:i + 1], dq[i:i + 1], t, u[i:i + 1], cfg)
 
 
 class TestStackedStep:
@@ -124,14 +129,13 @@ class TestStackedStep:
         q, dq = random_rows(model, 4, seed=6)
         u = np.random.default_rng(7).standard_normal((4, model.m))
         cfg = SimConfig(integrator=integrator)
-        batch = StateBatch(q, dq, 0.125)
-        for terms in (None, bias_terms(model, batch)):
-            nxt = sim.step(model, batch, u, cfg, terms=terms)
-            assert nxt.failure == () and nxt.t == 0.125 + cfg.dt_physics
+        for terms in (None, bias_terms(model, RobotState(q, dq))):
+            q_next, dq_next, reasons = sim.step(model, q, dq, 0.125, u, cfg, terms=terms)
+            assert reasons == [""] * 4
             for i in range(4):
-                one = sim.step(model, RobotState(q[i], dq[i], 0.125), u[i], cfg)
-                assert bitwise_equal(nxt.q[i], one.q) and bitwise_equal(nxt.dq[i], one.dq)
-                assert nxt.t == one.t
+                one_q, one_dq, one_reasons = step_alone(model, q, dq, 0.125, u, cfg, i)
+                assert bitwise_equal(q_next[i], one_q[0]) and bitwise_equal(dq_next[i], one_dq[0])
+                assert one_reasons == [""]
 
     @pytest.mark.parametrize("integrator", sim.INTEGRATORS)
     def test_runaway_row_is_named_not_raised(self, integrator):
@@ -140,15 +144,13 @@ class TestStackedStep:
         u = np.zeros((3, model.m))
         u[1] = 1e12
         cfg = SimConfig(integrator=integrator)
-        nxt = sim.step(model, StateBatch(q, dq), u, cfg)
-        with pytest.raises(sim.NonFinite) as exc:
-            sim.step(model, RobotState(q[1], dq[1]), u[1], cfg)
-        assert nxt.failure == ("", str(exc.value), "")
-        one = sim.step(model, RobotState(q[2], dq[2]), u[2], cfg)
-        assert bitwise_equal(nxt.q[2], one.q)
+        q_next, dq_next, reasons = sim.step(model, q, dq, 0.125, u, cfg)
         # one episode on the shapes of one state names its failure once
-        alone = sim.step(model, StateBatch(q[1], dq[1]), u[1], cfg)
-        assert alone.failure == (str(exc.value),)
+        _, _, alone = step_alone(model, q, dq, 0.125, u, cfg, 1)
+        assert alone == [f"state magnitude exceeded 1e12 at t={0.125 + cfg.dt_physics:.6f}"]
+        assert reasons == ["", alone[0], ""]
+        one_q, _, _ = step_alone(model, q, dq, 0.125, u, cfg, 2)
+        assert bitwise_equal(q_next[2], one_q[0])
 
     def test_non_finite_row_is_named(self):
         model = load_model("finger")
@@ -156,8 +158,40 @@ class TestStackedStep:
         u = np.zeros((2, model.m))
         u[0] = 1e308
         cfg = SimConfig(integrator="semi-implicit-euler")
-        nxt = sim.step(model, StateBatch(q, dq), u, cfg)
-        assert nxt.failure == (f"non-finite state at t={cfg.dt_physics:.6f}", "")
+        _, _, reasons = sim.step(model, q, dq, 0.0, u, cfg)
+        assert reasons == [f"non-finite state at t={cfg.dt_physics:.6f}", ""]
+
+    @pytest.mark.parametrize("given_terms", [False, True])
+    @pytest.mark.parametrize("integrator", sim.INTEGRATORS)
+    def test_raising_row_is_named_the_others_step_alone(self, monkeypatch, integrator,
+                                                        given_terms):
+        # The guard of the middle row's first-stage M runs with COND_LIMIT
+        # lowered, so that row's step raises IllConditioned, stacked or
+        # alone; the stacked step is redone row by row, names that row and
+        # keeps its state, and every other row is bitwise its one-row step.
+        model = load_model("finger")
+        q, dq = random_rows(model, 3, seed=15)
+        u = np.random.default_rng(16).uniform(-0.5, 0.5, (3, model.m))
+        cfg = SimConfig(integrator=integrator)
+        clean = [step_alone(model, q, dq, 0.125, u, cfg, i) for i in (0, 2)]
+        terms = bias_terms(model, RobotState(q, dq)) if given_terms else None
+        marked = bias_terms(model, RobotState(q[1], dq[1])).M
+        original = multibody.factor_inertia
+
+        def factor_inertia(mass):
+            with monkeypatch.context() as patch:
+                if bitwise_equal(mass, marked):
+                    patch.setattr(multibody, "COND_LIMIT", 1.0)
+                return original(mass)
+
+        monkeypatch.setattr(multibody, "factor_inertia", factor_inertia)
+        q_next, dq_next, reasons = sim.step(model, q, dq, 0.125, u, cfg, terms=terms)
+        assert reasons[0] == reasons[2] == ""
+        assert reasons[1].startswith("IllConditioned at t=0.125000: inertia matrix condition ")
+        assert reasons[1].endswith(" exceeds 1e+00")
+        assert bitwise_equal(q_next[1], q[1]) and bitwise_equal(dq_next[1], dq[1])
+        for i, (one_q, one_dq, _) in zip((0, 2), clean):
+            assert bitwise_equal(q_next[i], one_q[0]) and bitwise_equal(dq_next[i], one_dq[0])
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_non_finite_stage_raises_like_a_state(self, rows):
@@ -169,9 +203,7 @@ class TestStackedStep:
         u[-1] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match="state entries must be finite"):
-                sim.step(model, RobotState(q[-1], dq[-1]), u[-1], SimConfig())
-            with pytest.raises(ValueError, match="state entries must be finite"):
-                sim.step(model, StateBatch(q, dq), u, SimConfig())
+                sim.step(model, q, dq, 0.0, u, SimConfig())
 
 
 class TestAttachedEvaluation:
@@ -285,9 +317,9 @@ class TestLockstepEndings:
         """Run the episodes in lockstep and one by one, each with fresh
         controllers and stop conditions, and check that they agree."""
         metas = [{"episode": i} for i in range(len(cfgs))]
-        together = run(self.model, make(), self.refs, cfgs, stop_condition=make_stops(),
+        together = run(self.model, make(), self.refs, cfgs, stop_conditions=make_stops(),
                        metadata=metas)
-        alone = [run(self.model, c, r, cfg, stop_condition=stop, metadata=meta)
+        alone = [run(self.model, [c], [r], [cfg], stop_conditions=[stop], metadata=[meta])[0]
                  for c, r, cfg, stop, meta in zip(make(), self.refs, cfgs,
                                                   make_stops() or [None] * len(cfgs), metas)]
         for got, want in zip(together, alone):
@@ -410,7 +442,7 @@ class TestLockstepEndings:
                                        IllConditioned("inertia matrix condition 1e+13")])
     def test_numerical_error_in_evaluation_ends_its_row_only(self, monkeypatch, error):
         cfg = SimConfig(t_end=0.006)
-        poison = run(self.model, self.controllers()[1], self.refs[1], cfg).q[2]
+        poison = run(self.model, self.controllers()[1:2], self.refs[1:2], [cfg])[0].q[2]
         original_task_state, original_evaluate = sim.task_state, sim.evaluate
 
         def check(q):
@@ -428,11 +460,13 @@ class TestLockstepEndings:
         assert trajs[1].final_state.t == 0.002
         assert bitwise_equal(trajs[1].final_state.q, poison)
 
-    def test_episode_without_rows(self):
-        cfgs = [SimConfig(t_end=0.004), SimConfig(t_end=1e-4), SimConfig(t_end=0.002),
+    def test_episode_of_one_row(self):
+        # the shortest episode a config allows logs one row
+        cfgs = [SimConfig(t_end=0.004), SimConfig(t_end=6e-4), SimConfig(t_end=0.002),
                 SimConfig(t_end=0.004)]
         trajs = self.compare(self.controllers, cfgs)
-        assert [len(t) for t in trajs] == [4, 0, 2, 4]
+        assert [len(t) for t in trajs] == [4, 1, 2, 4]
+        assert trajs[1].final_state.t == 0.001
 
     def test_no_episodes(self):
         assert run(self.model, [], [], []) == []

@@ -196,6 +196,40 @@ class TestParsing:
         assert set(yaml.safe_load(text)) == set(SPEC_KEYS)
         assert loads_robot(text)[0].n == 2
 
+    @pytest.mark.parametrize("robot,path,value,message", [
+        ("finger", ("bounds", "symmetric"), "abc",
+         "bounds: could not convert string to float: 'abc'"),
+        ("finger", ("bounds",), {"min": [-1.0, -1.0]}, "bounds: missing 'max'"),
+        ("finger", ("gains", "ic", "kp"), "abc",
+         "gains[ic]: could not convert string to float: 'abc'"),
+        ("finger", ("gains", "ic"), 3.0, "gains[ic]: 'float' object is not iterable"),
+        ("finger", ("stiffness",), ["stiff"] * 4,
+         "stiffness: could not convert string to float: 'stiff'"),
+        ("finger", ("damping",), None,
+         "damping: 'NoneType' object is not iterable"),
+        ("finger", ("actuation", "tendon_pairs"), {}, "actuation: missing 'pairs'"),
+        ("finger", ("links", 1, "mass"), "heavy",
+         "links[1]: could not convert string to float: 'heavy'"),
+        ("finger", ("joints", 0), 3, "joints[0]: 'int' object has no attribute 'get'"),
+        ("finger", ("gravity",), [0.0, "down", 0.0],
+         "gravity: could not convert string to float: 'down'"),
+        ("helix", ("actuation", "base_cables", "modules"), None,
+         "actuation: int() argument must be a string, a bytes-like object or a real number,"
+         " not 'NoneType'"),
+        ("spirob", ("actuation", "spiral_cables", "base_arm"), "x",
+         "actuation: could not convert string to float: 'x'"),
+        ("finger", ("actuation",), {"matrix": [1.0, 2.0, 3.0, 4.0]},
+         "actuation: tuple index out of range")])
+    def test_malformed_value_names_source_and_section(self, robot, path, value, message):
+        data = yaml.safe_load(builtin_registry()[robot].text)
+        *parents, last = path
+        target = data
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ParseError, match=f"^f.yaml: {re.escape(message)}$"):
+            loads_robot(yaml.safe_dump(data), source="f.yaml")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_robot(tmp_path / "nope.yaml")

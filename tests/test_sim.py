@@ -10,7 +10,7 @@ from clfqp.experiments import EllipseParams, ellipse_trajectory, sim_config_for
 from clfqp.kinematics import task_state
 from clfqp.multibody import RobotState, bias_terms, forward_dynamics
 from clfqp.robots import builtin_registry
-from clfqp.sim import SimConfig, StateBatch, run
+from clfqp.sim import SimConfig, run
 
 from oracles import rk4_step
 from toys import ball_chain, two_link
@@ -45,7 +45,9 @@ def reference_loop(model, controller, ref, cfg):
         for name in LOGGED:
             rows[name].append(values[name])
         for _ in range(cfg.control_decimation):
-            state = sim.step(model, state, u, cfg)
+            q, dq, reasons = sim.step(model, state.q[None], state.dq[None], state.t, u[None], cfg)
+            assert reasons == [""]
+            state = RobotState(q[0], dq[0], state.t + cfg.dt_physics)
     return {name: np.array(v) for name, v in rows.items()}, state
 
 
@@ -74,7 +76,8 @@ class TestSharedEvaluation:
         model, gains, ref = finger()
         cfg = SimConfig(dt_physics=1e-3, control_decimation=3, integrator=integrator,
                         t_end=0.024, initial_state=start_state(model))
-        traj = run(model, make_controller(controller, model, gains[controller]), ref, cfg)
+        (traj,) = run(model, [make_controller(controller, model, gains[controller])], [ref],
+                      [cfg])
         rows, final = reference_loop(
             model, make_controller(controller, model, gains[controller]), ref, cfg)
         assert not traj.failed and len(traj) == 8
@@ -96,13 +99,13 @@ class TestSharedEvaluation:
             assert not traj.failed and len(traj) == 10
             assert not same_bits(traj.y[0], traj.y[-1])
             for i in range(len(traj)):
-                ts = task_state(model, traj.state(i))
+                ts = task_state(model, RobotState(traj.q[i], traj.dq[i], traj.t[i]))
                 assert same_bits(traj.y[i], ts.y) and same_bits(traj.dy[i], ts.dy)
 
     def test_initial_state_gets_no_evaluation(self):
         model, gains, ref = finger()
         cfg = SimConfig(t_end=0.003, initial_state=start_state(model))
-        run(model, make_controller("ic", model, gains["ic"]), ref, cfg)
+        run(model, [make_controller("ic", model, gains["ic"])], [ref], [cfg])
         assert cfg.initial_state.evaluation is None
 
     @pytest.mark.parametrize("episodes", [1, 4])
@@ -135,7 +138,7 @@ class TestSharedEvaluation:
         monkeypatch.setattr(multibody, "chain_pose", counted)
         monkeypatch.setattr(kinematics, "chain_pose", counted)
         cfg = SimConfig(t_end=0.01, initial_state=start_state(model))
-        traj = run(model, make_controller("clf-qp", model, gains["clf-qp"]), ref, cfg)
+        (traj,) = run(model, [make_controller("clf-qp", model, gains["clf-qp"])], [ref], [cfg])
         # one evaluation shared by controller, log and RK4 k1, then k2..k4
         assert len(traj) == 10
         assert len(calls) == 4 * len(traj)
@@ -144,8 +147,8 @@ class TestSharedEvaluation:
 class TestRk4Step:
     """sim.step against the RK4 body it replaced (oracles.rk4_step), whose
     every stage ran the full forward dynamics: the same bits, signed zeros
-    included, with one state or several stacked, with or without the first
-    stage's terms given."""
+    included, for one row (stepped on the shapes of one state) or several
+    stacked, with or without the first stage's terms given."""
 
     MODELS = {"finger": None, "helix": None, "spirob": None,
               "ball_chain": ball_chain, "two_link": lambda: two_link(k_s=(0.4, 0.2),
@@ -165,41 +168,43 @@ class TestRk4Step:
         dq = 1.5 * rng.standard_normal((rows, model.n))
         dq[:, 0] = -0.0
         u = np.clip(rng.standard_normal((rows, model.m)), model.u_min, model.u_max)
-        if rows == 1:
-            q, dq, u = q[0], dq[0], u[0]
-            state = RobotState(q, dq, 0.25)
-        else:
-            state = StateBatch(q, dq, 0.25)
+        # one row's terms and oracle on the shapes of one state
+        state = RobotState(q, dq) if rows > 1 else RobotState(q[0], dq[0])
+        held = u if rows > 1 else u[0]
         cfg = SimConfig(dt_physics=2e-3)
         terms = bias_terms(model, state) if given_terms else None
-        nxt = sim.step(model, state, u, cfg, terms=terms)
+        q_next, dq_next, reasons = sim.step(model, q, dq, 0.25, u, cfg, terms=terms)
         want_q, want_dq = rk4_step(
-            lambda qq, dd: forward_dynamics(model, StateBatch(qq, dd), u), q, dq, 2e-3)
-        assert type(nxt) is type(state) and nxt.t == 0.25 + 2e-3
-        assert same_bits(nxt.q, want_q) and same_bits(nxt.dq, want_dq)
+            lambda qq, dd: forward_dynamics(model, RobotState(qq, dd), held), state.q, state.dq,
+            2e-3)
+        assert reasons == [""] * rows
+        assert same_bits(q_next, want_q.reshape(q.shape))
+        assert same_bits(dq_next, want_dq.reshape(dq.shape))
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_every_stage_m_is_guarded(self, monkeypatch, rows):
         # the first stage's factor is given with its terms; k2..k4 each
         # guard their own M, one factor_inertia call per row, and with the
-        # limit lowered the second stage's M is rejected
+        # limit lowered the second stage's M is rejected: first the stacked
+        # stage's first row, then each row's stage alone, every row named
         model = self.model("two_link")
         q, dq = np.full((rows, model.n), 0.2), np.zeros((rows, model.n))
         u = np.zeros((rows, model.m))
-        state = StateBatch(q, dq) if rows > 1 else RobotState(q[0], dq[0])
-        u = u if rows > 1 else u[0]
-        terms = bias_terms(model, state)
+        terms = bias_terms(model, RobotState(q, dq) if rows > 1 else RobotState(q[0], dq[0]))
         terms.factor
         calls = []
         original = multibody.factor_inertia
         monkeypatch.setattr(multibody, "factor_inertia",
                             lambda mass: calls.append(mass.shape) or original(mass))
-        sim.step(model, state, u, SimConfig(), terms=terms)
+        assert sim.step(model, q, dq, 0.0, u, SimConfig(), terms=terms)[2] == [""] * rows
         assert calls == [(model.n, model.n)] * (3 * rows)
         monkeypatch.setattr(multibody, "COND_LIMIT", 1.0)
-        with pytest.raises(multibody.IllConditioned):
-            sim.step(model, state, u, SimConfig(), terms=terms)
-        assert len(calls) == 3 * rows + 1
+        q_next, dq_next, reasons = sim.step(model, q, dq, 0.0, u, SimConfig(), terms=terms)
+        assert len(calls) == 3 * rows + 1 + rows
+        assert len(reasons) == rows and all(
+            r.startswith("IllConditioned at t=0.000000: inertia matrix condition")
+            for r in reasons)
+        assert same_bits(q_next, q) and same_bits(dq_next, dq)
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_non_finite_stage_with_given_terms_raises(self, rows):
@@ -210,11 +215,10 @@ class TestRk4Step:
         dq = np.zeros((rows, model.n))
         u = np.zeros((rows, model.m))
         u[-1] = np.inf
-        state = StateBatch(q, dq) if rows > 1 else RobotState(q[0], dq[0])
-        u = u if rows > 1 else u[0]
+        terms = bias_terms(model, RobotState(q, dq) if rows > 1 else RobotState(q[0], dq[0]))
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match="state entries must be finite"):
-                sim.step(model, state, u, SimConfig(), terms=bias_terms(model, state))
+                sim.step(model, q, dq, 0.0, u, SimConfig(), terms=terms)
 
 
 class TestSimConfigValidation:
@@ -231,6 +235,20 @@ class TestSimConfigValidation:
 
     def test_numpy_integer_decimation_accepted(self):
         assert SimConfig(control_decimation=np.int64(3)).control_decimation == 3
+
+    @pytest.mark.parametrize("t_end,dt,decimation", [(4e-4, 1e-3, 1), (5e-4, 1e-3, 1),
+                                                     (1.9e-3, 1e-3, 4), (1.0, 3.0, 1)])
+    def test_t_end_without_a_control_step_names_t_end(self, t_end, dt, decimation):
+        # round(t_end / (dt_physics * control_decimation)) control steps,
+        # ties to even: an episode that would log no row is no config
+        with pytest.raises(ValueError, match="^t_end must give at least one control step, "
+                                             f"got {t_end!r} with dt_physics {dt!r}"):
+            SimConfig(t_end=t_end, dt_physics=dt, control_decimation=decimation)
+
+    @pytest.mark.parametrize("t_end,dt,decimation", [(6e-4, 1e-3, 1), (2.1e-3, 1e-3, 4),
+                                                     (2.0, 3.0, 1)])
+    def test_t_end_of_one_control_step_accepted(self, t_end, dt, decimation):
+        SimConfig(t_end=t_end, dt_physics=dt, control_decimation=decimation)
 
 
 class TestConvergenceOrder:
@@ -258,10 +276,10 @@ class TestConvergenceOrder:
         errors = []
         for steps in (16, 32, 64):
             cfg = SimConfig(dt_physics=self.HORIZON / steps, integrator=integrator)
-            state = RobotState(self.Q0, self.DQ0)
+            q, dq = self.Q0[None], self.DQ0[None]
             for _ in range(steps):
-                state = sim.step(model, state, self.U, cfg)
-            errors.append(np.max(np.abs(np.concatenate([state.q, state.dq]) - reference)))
+                q, dq, _ = sim.step(model, q, dq, 0.0, self.U[None], cfg)
+            errors.append(np.max(np.abs(np.concatenate([q[0], dq[0]]) - reference)))
         observed = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(np.abs(observed - order) < 0.15 * order), observed
 
