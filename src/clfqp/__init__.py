@@ -14,9 +14,10 @@ Library layout:
 - ``multibody`` / ``kinematics``: serial-chain dynamics and task-space maps.
 - ``clf``: quadratic Lyapunov certificate and its per-step inequality row.
 - ``controllers``: the five control laws (clf-qp, soft-id-clf-qp, ic, uic,
-  ic-qp) as per-step maps from state to bounded input: one full-body QP
-  builder with or without the Lyapunov row, one impedance step with uic as
-  a flag, and one ``Controller`` class that runs any law by name.
+  ic-qp), each a function ``law(ctrl, state, ref)`` of the ``Controller``
+  that runs it by name: one full-body QP builder with or without the
+  Lyapunov row and one impedance step, each reading which form from the
+  controller's name.
 - ``robots``: benchmark robot descriptions (finger, helix, spirob) loaded
   from YAML spec files.
 - ``sim``: fixed-step zero-order-hold integration: one step over rows of

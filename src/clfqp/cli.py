@@ -87,6 +87,12 @@ def _parse_overrides(pairs) -> tuple[dict, dict]:
 def _apply_gain_overrides(spec: RobotSpecFile, controller: str, overrides: dict) -> RobotSpecFile:
     if not overrides:
         return spec
+    for key, value in overrides.items():
+        # each gain is checked on its own, so an override is checked alone
+        try:
+            robots.GainSet(**{key: value})
+        except ValidationError as exc:
+            raise ValidationError(f"override gains.{key}: {exc}") from None
     data = dict(spec.data)
     gains = {k: dict(v) for k, v in (data.get("gains") or {}).items()}
     row = gains.setdefault(controller, {})

@@ -1,5 +1,5 @@
 """The five task-space control laws, each a per-step map from
-(model, state, reference) to a bounded input u.
+(controller, state, reference) to a bounded input u.
 
 QP-based laws:
 
@@ -18,12 +18,17 @@ Closed-form baselines (``impedance_step``):
 - ic: operational-space impedance control with full cancellation of
   stiffness, damping, and gravity, clamped to the input box.
 - uic: the same law with torque components in unactuated directions removed
-  by a null-space correction before clamping (``uic=True``).
+  by a null-space correction before clamping.
 
 One ``Controller`` class runs any of the five laws by name. It makes the
 maps that depend only on B, and the constant blocks of its QP
 (``QpConstants``), once, and owns the warm-start and hold-previous-input
-state of one episode; the *_step functions are pure.
+state of one episode. Each law is one function ``law(ctrl, state, ref)``
+returning ``(u, log, sol)`` (``sol`` is None for ic and uic): it reads the
+model, gains, certificate, constant blocks or maps, warm start and held
+input from its controller and never changes it; only ``Controller.step``
+updates the warm start and the held input. A law whose program has two
+forms (soft-id-clf-qp or ic-qp, ic or uic) reads which from ``ctrl.name``.
 Every step reads its state's chain evaluation through ``evaluate``: the one
 the state carries when the simulator attached it (the simulator logs and
 integrates from that same evaluation), otherwise one made on the spot.
@@ -36,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .clf import ClfData, TaskError, clf_row, clf_terms, default_clf
+from .clf import TaskError, clf_row, clf_terms, default_clf
 from .kinematics import TaskState, task_state
 from ._lapack import inv, svdvals
 from .linalg import eye, pinv, svd
@@ -140,19 +145,15 @@ def collocated_split(b: np.ndarray) -> CollocatedSplit:
     return CollocatedSplit(T=t, S=s, W=w)
 
 
-def lie_terms(model: RobotModel, state: RobotState,
-              terms: DynamicsTerms | None = None,
-              ts: TaskState | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order task dynamics pieces: ydd = Lf2y + LgLfy u.
+def lie_terms(ev: Evaluation) -> tuple[np.ndarray, np.ndarray]:
+    """Second-order task dynamics pieces at an evaluated state:
+    ydd = Lf2y + LgLfy u.
 
     Lf2y = -J M^-1 h + dJ qd and LgLfy = J M^-1 B.
     """
-    if terms is None:
-        terms = bias_terms(model, state)
-    if ts is None:
-        ts = task_state(model, state, pose=terms.pose, motion=terms.motion)
-    minv_cols = solve_inertia(terms, np.concatenate((terms.h[:, None], model.B), axis=1))
-    lf2y = -ts.J @ minv_cols[:, 0] + ts.dJ @ state.dq
+    terms, ts = ev.terms, ev.ts
+    minv_cols = solve_inertia(terms, np.concatenate((terms.h[:, None], ev.model.B), axis=1))
+    lf2y = -ts.J @ minv_cols[:, 0] + ts.dJ @ ev.state.dq
     lglfy = ts.J @ minv_cols[:, 1:]
     return lf2y, lglfy
 
@@ -174,33 +175,23 @@ def _saturation_mask(u: np.ndarray, model: RobotModel) -> np.ndarray:
 
 @dataclass
 class _StepData:
-    """Shared per-step evaluations."""
+    """Shared per-step evaluations: the chain at the step's state, the
+    reference acceleration, the task error, and (V, a0, a1) of the
+    controller's certificate at that error (``clf.clf_terms``), made once for
+    the decrease row and the logged V and Vdot."""
 
     evaluation: Evaluation
-    y_ref: np.ndarray
-    dy_ref: np.ndarray
     ddy_ref: np.ndarray
     err: TaskError
-    # (V, a0, a1) of the step's certificate at err (``clf.clf_terms``),
-    # made once for the decrease row and the logged V and Vdot
-    certificate: tuple | None = None
-
-    @property
-    def terms(self) -> DynamicsTerms:
-        return self.evaluation.terms
-
-    @property
-    def ts(self) -> TaskState:
-        return self.evaluation.ts
+    certificate: tuple
 
 
-def _evaluate_step(model: RobotModel, state: RobotState, ref: Reference,
-                   clf: ClfData | None = None) -> _StepData:
-    ev = evaluate(model, state)
+def _evaluate_step(ctrl: Controller, state: RobotState, ref: Reference) -> _StepData:
+    ev = evaluate(ctrl.model, state)
     y_ref, dy_ref, ddy_ref = ref.at(state.t)
     err = TaskError(e=ev.ts.y - y_ref, de=ev.ts.dy - dy_ref)
-    return _StepData(evaluation=ev, y_ref=y_ref, dy_ref=dy_ref, ddy_ref=ddy_ref, err=err,
-                     certificate=None if clf is None else clf_terms(clf, err))
+    return _StepData(evaluation=ev, ddy_ref=ddy_ref, err=err,
+                     certificate=clf_terms(ctrl.clf, err))
 
 
 @dataclass(frozen=True)
@@ -238,22 +229,20 @@ def clf_qp_constants(model: RobotModel, gains) -> QpConstants:
     return QpConstants(H=hessian.H, A_eq=a_eq, bounds=Bounds.make(lb, ub, d), hessian=hessian)
 
 
-def clf_qp_step(model: RobotModel, state: RobotState, ref: Reference, gains,
-                clf: ClfData, warm_start: tuple | None = None,
-                u_hold: np.ndarray | None = None, consts: QpConstants | None = None
+def clf_qp_step(ctrl: Controller, state: RobotState, ref: Reference
                 ) -> tuple[np.ndarray, ControlStepLog, QpSolution]:
     """One step of the clf-qp law.
 
     Decision variables (u, mu, delta): minimize
     w1 ||mu - mu_ref||^2 + rho delta^2 subject to the Lyapunov decrease row,
     the linearizing equality u = (LgLfy)^+ (-Lf2y + mu + ydd_ref), the input
-    box, and delta >= 0. On infeasibility the previous input is held.
-    ``consts`` are ``clf_qp_constants(model, gains)``, when known.
+    box, and delta >= 0. On infeasibility the controller's held input is
+    applied.
     """
-    data = _evaluate_step(model, state, ref, clf)
-    consts = clf_qp_constants(model, gains) if consts is None else consts
+    model, gains, consts = ctrl.model, ctrl.gains, ctrl.consts
+    data = _evaluate_step(ctrl, state, ref)
     n_t, m = model.task_dim, model.m
-    lf2y, lglfy = lie_terms(model, state, terms=data.terms, ts=data.ts)
+    lf2y, lglfy = lie_terms(data.evaluation)
     g_pinv = pinv(lglfy)
 
     d = m + n_t + 1
@@ -265,19 +254,19 @@ def clf_qp_step(model: RobotModel, state: RobotState, ref: Reference, gains,
     a_eq[:, m:m + n_t] = -g_pinv
     b_eq = g_pinv @ (-lf2y + data.ddy_ref)
 
-    row, rhs = clf_row(clf, data.err, data.certificate)
+    row, rhs = clf_row(ctrl.clf, data.err, data.certificate)
     a_in = np.zeros((1, d))
     a_in[0, m:] = row
     b_in = np.array([rhs])
 
     prob = QpProblem(consts.hessian, f_cost, a_eq, b_eq, a_in, b_in, bounds=consts.bounds)
-    sol = solve_qp(prob, warm_start=warm_start)
-    return _finish_qp_step(model, state, data, sol, u_hold,
-                           lambda x: (x[:m], x[m:m + n_t], x[-1]))
+    sol = solve_qp(prob, warm_start=ctrl._warm)
+    return _finish_qp_step(ctrl, data, sol, lambda x: (x[:m], x[m:m + n_t], x[-1]))
 
 
-def full_body_constants(model: RobotModel, gains, certify: bool) -> QpConstants:
+def full_body_constants(model: RobotModel, gains, name: str) -> QpConstants:
     n, m = model.n, model.m
+    certify = name == "soft-id-clf-qp"
     d = n + m + 1 if certify else n + m
     h_cost = np.zeros((d, d))
     h_cost[n:n + m, n:n + m] = 2.0 * gains.w3 * np.eye(m)
@@ -293,28 +282,25 @@ def full_body_constants(model: RobotModel, gains, certify: bool) -> QpConstants:
     return QpConstants(H=h_cost, A_eq=a_eq, bounds=bounds, w2_eye=gains.w2 * np.eye(n))
 
 
-def full_body_qp_step(model: RobotModel, state: RobotState, ref: Reference, gains,
-                      clf: ClfData | None, split: CollocatedSplit, certify: bool,
-                      warm_start: tuple | None = None,
-                      u_hold: np.ndarray | None = None,
-                      consts: QpConstants | None = None
+def full_body_qp_step(ctrl: Controller, state: RobotState, ref: Reference
                       ) -> tuple[np.ndarray, ControlStepLog, QpSolution]:
-    """One step of soft-id-clf-qp (``certify``) or ic-qp (not ``certify``).
+    """One step of soft-id-clf-qp, or of ic-qp, as ``ctrl.name`` says.
 
-    Decision variables (qdd, u), plus delta when certifying: minimize
+    Decision variables (qdd, u), plus delta for soft-id-clf-qp: minimize
     w1 ||mu - mu_ref||^2 + w2 ||qdd||^2 + w3 ||u||^2
     + w4 ||N qdd - qdd_null_ref||^2 (+ rho delta^2), with
     mu = J qdd + dJ qd - ydd_ref and qdd_null_ref = -d_null N qd, subject to
-    the actuated-row equality S (M qdd + h) = u and the input box; when
-    certifying, also to the Lyapunov row and delta >= 0. Without the
-    certificate, ``clf`` (which may be None) only scores the logged V and
-    Vdot. On infeasibility the previous input is held. ``consts`` are
-    ``full_body_constants(model, gains, certify)``, when known.
+    the actuated-row equality S (M qdd + h) = u and the input box; for
+    soft-id-clf-qp, also to the Lyapunov row and delta >= 0. ic-qp's
+    certificate only scores the logged V and Vdot. On infeasibility the
+    controller's held input is applied.
     """
-    data = _evaluate_step(model, state, ref, clf)
-    consts = full_body_constants(model, gains, certify) if consts is None else consts
+    model, gains, consts = ctrl.model, ctrl.gains, ctrl.consts
+    certify = ctrl.name == "soft-id-clf-qp"
+    data = _evaluate_step(ctrl, state, ref)
+    ev = data.evaluation
     n, m, n_t = model.n, model.m, model.task_dim
-    jac, djac, nproj = data.ts.J, data.ts.dJ, data.ts.N
+    jac, djac, nproj = ev.ts.J, ev.ts.dJ, ev.ts.N
 
     d = n + m + 1 if certify else n + m
     mu_des = mu_ref(gains, data.err)
@@ -329,12 +315,12 @@ def full_body_qp_step(model: RobotModel, state: RobotState, ref: Reference, gain
                   - 2.0 * gains.w4 * (nproj @ qdd_null_ref))
 
     a_eq = consts.A_eq.copy()
-    a_eq[:, :n] = split.S @ data.terms.M
-    b_eq = -split.S @ data.terms.h
+    a_eq[:, :n] = ctrl.split.S @ ev.terms.M
+    b_eq = -ctrl.split.S @ ev.terms.h
 
     a_in = b_in = None
     if certify:
-        row, rhs = clf_row(clf, data.err, data.certificate)     # over (mu, delta)
+        row, rhs = clf_row(ctrl.clf, data.err, data.certificate)     # over (mu, delta)
         a1 = row[:n_t]
         a_in = np.zeros((1, d))
         a_in[0, :n] = a1 @ jac
@@ -342,42 +328,36 @@ def full_body_qp_step(model: RobotModel, state: RobotState, ref: Reference, gain
         b_in = np.array([rhs - a1 @ mu_drift])
 
     prob = QpProblem(h_cost, f_cost, a_eq, b_eq, a_in, b_in, bounds=consts.bounds)
-    sol = solve_qp(prob, warm_start=warm_start)
-    return _finish_qp_step(model, state, data, sol, u_hold,
+    sol = solve_qp(prob, warm_start=ctrl._warm)
+    return _finish_qp_step(ctrl, data, sol,
                            lambda x: (x[n:n + m], jac @ x[:n] + mu_drift,
                                       x[-1] if certify else 0.0))
 
 
-def _finish_qp_step(model, state, data, sol, u_hold, read):
+def _finish_qp_step(ctrl, data, sol, read):
     """Applied input and log of a solved QP; ``read(x)`` gives the input,
-    mu and delta of a solution. An infeasible QP holds ``u_hold``."""
+    mu and delta of a solution. An infeasible QP holds the controller's
+    input."""
     if sol.status is QpStatus.INFEASIBLE:
-        u = _clamp(u_hold if u_hold is not None else np.zeros(model.m), model)
+        u = _clamp(ctrl._u_hold, ctrl.model)
         mu, delta = None, np.nan
     else:
         u_cmd, mu, delta = read(sol.x_star)
-        u, delta = _clamp(u_cmd, model), float(delta)
-    log = _step_log(model, state, data, u, sol.status.value, sol.solve_time,
-                    mu=mu, delta=delta)
-    return u, log, sol
+        u, delta = _clamp(u_cmd, ctrl.model), float(delta)
+    return u, _step_log(ctrl, data, u, sol.status.value, sol.solve_time, mu, delta), sol
 
 
-def _step_log(model, state, data, u, qp_status, solve_time, mu=None, delta=0.0):
+def _step_log(ctrl, data, u, qp_status, solve_time, mu=None, delta=0.0):
     """Log of a step that applies u; without a planned ``mu`` (closed-form
     laws, held inputs) it logs the task error acceleration that u produces."""
+    ev = data.evaluation
     if mu is None:
-        qdd = solve_inertia(data.terms, model.B @ u - data.terms.h)
-        mu = data.ts.J @ qdd + data.ts.dJ @ state.dq - data.ddy_ref
-    v, vdot = _certificate_values(data, mu)
-    return ControlStepLog(u=u, mu=mu, delta=delta, V=v, Vdot=vdot, qp_status=qp_status,
-                          solve_time=solve_time, saturated=_saturation_mask(u, model))
-
-
-def _certificate_values(data, mu):
-    if data.certificate is None:
-        return np.nan, np.nan
+        qdd = solve_inertia(ev.terms, ctrl.model.B @ u - ev.terms.h)
+        mu = ev.ts.J @ qdd + ev.ts.dJ @ ev.state.dq - data.ddy_ref
     v, a0, a1 = data.certificate
-    return v, a0 + float(a1 @ mu)
+    return ControlStepLog(u=u, mu=mu, delta=delta, V=v, Vdot=a0 + float(a1 @ mu),
+                          qp_status=qp_status, solve_time=solve_time,
+                          saturated=_saturation_mask(u, ctrl.model))
 
 
 def actuation_maps(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -387,44 +367,47 @@ def actuation_maps(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b_pinv, np.eye(b.shape[0]) - b @ b_pinv
 
 
-def impedance_step(model: RobotModel, state: RobotState, ref: Reference, gains,
-                   clf: ClfData | None = None,
-                   maps: tuple[np.ndarray, np.ndarray] | None = None,
-                   uic: bool = False) -> tuple[np.ndarray, ControlStepLog]:
-    """Operational-space impedance law with full potential cancellation.
+def impedance_step(ctrl: Controller, state: RobotState, ref: Reference
+                   ) -> tuple[np.ndarray, ControlStepLog, None]:
+    """Operational-space impedance law with full potential cancellation:
+    ic, or uic, as ``ctrl.name`` says.
 
     Computes the task wrench f = Lambda ydd_des + h_task from PD error
     dynamics (kd = 2 sqrt(kp)), then clamps u = B^+ (J'f + D qd + K q + g)
-    to the input box. With ``uic`` the unactuated torque components are
-    removed first through the null-space correction
-    tau_null = -[(I - Ip) N]^+ (I - Ip) J'f, where Ip = B B^+. ``maps`` are
-    ``actuation_maps(model.B)``, when known.
+    to the input box. uic removes the unactuated torque components first
+    through the null-space correction
+    tau_null = -[(I - Ip) N]^+ (I - Ip) J'f, where Ip = B B^+. There is no
+    QP, so the solution slot is None.
     """
-    data = _evaluate_step(model, state, ref, clf)
-    maps = actuation_maps(model.B) if maps is None else maps
-    u = _clamp(_impedance_torque(model, state, data, gains, maps, uic=uic), model)
-    return u, _step_log(model, state, data, u, "ClosedForm", 0.0)
+    data = _evaluate_step(ctrl, state, ref)
+    u = _clamp(_impedance_torque(ctrl, data), ctrl.model)
+    return u, _step_log(ctrl, data, u, "ClosedForm", 0.0), None
 
 
-def _impedance_torque(model, state, data, gains, maps, uic: bool) -> np.ndarray:
-    jac, djac = data.ts.J, data.ts.dJ
-    terms = data.terms
-    b_pinv, blocked = maps
+def _impedance_torque(ctrl, data) -> np.ndarray:
+    gains, ev = ctrl.gains, data.evaluation
+    jac, djac = ev.ts.J, ev.ts.dJ
+    terms = ev.terms
+    b_pinv, blocked = ctrl.maps
     minv_jt = solve_inertia(terms, jac.T)
     lam_inv = jac @ minv_jt
-    lam = inv(lam_inv + LAMBDA_REG * eye(model.task_dim))
+    lam = inv(lam_inv + LAMBDA_REG * eye(ctrl.model.task_dim))
 
     ydd_des = data.ddy_ref - gains.kd * data.err.de - gains.kp * data.err.e
-    h_task = data.ts.J_pinv.T @ terms.c_vec - lam @ (djac @ state.dq)
+    h_task = ev.ts.J_pinv.T @ terms.c_vec - lam @ (djac @ ev.state.dq)
     wrench = lam @ ydd_des + h_task
 
     tau_task = jac.T @ wrench
-    if uic:
-        nproj = data.ts.N
+    if ctrl.name == "uic":
+        nproj = ev.ts.N
         tau_null = -pinv(blocked @ nproj) @ (blocked @ tau_task)
         tau_task = tau_task + nproj @ tau_null
     tau = tau_task + terms.d_vec + terms.k_vec + terms.g_vec
     return b_pinv @ tau
+
+
+_LAWS = {"clf-qp": clf_qp_step, "soft-id-clf-qp": full_body_qp_step,
+         "ic": impedance_step, "uic": impedance_step, "ic-qp": full_body_qp_step}
 
 
 class Controller:
@@ -445,7 +428,7 @@ class Controller:
             self.consts = clf_qp_constants(model, gains)
         elif name in ("soft-id-clf-qp", "ic-qp"):
             self.split = collocated_split(model.B)
-            self.consts = full_body_constants(model, gains, certify=name == "soft-id-clf-qp")
+            self.consts = full_body_constants(model, gains, name)
         else:
             self.maps = actuation_maps(model.B)
         self.reset()
@@ -455,20 +438,9 @@ class Controller:
         self._u_hold = _clamp(np.zeros(self.model.m), self.model)
 
     def step(self, state: RobotState, ref: Reference) -> tuple[np.ndarray, ControlStepLog]:
-        name = self.name
-        if name in ("ic", "uic"):
-            return impedance_step(self.model, state, ref, self.gains, clf=self.clf,
-                                  maps=self.maps, uic=name == "uic")
-        if name == "clf-qp":
-            u, log, sol = clf_qp_step(self.model, state, ref, self.gains, self.clf,
-                                      warm_start=self._warm, u_hold=self._u_hold,
-                                      consts=self.consts)
-        else:
-            u, log, sol = full_body_qp_step(self.model, state, ref, self.gains, self.clf,
-                                            self.split, certify=name == "soft-id-clf-qp",
-                                            warm_start=self._warm, u_hold=self._u_hold,
-                                            consts=self.consts)
-        self._warm = sol.active_set or self._warm
+        u, log, sol = _LAWS[self.name](self, state, ref)
+        if sol is not None:
+            self._warm = sol.active_set or self._warm
         self._u_hold = u
         return u, log
 

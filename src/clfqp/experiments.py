@@ -192,11 +192,16 @@ def sim_config_for(robot, t_end: float, overrides: dict | None = None) -> SimCon
     try:
         return SimConfig(**{"t_end": t_end, **section, **overrides})
     except ValueError as exc:
-        # SimConfig's messages begin with the field they reject
-        key = str(exc).partition(" ")[0]
-        if key in overrides:
-            raise ValidationError(f"override sim.{key}: {exc}") from None
+        merged = exc
+    # the spec is at fault when its section fails over the protocol t_end
+    # alone, the overrides otherwise; SimConfig's messages begin with the
+    # field they reject
+    try:
+        SimConfig(**{"t_end": t_end, **section})
+    except ValueError as exc:
         raise ValidationError(f"{spec.source or spec.name}: sim.{exc}") from None
+    keys = ", ".join(f"sim.{key}" for key in overrides)
+    raise ValidationError(f"override {keys}: {merged}") from None
 
 
 def _episode_stop(model: RobotModel, cfg: SimConfig):

@@ -217,12 +217,15 @@ def _build_model(data: dict, source: str) -> tuple[RobotModel, dict[str, GainSet
     gains = {}
     table = data.get("gains", {}) or {}
     for ctrl in CONTROLLER_NAMES:
-        with _Section(source, f"gains[{ctrl}]"):
+        with _Section(source, f"gains[{ctrl}]") as section:
             row = table.get(ctrl, {})
             unknown = set(row) - set(GAIN_DEFAULTS)
             if unknown:
-                raise ParseError(f"{source}: gains[{ctrl}]: unknown keys {sorted(unknown)}")
-            gains[ctrl] = GainSet(**{k: float(v) for k, v in row.items()})
+                raise ParseError(f"{section.where}: unknown keys {sorted(unknown)}")
+            try:
+                gains[ctrl] = GainSet(**{k: float(v) for k, v in row.items()})
+            except ValidationError as exc:
+                raise ValidationError(f"{section.where}: {exc}") from None
 
     try:
         model = RobotModel(name=name, links=tuple(links), joints=tuple(joints),

@@ -186,6 +186,19 @@ class TestBadSimOverride:
         assert err.startswith(f"validation error: override {pair.partition('=')[0]}: ")
         assert not any(tmp_path.iterdir())
 
+    def test_override_that_leaves_no_step_blames_the_override(self, tmp_path, capsys):
+        # finger's spec has no sim section: the override alone is at fault
+        from clfqp import cli
+
+        code = cli.main(["run", "--robot", "finger", "--controller", "ic",
+                         "--experiment", "setpoint", "--set", "sim.dt_physics=20",
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION == 65
+        assert capsys.readouterr().err.startswith(
+            "validation error: override sim.dt_physics: t_end must give at least one "
+            "control step")
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("pair", ["sim.dt=1", "sim.initial_state=0"])
     def test_unknown_key_exits_as_validation_error(self, pair, tmp_path, capsys):
         from clfqp import cli
@@ -202,6 +215,38 @@ class TestBadSimOverride:
 
         assert cli.SIM_KEYS == {"dt_physics": float, "control_decimation": int,
                                 "integrator": str, "t_end": float}
+
+
+class TestBadGain:
+    def test_spec_gain_names_the_spec_and_law(self, tmp_path, capsys):
+        from clfqp import cli
+
+        path = tmp_path / "f.yaml"
+        assert cli.main(["export-spec", "--robot", "finger", "--out", str(path)]) == 0
+        text = path.read_text(encoding="utf-8")
+        old = "  ic:\n    kp: 500.0\n"
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, "  ic:\n    kp: -1.0\n"), encoding="utf-8")
+        capsys.readouterr()
+        code = cli.main(["run", "--robot", str(path), "--controller", "ic",
+                         "--experiment", "setpoint", "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_VALIDATION == 65
+        assert capsys.readouterr().err == (
+            f"validation error: {path}: gains[ic]: gain kp must be positive\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("pair,message", [
+        ("gains.kp=-1", "override gains.kp: gain kp must be positive"),
+        ("gains.w2=-0.5", "override gains.w2: gain w2 must be nonnegative")])
+    def test_override_gain_names_the_override(self, pair, message, tmp_path, capsys):
+        from clfqp import cli
+
+        code = cli.main(["run", "--robot", "finger", "--controller", "ic",
+                         "--experiment", "setpoint", "--set", "gains.eps=0.1", "--set", pair,
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION == 65
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not any(tmp_path.iterdir())
 
 
 class TestUnknownSpecKey:

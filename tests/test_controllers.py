@@ -10,6 +10,7 @@ from clfqp.controllers import (
     Reference,
     clf_qp_step,
     collocated_split,
+    evaluate,
     full_body_qp_step,
     impedance_step,
     lie_terms,
@@ -49,12 +50,19 @@ def io_linearizing_u(model: RobotModel, state: RobotState, ref: Reference,
     """Input that renders the task error dynamics edd = mu (exactly when the
     decoupling matrix is square and invertible, least-squares otherwise)."""
     _, _, ddy_ref = ref.at(state.t)
-    lf2y, lglfy = lie_terms(model, state)
+    lf2y, lglfy = lie_terms(evaluate(model, state))
     sv = np.linalg.svd(lglfy, compute_uv=False)
     if sv.size and sv[-1] < RANK_DEFICIENT_TOL * sv[0]:
         warnings.warn("decoupling matrix is rank deficient at this state",
                       RankDeficientWarning, stacklevel=2)
     return pinv(lglfy) @ (-lf2y + mu + ddy_ref)
+
+
+def same_bits(a, b) -> bool:
+    """Equal values, NaN included, and equal sign bits (so -0.0 != 0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 class TestCollocatedSplit:
@@ -85,7 +93,7 @@ class TestCollocatedSplit:
 class TestLieTerms:
     def test_rest_zero_potential(self):
         model = pendulum(gravity=(0.0, 0.0, 0.0))
-        lf2y, lglfy = lie_terms(model, model.rest_state())
+        lf2y, lglfy = lie_terms(evaluate(model, model.rest_state()))
         assert np.allclose(lf2y, 0.0, atol=1e-14)
         assert np.allclose(lglfy, [[1.0], [0.0]], atol=1e-12)
 
@@ -93,7 +101,7 @@ class TestLieTerms:
         model = two_link(k_s=(0.4, 0.2))
         state = RobotState(np.array([0.3, -0.2]), np.zeros(2))
         ts = task_state(model, state)
-        lf2y, _ = lie_terms(model, state)
+        lf2y, _ = lie_terms(evaluate(model, state))
         # with qd = 0 the dJ qd term is absent: Lf2y = -J M^-1 h exactly
         terms = bias_terms(model, state)
         expected = -ts.J @ np.linalg.solve(terms.M, terms.h)
@@ -108,7 +116,7 @@ class TestLieTerms:
             q = rng.uniform(-1.0, 1.0, 2)
             dq = rng.uniform(-1.0, 1.0, 2)
             u = rng.uniform(-0.5, 0.5, 2)
-            lf2y, lglfy = lie_terms(model, RobotState(q, dq))
+            lf2y, lglfy = lie_terms(evaluate(model, RobotState(q, dq)))
             qs, dqs = rk4_rollout(model, q, dq, lambda *a: u, dt, 2)
             ys = [forward_kinematics(model, qq)[rows] for qq in qs]
             ydd_fd = (ys[2] - 2 * ys[1] + ys[0]) / dt ** 2
@@ -176,8 +184,7 @@ class TestClfQpStep:
         model = two_link(gravity=(0.0, 0.0, 0.0))
         state = model.rest_state()
         ref = setpoint_at_fk(model, np.zeros(2))
-        clf = default_clf(0.1, 2)
-        u, log, sol = clf_qp_step(model, state, ref, gset(), clf)
+        u, log, sol = clf_qp_step(make_controller("clf-qp", model, gset()), state, ref)
         assert sol.status is QpStatus.OPTIMAL
         assert np.allclose(u, 0.0, atol=1e-9)
         assert log.delta == pytest.approx(0.0, abs=1e-9)
@@ -189,6 +196,7 @@ class TestClfQpStep:
         clf = default_clf(0.5, 2)
         rng = np.random.default_rng(3)
         g = gset(kp=100.0, eps=0.5)
+        ctrl = make_controller("clf-qp", model, g)
         tested = 0
         while tested < 5:
             q = rng.uniform(-0.3, 0.3, 2)
@@ -203,7 +211,7 @@ class TestClfQpStep:
             if row[:-1] @ mu_des > rhs - 1e-6:
                 continue  # row would be active; skip this sample
             tested += 1
-            u, log, sol = clf_qp_step(model, state, ref, g, clf)
+            u, log, sol = clf_qp_step(ctrl, state, ref)
             assert sol.status is QpStatus.OPTIMAL
             assert np.allclose(log.mu, mu_des, atol=1e-7)
             assert log.delta == pytest.approx(0.0, abs=1e-9)
@@ -212,8 +220,7 @@ class TestClfQpStep:
         model = two_link(u_lim=1e-3, k_s=(0.2, 0.2))
         state = model.rest_state()
         ref = Reference.setpoint(np.array([0.6, 0.2]))
-        clf = default_clf(0.1, 2)
-        u, log, sol = clf_qp_step(model, state, ref, gset(kp=500.0), clf)
+        u, log, sol = clf_qp_step(make_controller("clf-qp", model, gset(kp=500.0)), state, ref)
         assert np.any(log.saturated)
         assert np.all(u >= model.u_min) and np.all(u <= model.u_max)
         assert log.delta >= 0.0 or np.isnan(log.delta)
@@ -227,10 +234,10 @@ class TestClfQpStep:
         state = RobotState(np.array([0.8, -0.5, 0.6, -0.3]),
                            np.array([2.0, -1.0, 1.5, -0.5]))
         ref = Reference.setpoint(np.array([0.1, -0.1]))
-        clf = default_clf(0.1, 2)
+        ctrl = make_controller("clf-qp", model, gset(kp=500.0))
         u_prev = np.full(4, 0.15)
-        u, log, sol = clf_qp_step(model, state, ref, gset(kp=500.0), clf,
-                                  u_hold=u_prev)
+        ctrl._u_hold = u_prev
+        u, log, sol = clf_qp_step(ctrl, state, ref)
         assert sol.status is QpStatus.INFEASIBLE
         assert np.array_equal(u, u_prev)
         assert log.qp_status == "Infeasible"
@@ -241,25 +248,22 @@ class TestSoftIdClfQpStep:
         model = two_link(gravity=(0.0, 0.0, 0.0))
         state = model.rest_state()
         ref = setpoint_at_fk(model, np.zeros(2))
-        clf = default_clf(0.1, 2)
-        split = collocated_split(model.B)
-        u, log, sol = full_body_qp_step(model, state, ref, gset(), clf, split, certify=True)
+        ctrl = make_controller("soft-id-clf-qp", model, gset())
+        u, log, sol = full_body_qp_step(ctrl, state, ref)
         assert sol.status is QpStatus.OPTIMAL
         assert np.allclose(u, 0.0, atol=1e-8)
         assert log.delta == pytest.approx(0.0, abs=1e-8)
 
     def test_decrease_condition_holds_at_optimum(self):
         model = two_link(k_s=(0.4, 0.2), d_s=(0.05, 0.05))
-        clf = default_clf(0.1, 2)
-        split = collocated_split(model.B)
-        g = gset()
+        ctrl = make_controller("soft-id-clf-qp", model, gset())
         rng = np.random.default_rng(4)
         for _ in range(20):
             state = RobotState(rng.uniform(-0.8, 0.8, 2), rng.uniform(-1, 1, 2))
             ref = Reference.setpoint(rng.uniform(-0.3, 0.3, 2))
-            u, log, sol = full_body_qp_step(model, state, ref, g, clf, split, certify=True)
+            u, log, sol = full_body_qp_step(ctrl, state, ref)
             assert sol.status is QpStatus.OPTIMAL
-            assert log.Vdot <= -log.V / clf.eps + log.delta + 1e-6
+            assert log.Vdot <= -log.V / ctrl.clf.eps + log.delta + 1e-6
 
     def test_actuated_rows_consistent_with_physics(self):
         # S(M qdd_physical + h) = u for the applied input, always
@@ -269,16 +273,15 @@ class TestSoftIdClfQpStep:
         object.__setattr__(model, "B", b)
         object.__setattr__(model, "u_min", np.array([-5.0, -5.0]))
         object.__setattr__(model, "u_max", np.array([5.0, 5.0]))
-        split = collocated_split(model.B)
-        clf = default_clf(0.1, 2)
+        ctrl = make_controller("soft-id-clf-qp", model, gset())
         rng = np.random.default_rng(5)
         for _ in range(10):
             state = RobotState(rng.uniform(-0.5, 0.5, 4), rng.uniform(-0.5, 0.5, 4))
             ref = Reference.setpoint(rng.uniform(-0.1, 0.1, 2))
-            u, log, sol = full_body_qp_step(model, state, ref, gset(), clf, split, certify=True)
+            u, log, sol = full_body_qp_step(ctrl, state, ref)
             terms = bias_terms(model, state)
             qdd = forward_dynamics(model, state, u, terms=terms)
-            assert np.allclose(split.S @ (terms.M @ qdd + terms.h), u, atol=1e-8)
+            assert np.allclose(ctrl.split.S @ (terms.M @ qdd + terms.h), u, atol=1e-8)
 
 
 class TestIcQpStep:
@@ -286,23 +289,21 @@ class TestIcQpStep:
         model = two_link(gravity=(0.0, 0.0, 0.0))
         state = model.rest_state()
         ref = setpoint_at_fk(model, np.zeros(2))
-        split = collocated_split(model.B)
-        u, log, sol = full_body_qp_step(model, state, ref, gset(), None, split, certify=False)
+        u, log, sol = full_body_qp_step(make_controller("ic-qp", model, gset()), state, ref)
         assert np.allclose(u, 0.0, atol=1e-8)
 
     def test_cost_never_above_soft_id(self):
         # removing the Lyapunov row can only reduce the optimal cost when
         # both programs share weights
         model = two_link(k_s=(0.4, 0.2))
-        clf = default_clf(0.05, 2)
-        split = collocated_split(model.B)
-        g = gset()
+        g = gset(eps=0.05)
+        soft, ic = (make_controller(name, model, g) for name in ("soft-id-clf-qp", "ic-qp"))
         rng = np.random.default_rng(6)
         for _ in range(15):
             state = RobotState(rng.uniform(-0.8, 0.8, 2), rng.uniform(-1, 1, 2))
             ref = Reference.setpoint(rng.uniform(-0.3, 0.3, 2))
-            _, _, sol_soft = full_body_qp_step(model, state, ref, g, clf, split, certify=True)
-            _, _, sol_ic = full_body_qp_step(model, state, ref, g, None, split, certify=False)
+            _, _, sol_soft = full_body_qp_step(soft, state, ref)
+            _, _, sol_ic = full_body_qp_step(ic, state, ref)
             assert sol_ic.objective <= sol_soft.objective + 1e-9
 
 
@@ -311,14 +312,14 @@ class TestImpedance:
         model = two_link(gravity=(0.0, 0.0, 0.0))
         state = model.rest_state()
         ref = setpoint_at_fk(model, np.zeros(2))
-        u, log = impedance_step(model, state, ref, gset())
-        assert np.allclose(u, 0.0, atol=1e-9)
+        u, log, sol = impedance_step(make_controller("ic", model, gset()), state, ref)
+        assert np.allclose(u, 0.0, atol=1e-9) and sol is None
 
     def test_clamping_is_exact(self):
         model = two_link(u_lim=1e-3, k_s=(0.2, 0.2))
         state = model.rest_state()
         ref = Reference.setpoint(np.array([0.5, 0.3]))
-        u, log = impedance_step(model, state, ref, gset(kp=500.0))
+        u, log, _ = impedance_step(make_controller("ic", model, gset(kp=500.0)), state, ref)
         assert np.all(np.abs(u) <= 1e-3)
         assert np.any(np.abs(u) == 1e-3)
 
@@ -345,12 +346,13 @@ class TestImpedance:
 class TestUic:
     def test_equals_ic_when_fully_actuated(self):
         model = two_link(k_s=(0.3, 0.1))
+        ic, uic = (make_controller(name, model, gset()) for name in ("ic", "uic"))
         rng = np.random.default_rng(7)
         for _ in range(10):
             state = RobotState(rng.uniform(-0.8, 0.8, 2), rng.uniform(-0.5, 0.5, 2))
             ref = Reference.setpoint(rng.uniform(-0.2, 0.2, 2))
-            u_ic, _ = impedance_step(model, state, ref, gset())
-            u_uic, _ = impedance_step(model, state, ref, gset(), uic=True)
+            u_ic, _, _ = impedance_step(ic, state, ref)
+            u_uic, _, _ = impedance_step(uic, state, ref)
             assert np.allclose(u_ic, u_uic, atol=1e-8)
 
     def test_unactuated_residual_least_squares(self):
@@ -367,27 +369,28 @@ class TestUic:
         object.__setattr__(model, "u_max", np.array([5.0, 5.0]))
 
         blocked = np.eye(4) - b @ pinv(b)
-        maps = (np.eye(4), blocked)
+        ic, uic = (make_controller(name, model, gset()) for name in ("ic", "uic"))
+        ic.maps = uic.maps = (np.eye(4), blocked)
         rng = np.random.default_rng(8)
         for _ in range(50):
             state = RobotState(rng.uniform(-0.6, 0.6, 4), rng.uniform(-0.5, 0.5, 4))
             ref = Reference.setpoint(rng.uniform(-0.1, 0.1, 2) + np.array([0.0, -0.2]))
-            data = controllers._evaluate_step(model, state, ref)
-            tau_ic = controllers._impedance_torque(model, state, data, gset(), maps, uic=False)
-            tau_uic = controllers._impedance_torque(model, state, data, gset(), maps, uic=True)
-            terms = data.terms
+            data = controllers._evaluate_step(ic, state, ref)
+            tau_ic = controllers._impedance_torque(ic, data)
+            tau_uic = controllers._impedance_torque(uic, data)
+            terms = data.evaluation.terms
             tau_task = tau_ic - terms.d_vec - terms.k_vec - terms.g_vec
             n_tau_null = tau_uic - tau_ic
             resid = blocked @ (tau_task + n_tau_null)
             # least-squares optimality: residual orthogonal to achievable span
-            gram = (blocked @ data.ts.N).T @ resid
+            gram = (blocked @ data.evaluation.ts.N).T @ resid
             assert np.max(np.abs(gram)) < 1e-8
             assert np.linalg.norm(resid) <= np.linalg.norm(blocked @ tau_task) + 1e-12
 
     def test_zero_at_rest_toy(self):
         model = two_link(gravity=(0.0, 0.0, 0.0))
         ref = setpoint_at_fk(model, np.zeros(2))
-        u, _ = impedance_step(model, model.rest_state(), ref, gset(), uic=True)
+        u, _, _ = impedance_step(make_controller("uic", model, gset()), model.rest_state(), ref)
         assert np.allclose(u, 0.0, atol=1e-9)
 
 
@@ -405,14 +408,15 @@ class TestSharedPseudoinverses:
         model, gains = builtin_registry()[robot].load()
         g = gains["uic" if uic else "ic"]
         ref = setpoint_reference(EllipseParams.for_robot(model), 0.5 * np.pi, model.task_dim)
-        maps = controllers.actuation_maps(model.B)
+        ctrl = make_controller("uic" if uic else "ic", model, g)
         rng = np.random.default_rng(12)
         for _ in range(5):
             state = RobotState(0.4 * rng.standard_normal(model.n),
                                rng.standard_normal(model.n))
-            data = controllers._evaluate_step(model, state, ref)
-            got = controllers._impedance_torque(model, state, data, g, maps, uic=uic)
-            want = pinv_each_step_impedance_torque(model, data.terms, data.ts, data.err,
+            data = controllers._evaluate_step(ctrl, state, ref)
+            got = controllers._impedance_torque(ctrl, data)
+            ev = data.evaluation
+            want = pinv_each_step_impedance_torque(model, ev.terms, ev.ts, data.err,
                                                    data.ddy_ref, state.dq, g.kp, g.kd, uic)
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got),
                                                                 np.signbit(want))
@@ -477,7 +481,7 @@ class TestControllerObjects:
 
     def test_qp_constants_made_once(self, monkeypatch):
         # a controller builds its constant QP blocks once, read-only, and
-        # steps with the bits of a step that builds them on the spot
+        # steps with the bits of a controller built after its steps
         from clfqp import controllers
 
         model = two_link(k_s=(0.4, 0.2), u_lim=2.0)
@@ -486,13 +490,12 @@ class TestControllerObjects:
                   RobotState(np.array([0.1, 0.4]), np.array([-0.3, 0.2]))]
         for name in ("clf-qp", "soft-id-clf-qp", "ic-qp"):
             ctrl = make_controller(name, model, gset())
-            fresh = make_controller(name, model, gset())
             assert not ctrl.consts.H.flags.writeable and not ctrl.consts.A_eq.flags.writeable
             with monkeypatch.context() as m:
                 for builder in ("clf_qp_constants", "full_body_constants"):
                     m.setattr(controllers, builder, None)
                 logs = [ctrl.step(s, ref)[1] for s in states]
-            fresh.consts = None      # each step builds its own blocks
+            fresh = make_controller(name, model, gset())
             for state, log in zip(states, logs):
                 assert np.array_equal(fresh.step(state, ref)[1].u, log.u)
 
@@ -507,12 +510,13 @@ class TestControllerObjects:
         state = RobotState(np.array([0.3, -0.2]), np.array([0.5, -0.1]))
         for name in CONTROLLER_NAMES:
             calls = []
+            ctrl = make_controller(name, model, gset())
             with monkeypatch.context() as m:
                 vdot = clf_module.vdot_coeffs
                 m.setattr(clf_module, "vdot_coeffs", lambda *a: calls.append(1) or vdot(*a))
-                u, log = make_controller(name, model, gset()).step(state, ref)
+                u, log = ctrl.step(state, ref)
             assert len(calls) == 1, name
-            data = controllers._evaluate_step(model, state, ref)
+            data = controllers._evaluate_step(ctrl, state, ref)
             a0, a1 = vdot(default_clf(gset().eps, 2), data.err)
             assert log.V == clf_module.clf_value(default_clf(gset().eps, 2), data.err)
             assert log.Vdot == a0 + float(a1 @ log.mu)
@@ -535,3 +539,69 @@ class TestControllerObjects:
             assert not traj.failed
             finals[name] = traj.final_task_position()
         assert np.linalg.norm(finals["clf-qp"] - finals["soft-id-clf-qp"]) < 1e-4
+
+
+class TestOneLawForm:
+    """Controller.step is its law called on the same controller, bit for
+    bit, over steps that carry a warm start and include one infeasible hold;
+    a law call leaves the warm start and the held input as they were."""
+
+    LAWS = {"clf-qp": clf_qp_step, "soft-id-clf-qp": full_body_qp_step,
+            "ic": impedance_step, "uic": impedance_step, "ic-qp": full_body_qp_step}
+    INFEASIBLE_AT = 2
+
+    def case(self, robot):
+        if robot == "finger":
+            from clfqp.experiments import EllipseParams, setpoint_reference
+            from clfqp.robots import builtin_registry
+
+            model, gains = builtin_registry()["finger"].load()
+            ref = setpoint_reference(EllipseParams.for_robot(model), 0.5 * np.pi,
+                                     model.task_dim)
+            return model, gains, ref
+        model = two_link(k_s=(0.4, 0.2), u_lim=2.0)
+        gains = {name: gset() for name in CONTROLLER_NAMES}
+        return model, gains, Reference.setpoint(np.array([0.2, -0.1]))
+
+    @pytest.mark.parametrize("name", CONTROLLER_NAMES)
+    @pytest.mark.parametrize("robot", ["finger", "two-link"])
+    def test_step_is_its_law(self, monkeypatch, robot, name):
+        import dataclasses
+
+        from clfqp import controllers
+
+        model, gains, ref = self.case(robot)
+        ctrl = make_controller(name, model, gains[name])
+        solve, k = controllers.solve_qp, [0]
+
+        def solve_or_fail(prob, warm_start=None):
+            # the solver's answer, marked infeasible on one step
+            sol = solve(prob, warm_start=warm_start)
+            if k[0] == self.INFEASIBLE_AT:
+                return dataclasses.replace(sol, status=QpStatus.INFEASIBLE, active_set=())
+            return sol
+
+        monkeypatch.setattr(controllers, "solve_qp", solve_or_fail)
+        rng = np.random.default_rng(14)
+        inputs, statuses = [], []
+        for k[0] in range(4):
+            state = RobotState(0.3 * rng.standard_normal(model.n),
+                               rng.standard_normal(model.n), 0.01 * k[0])
+            warm, hold = ctrl._warm, ctrl._u_hold
+            held = hold.copy()
+            u_law, log_law, sol = self.LAWS[name](ctrl, state, ref)
+            assert ctrl._warm is warm and ctrl._u_hold is hold and same_bits(hold, held)
+            u, log = ctrl.step(state, ref)
+            assert same_bits(u, u_law)
+            for field in ("mu", "delta", "V", "Vdot", "saturated"):
+                assert same_bits(getattr(log, field), getattr(log_law, field)), field
+            assert log.qp_status == log_law.qp_status
+            assert (sol is None) == (name in ("ic", "uic"))
+            if sol is not None:
+                assert ctrl._warm == (sol.active_set or warm)
+            assert ctrl._u_hold is u
+            inputs.append(u)
+            statuses.append(log.qp_status)
+        if name not in ("ic", "uic"):
+            assert statuses[self.INFEASIBLE_AT] == "Infeasible"
+            assert same_bits(inputs[self.INFEASIBLE_AT], inputs[self.INFEASIBLE_AT - 1])

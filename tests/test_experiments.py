@@ -425,6 +425,37 @@ class TestSimSection:
         assert len(files) == len(experiments.OMEGA_GRID)
         assert [len(experiments.read_trajectory_csv(f)["t"]) for f in files] == [2] * 5
 
+    @pytest.mark.parametrize("overrides,blamed", [
+        ({"control_decimation": 20000}, "override sim.control_decimation: "),
+        ({"dt_physics": 20.0}, "override sim.dt_physics: "),
+        ({"dt_physics": 0.5, "control_decimation": 40},
+         "override sim.dt_physics, sim.control_decimation: ")])
+    def test_override_that_leaves_no_step_blames_the_overrides(self, overrides, blamed):
+        # finger's spec has no sim section, so only the overrides can be at fault
+        from clfqp.robots import ValidationError
+
+        with pytest.raises(ValidationError) as info:
+            experiments.sim_config_for("finger", 10.0, overrides)
+        assert str(info.value).startswith(
+            blamed + "t_end must give at least one control step")
+
+    def test_bad_spec_value_blames_the_spec_beside_a_good_override(self, tmp_path):
+        from clfqp.robots import ValidationError
+
+        path = self.spec_with_sim(tmp_path, ["control_decimation: 2.7"])
+        with pytest.raises(ValidationError) as info:
+            experiments.sim_config_for(path, 1.0, {"dt_physics": 5e-4})
+        assert str(info.value).startswith(f"{path}: sim.control_decimation must be ")
+
+    def test_spec_that_fails_only_with_an_override_blames_the_override(self, tmp_path):
+        from clfqp.robots import ValidationError
+
+        path = self.spec_with_sim(tmp_path, ["control_decimation: 100"])
+        assert experiments.sim_config_for(path, 1.0).control_decimation == 100
+        with pytest.raises(ValidationError) as info:
+            experiments.sim_config_for(path, 1.0, {"t_end": 0.05})
+        assert str(info.value).startswith("override sim.t_end: t_end must give ")
+
     def test_unknown_override_key_is_validation_error(self):
         from clfqp.robots import ValidationError
 

@@ -43,6 +43,10 @@ def test_smoke_pair_on_two_copies(tmp_path):
         assert entry["wins"] in (0, 1)
         assert any(line.strip().startswith(f"{name} [") for line in lines), name
     assert "correct: true" in lines
+    probe = result["setup_probe"]
+    assert len(probe["parent"]) == len(probe["change"]) == 2
+    assert all(0.0 < t < 60.0 for t in probe["parent"] + probe["change"])
+    assert any(line.strip().startswith("setup probe [s") for line in lines)
 
 
 class FakeBench:
@@ -61,8 +65,24 @@ class FakeBench:
         return {"correct": self.correct, "attempted": 1, "failed": 0, "metrics": metrics}
 
 
-def run_fake(monkeypatch, capsys, tmp_path, fake, n):
+class FakeProbe:
+    """Stands in for probe_setup: records each call and returns the next
+    set-up time of ``times`` by side."""
+
+    def __init__(self, times=None):
+        self.times, self.calls = times, []
+
+    def __call__(self, checkout, workload, seed, scale):
+        side = checkout.name
+        self.calls.append((side, seed))
+        if self.times is None:
+            return 0.25
+        return self.times[side][sum(s == side for s, _ in self.calls) - 1]
+
+
+def run_fake(monkeypatch, capsys, tmp_path, fake, n, probe=None):
     monkeypatch.setattr(pairs, "run_bench", fake)
+    monkeypatch.setattr(pairs, "probe_setup", probe or FakeProbe())
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "change")
@@ -95,6 +115,33 @@ def test_summarize(parent, change, better, wins, beyond):
     s = pairs.summarize(parent, change, better)
     assert s["wins"] == wins and s["gap_beyond_iqr"] is beyond
     assert s["parent_quartiles"] == [5.5, 6.0, 6.5]
+
+
+def test_setup_probes_follow_every_pair(monkeypatch, capsys, tmp_path):
+    # two probes per side after each pair, first side, second, second, first
+    fake = FakeBench({"parent": [10.0] * 3, "change": [10.0] * 3})
+    probe = FakeProbe({"parent": [0.30, 0.20, 0.25, 0.27, 0.24, 0.26],
+                       "change": [0.22, 0.21, 0.23, 0.35, 0.20, 0.24]})
+    monkeypatch.setattr(pairs, "run_bench", fake)
+    monkeypatch.setattr(pairs, "probe_setup", probe)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "change")
+    code = pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+                       "--pairs", "3", "--seed", "7"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 0
+    order = [("parent", "change", "change", "parent"), ("change", "parent", "parent", "change")]
+    assert probe.calls == [(side, 7 + i) for i in range(3) for side in order[i % 2]]
+    result = json.loads(lines[-1])["setup_probe"]
+    assert result["parent"] == probe.times["parent"]
+    assert result["change"] == probe.times["change"]
+    assert result["parent_quartiles"] == pytest.approx([0.2425, 0.255, 0.2675])
+    assert result["change_quartiles"] == pytest.approx([0.2125, 0.225, 0.2375])
+    assert result["wins"] == 4 and result["better"] == "lower" and result["unit"] == "s"
+    # the probe line sits right after setup_s's
+    names = [line.split("[")[0].strip() for line in lines if " is better]: " in line]
+    assert names[:2] == ["setup_s", "setup probe"]
 
 
 def test_incorrect_run_exits_1(monkeypatch, capsys, tmp_path):

@@ -230,6 +230,16 @@ class TestParsing:
         with pytest.raises(ParseError, match=f"^f.yaml: {re.escape(message)}$"):
             loads_robot(yaml.safe_dump(data), source="f.yaml")
 
+    @pytest.mark.parametrize("ctrl,key,value,message", [
+        ("ic", "kp", -1.0, "gain kp must be positive"),
+        ("soft-id-clf-qp", "w3", -0.2, "gain w3 must be nonnegative")])
+    def test_bad_gain_names_source_and_law(self, ctrl, key, value, message):
+        data = yaml.safe_load(builtin_registry()["finger"].text)
+        data["gains"][ctrl][key] = value
+        expected = f"f.yaml: gains[{ctrl}]: {message}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
+            loads_robot(yaml.safe_dump(data), source="f.yaml")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_robot(tmp_path / "nope.yaml")

@@ -10,6 +10,12 @@ favours neither, and summarises every end-to-end metric:
 - whether the gap between the medians exceeds the parent's interquartile
   spread.
 
+``setup_s`` moves with host load by about as much as its bound, so after
+every pair each side also runs two fresh-process set-up probes
+(``bench/setup_probe.py``, timed as ``bench/run.py`` times setup_s), in the
+order first, second, second, first; their summary is printed beside
+setup_s and their raw values go in the JSON line under ``setup_probe``.
+
 A speed claim here needs the change to win at least 9 of 10 pairs and the
 median gap to exceed the parent's spread, on an unchanged fingerprint.
 Pair i runs both sides with benchmark seed SEED + i. The last line of
@@ -25,8 +31,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +51,19 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def probe_setup(checkout: Path, workload: str, seed: int, scale: str) -> float:
+    """Seconds from starting a fresh interpreter in ``checkout`` to a ready
+    workload: ``bench/setup_probe.py`` prints time.monotonic() when ready."""
+    cmd = [sys.executable, "bench/setup_probe.py", workload, str(seed), scale]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")     # as bench/run.py sets it
+    t0 = time.monotonic()
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: bench/setup_probe.py exited "
+                           f"{proc.returncode}:\n{proc.stderr}")
+    return float(proc.stdout.split()[-1]) - t0
+
+
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
     """Quartiles (q1, median, q3) of each side, the change's win count and
     whether the gap between the medians exceeds the parent's spread."""
@@ -54,6 +75,17 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     return {"parent_quartiles": [float(p_q1), float(p_med), float(p_q3)],
             "change_quartiles": [float(c_q1), float(c_med), float(c_q3)],
             "wins": wins, "gap_beyond_iqr": bool(gap > p_q3 - p_q1)}
+
+
+def report(name: str, s: dict, unit: str, direction: str, n: int) -> None:
+    """One summary line of ``summarize``'s result over ``n`` pairs."""
+    (p_q1, p_med, p_q3), (c_q1, c_med, c_q3) = s["parent_quartiles"], s["change_quartiles"]
+    rel = c_med / p_med - 1.0 if p_med else float("nan")
+    print(f"{name:>17} [{unit}, {direction} is better]: "
+          f"parent {p_med:.4g} [{p_q1:.4g}, {p_q3:.4g}]  "
+          f"change {c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}]  "
+          f"{rel:+.1%}  wins {s['wins']} of {n}  "
+          f"gap beyond parent IQR: {'yes' if s['gap_beyond_iqr'] else 'no'}")
 
 
 def main(argv=None) -> int:
@@ -72,6 +104,7 @@ def main(argv=None) -> int:
     declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     runs = {"parent": [], "change": []}
+    probes = {"parent": [], "change": []}
     correct = True
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -80,31 +113,34 @@ def main(argv=None) -> int:
                                args.seconds, args.scale)
             correct &= result["correct"] is True and result["failed"] == 0
             runs[side].append(result)
+        for side in order + order[::-1]:
+            probes[side].append(probe_setup(getattr(args, side), args.workload,
+                                            args.seed + i, args.scale))
         values = {side: runs[side][-1]["metrics"] for side in runs}
         print(f"pair {i + 1}/{args.pairs} seed {args.seed + i} first={order[0]}: "
               + " ".join(f"{name} {values['parent'][name]['value']:.4g}"
-                         f"->{values['change'][name]['value']:.4g}" for name in better),
+                         f"->{values['change'][name]['value']:.4g}" for name in better)
+              + " setup probes " + " ".join(
+                  f"{side} {probes[side][-2]:.4g},{probes[side][-1]:.4g}" for side in probes),
               flush=True)
 
     n = args.pairs
     summary = {}
+    setup_probe = dict(summarize(probes["parent"], probes["change"], "lower"),
+                       unit="s", better="lower", **probes)
     print(f"\n{args.workload}, {n} pairs of {args.seconds:g} s (median [q1, q3]; "
           "wins = pairs where the change is better)")
     for name, direction in better.items():
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
         s = summarize(values["parent"], values["change"], direction)
         unit = runs["change"][0]["metrics"][name]["unit"]
-        (p_q1, p_med, p_q3), (c_q1, c_med, c_q3) = s["parent_quartiles"], s["change_quartiles"]
-        rel = c_med / p_med - 1.0 if p_med else float("nan")
-        print(f"{name:>17} [{unit}, {direction} is better]: "
-              f"parent {p_med:.4g} [{p_q1:.4g}, {p_q3:.4g}]  "
-              f"change {c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}]  "
-              f"{rel:+.1%}  wins {s['wins']} of {n}  "
-              f"gap beyond parent IQR: {'yes' if s['gap_beyond_iqr'] else 'no'}")
+        report(name, s, unit, direction, n)
         summary[name] = dict(s, unit=unit, better=direction, **values)
+        if name == "setup_s":
+            report("setup probe", setup_probe, "s", "lower", 2 * n)
     print(f"correct: {str(correct).lower()}")
     print(json.dumps({"workload": args.workload, "pairs": n, "correct": correct,
-                      "metrics": summary}))
+                      "metrics": summary, "setup_probe": setup_probe}))
     return 0 if correct else 1
 
 
