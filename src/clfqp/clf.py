@@ -13,30 +13,29 @@ linear inequality in (mu, delta) per control step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import double_integrator_blocks, solve_care_double_integrator
+from .linalg import all_finite, double_integrator_blocks, solve_care_double_integrator
 
 
 @dataclass(frozen=True)
 class TaskError:
-    """Stacked task-space error state: position error e and velocity error."""
+    """Stacked task-space error state: position error e and velocity error,
+    and eta = [e; de], made once per error."""
 
     e: np.ndarray
     de: np.ndarray
+    eta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "e", np.asarray(self.e, dtype=float))
         object.__setattr__(self, "de", np.asarray(self.de, dtype=float))
-        if not (np.isfinite(self.e).all() and np.isfinite(self.de).all()):
+        if not all_finite(self.e, self.de):
             raise ValueError("task error must be finite")
-
-    @property
-    def eta(self) -> np.ndarray:
-        return np.concatenate([self.e, self.de])
+        object.__setattr__(self, "eta", np.concatenate([self.e, self.de]))
 
 
 @dataclass(frozen=True)

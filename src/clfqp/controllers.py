@@ -20,10 +20,12 @@ Closed-form baselines (``impedance_step``):
 - uic: the same law with torque components in unactuated directions removed
   by a null-space correction before clamping.
 
-One ``Controller`` class runs any of the five laws by name. It makes the
-maps that depend only on B, and the constant blocks of its QP
-(``QpConstants``), once, and owns the warm-start and hold-previous-input
-state of one episode. Each law is one function ``law(ctrl, state, ref)``
+One ``Controller`` class runs any of the five laws by name. It makes every
+piece of its law that no state changes once: the certificate, the edges of
+the saturation mask, the constant blocks of its QP (``QpConstants``) and the
+collocated split, or the maps that depend only on B and the task ridge of
+ic/uic. It owns the warm-start and hold-previous-input state of one
+episode. Each law is one function ``law(ctrl, state, ref)``
 returning ``(u, log, sol)`` (``sol`` is None for ic and uic): it reads the
 model, gains, certificate, constant blocks or maps, warm start and held
 input from its controller and never changes it; only ``Controller.step``
@@ -168,9 +170,14 @@ def _clamp(u: np.ndarray, model: RobotModel) -> np.ndarray:
     return np.minimum(np.maximum(u, model.u_min), model.u_max)
 
 
-def _saturation_mask(u: np.ndarray, model: RobotModel) -> np.ndarray:
+def saturation_edges(model: RobotModel) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs at or beyond which an input counts as saturated: u_min and
+    u_max moved inward by 1e-9 of the box width, read-only."""
     tol = 1e-9 * (model.u_max - model.u_min)
-    return (u <= model.u_min + tol) | (u >= model.u_max - tol)
+    edges = model.u_min + tol, model.u_max - tol
+    for edge in edges:
+        edge.setflags(write=False)
+    return edges
 
 
 @dataclass
@@ -200,17 +207,19 @@ class QpConstants:
     controller and read-only: the Hessian (clf-qp) or its constant blocks
     (full body: 2 w3 I, and 2 rho when certifying), A_eq with only its
     identity block filled, the input box with its inequality rows, and, for
-    the full body, w2 I. clf-qp's whole Hessian is also kept as the
-    ``PsdHessian`` it is, checked once here instead of once per step."""
+    the full body, w2 I and -S, which maps the bias forces h to b_eq.
+    clf-qp's whole Hessian is also kept as the ``PsdHessian`` it is, checked
+    once here instead of once per step."""
 
     H: np.ndarray
     A_eq: np.ndarray
     bounds: Bounds
     w2_eye: np.ndarray | None = None
+    minus_S: np.ndarray | None = None
     hessian: PsdHessian | None = None
 
     def __post_init__(self):
-        for arr in (self.H, self.A_eq, self.w2_eye):
+        for arr in (self.H, self.A_eq, self.w2_eye, self.minus_S):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -264,7 +273,8 @@ def clf_qp_step(ctrl: Controller, state: RobotState, ref: Reference
     return _finish_qp_step(ctrl, data, sol, lambda x: (x[:m], x[m:m + n_t], x[-1]))
 
 
-def full_body_constants(model: RobotModel, gains, name: str) -> QpConstants:
+def full_body_constants(model: RobotModel, gains, name: str,
+                        split: CollocatedSplit) -> QpConstants:
     n, m = model.n, model.m
     certify = name == "soft-id-clf-qp"
     d = n + m + 1 if certify else n + m
@@ -279,7 +289,8 @@ def full_body_constants(model: RobotModel, gains, name: str) -> QpConstants:
         lb_parts.append([0.0])
         ub_parts.append([np.inf])
     bounds = Bounds.make(np.concatenate(lb_parts), np.concatenate(ub_parts), d)
-    return QpConstants(H=h_cost, A_eq=a_eq, bounds=bounds, w2_eye=gains.w2 * np.eye(n))
+    return QpConstants(H=h_cost, A_eq=a_eq, bounds=bounds, w2_eye=gains.w2 * np.eye(n),
+                       minus_S=-split.S)
 
 
 def full_body_qp_step(ctrl: Controller, state: RobotState, ref: Reference
@@ -316,7 +327,7 @@ def full_body_qp_step(ctrl: Controller, state: RobotState, ref: Reference
 
     a_eq = consts.A_eq.copy()
     a_eq[:, :n] = ctrl.split.S @ ev.terms.M
-    b_eq = -ctrl.split.S @ ev.terms.h
+    b_eq = consts.minus_S @ ev.terms.h
 
     a_in = b_in = None
     if certify:
@@ -355,9 +366,10 @@ def _step_log(ctrl, data, u, qp_status, solve_time, mu=None, delta=0.0):
         qdd = solve_inertia(ev.terms, ctrl.model.B @ u - ev.terms.h)
         mu = ev.ts.J @ qdd + ev.ts.dJ @ ev.state.dq - data.ddy_ref
     v, a0, a1 = data.certificate
+    low, high = ctrl.saturation_edges
     return ControlStepLog(u=u, mu=mu, delta=delta, V=v, Vdot=a0 + float(a1 @ mu),
                           qp_status=qp_status, solve_time=solve_time,
-                          saturated=_saturation_mask(u, ctrl.model))
+                          saturated=(u <= low) | (u >= high))
 
 
 def actuation_maps(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -391,7 +403,7 @@ def _impedance_torque(ctrl, data) -> np.ndarray:
     b_pinv, blocked = ctrl.maps
     minv_jt = solve_inertia(terms, jac.T)
     lam_inv = jac @ minv_jt
-    lam = inv(lam_inv + LAMBDA_REG * eye(ctrl.model.task_dim))
+    lam = inv(lam_inv + ctrl.task_ridge)
 
     ydd_des = data.ddy_ref - gains.kd * data.err.de - gains.kp * data.err.e
     h_task = ev.ts.J_pinv.T @ terms.c_vec - lam @ (djac @ ev.state.dq)
@@ -411,11 +423,18 @@ _LAWS = {"clf-qp": clf_qp_step, "soft-id-clf-qp": full_body_qp_step,
 
 
 class Controller:
-    """One of the five laws, chosen by ``name``. Makes the maps that depend
-    only on B once (the collocated split for the full-body QPs, B^+ and
-    I - B B^+ for ic/uic), and the constant blocks of a QP law, and owns the
-    warm-start and hold-previous-input state of one episode at a time;
-    ``reset`` clears it between episodes."""
+    """One of the five laws, chosen by ``name``. Makes every piece of its
+    law that no state changes once:
+
+    - the certificate ``clf``;
+    - the ``saturation_edges`` the logged saturation mask compares u with;
+    - for a QP law, the constant blocks of its program (``consts``), and for
+      the full-body QPs the collocated ``split``;
+    - for ic/uic, the actuation ``maps`` B^+ and I - B B^+, and the
+      ``task_ridge`` LAMBDA_REG I added to the task-space inverse inertia.
+
+    It also owns the warm-start and hold-previous-input state of one episode
+    at a time; ``reset`` clears it between episodes."""
 
     def __init__(self, name: str, model: RobotModel, gains):
         if name not in CONTROLLER_NAMES:
@@ -424,13 +443,16 @@ class Controller:
         self.model = model
         self.gains = gains
         self.clf = default_clf(gains.eps, model.task_dim)
+        self.saturation_edges = saturation_edges(model)
         if name == "clf-qp":
             self.consts = clf_qp_constants(model, gains)
         elif name in ("soft-id-clf-qp", "ic-qp"):
             self.split = collocated_split(model.B)
-            self.consts = full_body_constants(model, gains, name)
+            self.consts = full_body_constants(model, gains, name, self.split)
         else:
             self.maps = actuation_maps(model.B)
+            self.task_ridge = LAMBDA_REG * eye(model.task_dim)
+            self.task_ridge.setflags(write=False)
         self.reset()
 
     def reset(self):

@@ -311,24 +311,19 @@ def trajectory_columns(traj: Trajectory) -> list[str]:
 
 def export_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the control-rate log as CSV; floats keep full repr precision so
-    a parse of the file reproduces values bit-for-bit."""
-    cols = trajectory_columns(traj)
-    err = traj.y - traj.y_ref
+    a parse of the file reproduces values bit-for-bit. The numeric columns
+    are stacked whole and turned into Python floats in one call."""
     v0 = traj.V[0] if len(traj) and np.isfinite(traj.V[0]) and traj.V[0] > 0.0 else 1.0
+    numbers = np.column_stack((traj.t, traj.y - traj.y_ref, traj.y, traj.y_ref, traj.V,
+                               traj.V / v0, traj.Vdot, traj.delta, traj.u)).tolist()
+    lines = [f"# {key}: {val}\n" for key, val in sorted(traj.metadata.items())]
+    if traj.failed:
+        lines.append(f"# failed: {traj.failure_reason}\n")
+    lines.append(",".join(trajectory_columns(traj)) + "\n")
+    lines.extend(f"{','.join(map(repr, row))},{status},{ms!r}\n" for row, status, ms
+                 in zip(numbers, traj.qp_status, (traj.solve_time * 1000.0).tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key, val in sorted(traj.metadata.items()):
-            fh.write(f"# {key}: {val}\n")
-        if traj.failed:
-            fh.write(f"# failed: {traj.failure_reason}\n")
-        fh.write(",".join(cols) + "\n")
-        for i in range(len(traj)):
-            row = ([traj.t[i]] + list(err[i]) + list(traj.y[i]) + list(traj.y_ref[i])
-                   + [traj.V[i], traj.V[i] / v0, traj.Vdot[i], traj.delta[i]]
-                   + list(traj.u[i]))
-            text = [repr(float(v)) for v in row]
-            text.append(traj.qp_status[i])
-            text.append(repr(float(traj.solve_time[i] * 1000.0)))
-            fh.write(",".join(text) + "\n")
+        fh.write("".join(lines))
 
 
 def read_trajectory_csv(path) -> dict:

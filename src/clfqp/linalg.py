@@ -13,8 +13,10 @@ Both SVDs come from ``_lapack``: gesdd is numpy's gufunc, called as
 ``np.linalg.svd`` calls it but without the wrapper's fixed cost per call,
 and gesvd is scipy's LAPACK routine. ``_lapack`` also holds the other
 numpy kernels of the per-step path (module docstring there); this module
-adds ``matrix_rank`` on the singular values alone and ``eye``, the read-only
-identity the per-step projectors subtract from, made once per size.
+adds ``matrix_rank`` on the singular values alone, ``eye``, the read-only
+identity the per-step projectors subtract from, made once per size, and
+``all_finite``, the check that every entry of whole arrays is finite, which
+states, task errors, QP blocks and SVD factors go through.
 
 The Riccati solve is specialised to task-error dynamics that are a stack of
 decoupled double integrators, so it reduces to a per-axis closed form
@@ -30,10 +32,32 @@ from functools import lru_cache
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from ._lapack import dgesvd, svdvals
+from ._lapack import dgesvd, extobj_contextvar, make_extobj, svdvals
 from ._lapack import svd as gesdd
 
 DEFAULT_PINV_TOL = 1e-8
+
+
+_QUIET = make_extobj(all="ignore")    # no floating-point warning or callback
+_add = np.add.reduce
+
+
+def all_finite(*arrays: np.ndarray) -> bool:
+    """Whether every entry of every array is finite:
+    ``all(np.isfinite(a).all() for a in arrays)``, at the cost of one sum
+    per array. A NaN or infinite entry always makes the sum NaN or infinite,
+    so an array whose sum is finite passes; one whose sum is not (which a
+    sum of finite entries also is when it overflows) gets the entrywise
+    test. The sums run with floating-point warnings off, so an overflow or
+    inf - inf in them warns of nothing."""
+    token = extobj_contextvar.set(_QUIET)
+    try:
+        for a in arrays:
+            if not (math.isfinite(_add(a, None)) or np.isfinite(a).all()):
+                return False
+        return True
+    finally:
+        extobj_contextvar.reset(token)
 
 
 class NonPositiveWeight(ValueError):
@@ -52,13 +76,11 @@ def svd(a: np.ndarray, full_matrices: bool = False
     A finite result of gesdd is returned as is. Otherwise each matrix of
     the stack is redone on its own: gesdd again, whose one-matrix bits are
     those of the stacked call, and gesvd where that is not finite either.
-    SvdFailure is raised when gesvd fails too. The entries of U and V' are
-    at most 1 in magnitude, so the sum of both is finite exactly when every
-    entry is.
+    SvdFailure is raised when gesvd fails too.
     """
     try:
         u, s, vt = gesdd(a, full_matrices=full_matrices)
-        if math.isfinite(u.sum() + vt.sum()):
+        if all_finite(u, vt):
             return u, s, vt
     except LinAlgError:
         pass
@@ -80,12 +102,12 @@ def _svd_each(a, full_matrices):
 def _svd_one(a, full_matrices):
     try:
         usv = gesdd(a, full_matrices=full_matrices)
-        if all(np.isfinite(f).all() for f in usv):
+        if all_finite(*usv):
             return usv
     except LinAlgError:
         pass
     *usv, info = dgesvd(a, full_matrices=int(full_matrices))
-    if info != 0 or not all(np.isfinite(f).all() for f in usv):
+    if info != 0 or not all_finite(*usv):
         raise SvdFailure(f"no finite SVD of a {a.shape[0]}x{a.shape[1]} matrix "
                          f"(gesdd, then gesvd with info {info})")
     return usv

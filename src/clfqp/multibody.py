@@ -67,7 +67,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from ._lapack import c_einsum, dpotrf, dpotrs, dtrtri, eigvalsh
-from .linalg import matrix_rank
+from .linalg import all_finite, matrix_rank
 
 GRAVITY_DEFAULT = (0.0, 0.0, -9.81)
 COND_LIMIT = 1e12
@@ -122,7 +122,7 @@ class RobotState:
     def __post_init__(self):
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         object.__setattr__(self, "dq", np.asarray(self.dq, dtype=float))
-        if not (np.isfinite(self.q).all() and np.isfinite(self.dq).all()):
+        if not all_finite(self.q, self.dq):
             raise ValueError("state entries must be finite")
 
 
@@ -240,7 +240,7 @@ class RobotModel:
                 raise ValueError("revolute joints need a unit 3-vector axis")
         if self.ee_offset is not None:
             offset = _as_floats(self.ee_offset)
-            if offset.shape != (3,) or not np.isfinite(offset).all():
+            if offset.shape != (3,) or not all_finite(offset):
                 raise ValueError(f"ee_offset must be 3 finite numbers, got {self.ee_offset!r}")
 
     @cached_property

@@ -77,7 +77,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from ._lapack import cholesky, dpotrf, eigvalsh, solve, svdvals
-from .linalg import eye, matrix_rank, svd
+from .linalg import all_finite, eye, matrix_rank, svd
 
 FEAS_TOL = 1e-8          # absolute slack threshold for "satisfied"
 DUAL_TOL = 1e-10         # multiplier nonnegativity slack
@@ -153,7 +153,7 @@ class PsdHessian:
         h = np.array(h, dtype=float)
         if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
             raise ValueError(f"H must be a nonempty square matrix, got shape {h.shape}")
-        if not np.isfinite(h).all():
+        if not all_finite(h):
             raise ValueError("H contains non-finite entries")
         _check_symmetric_psd(h)
         h.setflags(write=False)
@@ -217,9 +217,9 @@ class QpProblem:
 
     def validate(self):
         blocks = [getattr(self, name) for name in _BLOCKS]
-        if not np.isfinite(np.concatenate([b.ravel() for b in blocks])).all():
+        if not all_finite(*blocks):
             for name, block in zip(_BLOCKS, blocks):
-                if not np.isfinite(block).all():
+                if not all_finite(block):
                     raise ValueError(f"{name} contains non-finite entries")
         if self.hessian is None or self.H is not self.hessian.H:
             _check_symmetric_psd(self.H)

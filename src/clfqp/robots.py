@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -49,7 +50,8 @@ class ValidationError(ValueError):
 @dataclass(frozen=True)
 class GainSet:
     """Controller gains, defaulting to a spec row's fallbacks. kd is always
-    derived as 2 sqrt(kp) (critically damped error dynamics), never stored."""
+    derived as 2 sqrt(kp) (critically damped error dynamics), never stored
+    in a spec; it is worked out once per gain set."""
 
     kp: float = 500.0
     eps: float = 0.05
@@ -68,7 +70,7 @@ class GainSet:
             if getattr(self, name) < 0.0:
                 raise ValidationError(f"gain {name} must be nonnegative")
 
-    @property
+    @cached_property
     def kd(self) -> float:
         return 2.0 * np.sqrt(self.kp)
 

@@ -63,6 +63,7 @@ from . import multibody
 from ._lapack import solve
 from .controllers import ControlStepLog, Evaluation, Reference, evaluate
 from .kinematics import TaskState, task_rows, task_state
+from .linalg import all_finite
 from .multibody import (DynamicsTerms, IllConditioned, RobotModel, RobotState, bias_terms,
                         matvec)
 
@@ -178,7 +179,7 @@ def step(model: RobotModel, q: np.ndarray, dq: np.ndarray, t: float, u: np.ndarr
 def _stage(model: RobotModel, q: np.ndarray, dq: np.ndarray, force: np.ndarray) -> np.ndarray:
     """Joint accelerations at an RK4 stage state, held first to the rule
     RobotState enforces on every state, for every row at once."""
-    if not (np.isfinite(q).all() and np.isfinite(dq).all()):
+    if not all_finite(q, dq):
         raise ValueError("state entries must be finite")
     return multibody.accelerations(model, q, dq, force)
 
@@ -406,7 +407,7 @@ def _run_episodes(model, controllers, references, cfgs, stops, metadata) -> list
                 continue
             y_ref_k = _log_row(trajs[i], k, state, ts, references[i], u, log)
             reason = stops[i](state, ts.y - y_ref_k, log) if stops[i] else ""
-            if not (reason or np.isfinite(u).all()):
+            if not (reason or all_finite(u)):
                 reason = f"non-finite input at t={t:.6f}"
             if reason:
                 ends[j] = (state, reason, k + 1)

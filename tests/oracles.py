@@ -449,3 +449,25 @@ def rk4_step(accel, q, dq, dt):
     q_next = q + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
     dq_next = dq + dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
     return q_next, dq_next
+
+
+def row_by_row_trajectory_csv(traj, path, columns):
+    """The trajectory CSV as the exporter wrote it before it stacked whole
+    columns: one Python list per row and ``repr(float(v))`` per cell, one
+    write per line. ``columns`` is the header row."""
+    err = traj.y - traj.y_ref
+    v0 = traj.V[0] if len(traj) and np.isfinite(traj.V[0]) and traj.V[0] > 0.0 else 1.0
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for key, val in sorted(traj.metadata.items()):
+            fh.write(f"# {key}: {val}\n")
+        if traj.failed:
+            fh.write(f"# failed: {traj.failure_reason}\n")
+        fh.write(",".join(columns) + "\n")
+        for i in range(len(traj)):
+            row = ([traj.t[i]] + list(err[i]) + list(traj.y[i]) + list(traj.y_ref[i])
+                   + [traj.V[i], traj.V[i] / v0, traj.Vdot[i], traj.delta[i]]
+                   + list(traj.u[i]))
+            text = [repr(float(v)) for v in row]
+            text.append(traj.qp_status[i])
+            text.append(repr(float(traj.solve_time[i] * 1000.0)))
+            fh.write(",".join(text) + "\n")

@@ -541,6 +541,92 @@ class TestControllerObjects:
         assert np.linalg.norm(finals["clf-qp"] - finals["soft-id-clf-qp"]) < 1e-4
 
 
+def finger_case():
+    from clfqp.experiments import EllipseParams, setpoint_reference
+    from clfqp.robots import builtin_registry
+
+    model, gains = builtin_registry()["finger"].load()
+    ref = setpoint_reference(EllipseParams.for_robot(model), 0.5 * np.pi, model.task_dim)
+    return model, gains, ref
+
+
+def two_link_case():
+    model = two_link(k_s=(0.4, 0.2), u_lim=2.0)
+    gains = {name: gset() for name in CONTROLLER_NAMES}
+    return model, gains, Reference.setpoint(np.array([0.2, -0.1]))
+
+
+def per_step_saturation_mask(u, model):
+    """The saturation mask as each step worked it out before its edges were
+    made once per controller."""
+    tol = 1e-9 * (model.u_max - model.u_min)
+    return (u <= model.u_min + tol) | (u >= model.u_max - tol)
+
+
+def edge_inputs(model):
+    """Inputs on the box, 1e-10 inside and outside it, on the saturation
+    edges and one float inside them, and mixed rows."""
+    lo, hi = model.u_min, model.u_max
+    tol = 1e-9 * (hi - lo)
+    lo_edge, hi_edge = lo + tol, hi - tol
+    rows = [lo, hi, lo + 1e-10, hi - 1e-10, lo - 1e-10, hi + 1e-10, lo_edge, hi_edge,
+            np.nextafter(lo_edge, np.inf), np.nextafter(hi_edge, -np.inf), 0.5 * (lo + hi)]
+    mixed = np.where(np.arange(model.m) % 2 == 0, lo_edge, np.nextafter(hi_edge, -np.inf))
+    return rows + [mixed, mixed[::-1].copy()]
+
+
+class TestConstantsMadeOnce:
+    """What a controller makes once gives the bits the per-step formulas
+    gave, and no step changes it."""
+
+    @pytest.mark.parametrize("name", CONTROLLER_NAMES)
+    @pytest.mark.parametrize("case", [finger_case, two_link_case], ids=["finger", "two-link"])
+    def test_saturation_mask_is_the_per_step_formula(self, monkeypatch, case, name):
+        from clfqp import controllers
+
+        model, gains, ref = case()
+        ctrl = make_controller(name, model, gains[name])
+        state = RobotState(np.full(model.n, 0.05), np.full(model.n, 0.1))
+        inputs = edge_inputs(model)
+        for u in inputs:
+            with monkeypatch.context() as m:
+                m.setattr(controllers, "_clamp", lambda _, model, u=u: u.copy())
+                _, log = ctrl.step(state, ref)
+            want = per_step_saturation_mask(u, model)
+            assert log.saturated.dtype == want.dtype and np.array_equal(log.saturated, want)
+        masks = [per_step_saturation_mask(u, model) for u in inputs]
+        assert all(m.all() for m in masks[:8]) and not any(m.any() for m in masks[8:11])
+
+    @pytest.mark.parametrize("name", CONTROLLER_NAMES)
+    @pytest.mark.parametrize("case", [finger_case, two_link_case], ids=["finger", "two-link"])
+    def test_steps_leave_the_constants_unchanged(self, case, name):
+        model, gains, ref = case()
+        ctrl = make_controller(name, model, gains[name])
+
+        def constants():
+            arrays = [ctrl.clf.P_eps, *ctrl.saturation_edges]
+            if name in ("ic", "uic"):
+                arrays += [*ctrl.maps, ctrl.task_ridge]
+            else:
+                c = ctrl.consts
+                arrays += [c.H, c.A_eq, c.bounds.lb, c.bounds.ub, c.bounds.rows, c.bounds.rhs]
+                if name != "clf-qp":
+                    arrays += [c.w2_eye, c.minus_S, ctrl.split.T, ctrl.split.S, ctrl.split.W]
+                    assert same_bits(c.minus_S, -ctrl.split.S) and not c.minus_S.flags.writeable
+            return [a.copy() for a in arrays]
+
+        before = constants()
+        assert not any(edge.flags.writeable for edge in ctrl.saturation_edges)
+        if name in ("ic", "uic"):
+            assert not ctrl.task_ridge.flags.writeable
+            assert same_bits(ctrl.task_ridge, 1e-8 * np.eye(model.task_dim))
+        rng = np.random.default_rng(15)
+        for k in range(3):
+            ctrl.step(RobotState(0.3 * rng.standard_normal(model.n),
+                                 rng.standard_normal(model.n), 0.01 * k), ref)
+        assert all(same_bits(a, b) for a, b in zip(constants(), before))
+
+
 class TestOneLawForm:
     """Controller.step is its law called on the same controller, bit for
     bit, over steps that carry a warm start and include one infeasible hold;
@@ -550,19 +636,6 @@ class TestOneLawForm:
             "ic": impedance_step, "uic": impedance_step, "ic-qp": full_body_qp_step}
     INFEASIBLE_AT = 2
 
-    def case(self, robot):
-        if robot == "finger":
-            from clfqp.experiments import EllipseParams, setpoint_reference
-            from clfqp.robots import builtin_registry
-
-            model, gains = builtin_registry()["finger"].load()
-            ref = setpoint_reference(EllipseParams.for_robot(model), 0.5 * np.pi,
-                                     model.task_dim)
-            return model, gains, ref
-        model = two_link(k_s=(0.4, 0.2), u_lim=2.0)
-        gains = {name: gset() for name in CONTROLLER_NAMES}
-        return model, gains, Reference.setpoint(np.array([0.2, -0.1]))
-
     @pytest.mark.parametrize("name", CONTROLLER_NAMES)
     @pytest.mark.parametrize("robot", ["finger", "two-link"])
     def test_step_is_its_law(self, monkeypatch, robot, name):
@@ -570,7 +643,7 @@ class TestOneLawForm:
 
         from clfqp import controllers
 
-        model, gains, ref = self.case(robot)
+        model, gains, ref = finger_case() if robot == "finger" else two_link_case()
         ctrl = make_controller(name, model, gains[name])
         solve, k = controllers.solve_qp, [0]
 

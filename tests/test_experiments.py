@@ -10,6 +10,7 @@ import pytest
 from clfqp import experiments
 from clfqp.multibody import RobotState
 from clfqp.robots import RobotSpecFile, builtin_registry, resolve_spec
+from oracles import row_by_row_trajectory_csv
 from test_lockstep import assert_same_episode
 
 SHORT = {"t_end": 0.002}
@@ -84,6 +85,55 @@ class TestCsvRoundTrip:
                 assert same_bits(data[name], values), name
             assert data["qp_status"] == traj.qp_status
             assert data["metadata"]["theta"] == str(traj.metadata["theta"])
+
+
+class TestCsvBytes:
+    """The exporter writes the bytes of the row-by-row writer it replaced
+    (``oracles.row_by_row_trajectory_csv``)."""
+
+    @staticmethod
+    def assert_same_file(traj, tmp_path):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        experiments.export_trajectory_csv(traj, got)
+        row_by_row_trajectory_csv(traj, want, experiments.trajectory_columns(traj))
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_held_inputs_with_nan_delta(self, tmp_path):
+        _, (traj,) = experiments.tracking_suite("spirob", "clf-qp",
+                                                omegas=experiments.OMEGA_GRID[4:5],
+                                                sim_overrides={"t_end": 0.01})
+        assert np.isnan(traj.delta).any() and "Infeasible" in traj.qp_status
+        assert traj.metadata
+        self.assert_same_file(traj, tmp_path)
+
+    def test_failed_episode_and_edge_values(self, tmp_path):
+        _, trajs = experiments.setpoint_suite("finger", "uic",
+                                              thetas=experiments.THETA_GRID[:1],
+                                              sim_overrides={"t_end": 0.004})
+        traj = trajs[0]
+        u = traj.u.copy()
+        u[0, 0], u[1, 0], u[2, 0] = -0.0, 1e-310, -np.inf
+        delta = traj.delta.copy()
+        delta[1] = np.nan
+        edited = dataclasses.replace(traj, u=u, delta=delta, failed=True,
+                                     failure_reason="non-finite input at t=0.002000",
+                                     metadata={**traj.metadata, "note": "a: b, c"})
+        self.assert_same_file(edited, tmp_path)
+        text = (tmp_path / "got.csv").read_text(encoding="utf-8")
+        assert "# failed: non-finite input at t=0.002000\n" in text
+
+    @pytest.mark.parametrize("v0", [0.0, np.nan])
+    def test_unusable_first_value_and_no_rows(self, tmp_path, v0):
+        _, trajs = experiments.setpoint_suite("finger", "ic",
+                                              thetas=experiments.THETA_GRID[:1],
+                                              sim_overrides={"t_end": 0.003})
+        traj = trajs[0]
+        V = traj.V.copy()
+        V[0] = v0
+        self.assert_same_file(dataclasses.replace(traj, V=V), tmp_path)
+        empty = {name: getattr(traj, name)[:0] for name in
+                 ("t", "y", "y_ref", "u", "V", "Vdot", "delta", "solve_time")}
+        self.assert_same_file(dataclasses.replace(traj, qp_status=[], **empty), tmp_path)
 
 
 class TestOneShotGrids:

@@ -9,6 +9,7 @@ import importlib.machinery
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,74 @@ class TestLinAlgErrors:
                 fn(*args)
 
 
+ERROR_ARGS = dict(invalid="call", over="ignore", divide="ignore", under="ignore")
+# binding, the gufunc it calls, its arguments, the message it raises
+BINDINGS = [
+    (_lapack.svd, "_svd_f", (NAN,), "SVD did not converge"),
+    (lambda a: _lapack.svd(a, full_matrices=False), "_svd_s", (NAN,), "SVD did not converge"),
+    (_lapack.svdvals, "_svd_n", (NAN,), "SVD did not converge"),
+    (_lapack.solve, "_solve1", (SINGULAR, np.ones(2)), "Singular matrix"),
+    (_lapack.solve, "_solve", (STACK, np.ones((2, 2, 1))), "Singular matrix"),
+    (_lapack.inv, "_inv", (SINGULAR,), "Singular matrix"),
+    (_lapack.cholesky, "_cholesky_lo", (np.diag([1.0, -1.0]),),
+     "Matrix is not positive definite"),
+    (_lapack.eigvalsh, "_eigvalsh_lo", (np.full((3, 3), np.nan),),
+     "Eigenvalues did not converge"),
+]
+IDS = ["svd", "svd_reduced", "svdvals", "solve1", "solve", "inv", "cholesky", "eigvalsh"]
+
+
+def error_state():
+    return np.geterr(), np.geterrcall(), np.getbufsize()
+
+
+class TestPrebuiltErrorStates:
+    """Each binding runs its gufunc under the error state np.errstate would
+    set for numpy's wrapper, and leaves the caller's state as it found it."""
+
+    @pytest.mark.parametrize("binding,gufunc,args,message", BINDINGS, ids=IDS)
+    def test_state_inside_the_kernel(self, monkeypatch, binding, gufunc, args, message):
+        seen = []
+        kernel = getattr(_lapack, gufunc)
+
+        def probe(*a, signature):
+            seen.append(error_state())
+            return kernel(*a, signature=signature)
+
+        monkeypatch.setattr(_lapack, gufunc, probe)
+        with pytest.raises(LinAlgError):
+            binding(*args)
+        (inside, callback, bufsize), = seen
+        with np.errstate(call=callback, **ERROR_ARGS):
+            assert (inside, callback, bufsize) == error_state()
+        with pytest.raises(LinAlgError) as info:
+            callback("invalid value", 8)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("outer", [{}, {"invalid": "ignore"}, {"all": "raise"}])
+    @pytest.mark.parametrize("binding,gufunc,args,message", BINDINGS, ids=IDS)
+    def test_caller_state_holds_after_a_raise(self, binding, gufunc, args, message, outer):
+        with np.errstate(**outer):
+            before = error_state()
+            assert outcome(binding, *args) == ("raises", message)
+            assert error_state() == before
+
+    @pytest.mark.parametrize("outer", [{}, {"invalid": "ignore"}])
+    def test_caller_state_holds_after_a_return(self, outer):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((4, 4))
+        sym = a @ a.T + 4.0 * np.eye(4)
+        with np.errstate(**outer):
+            before = error_state()
+            for fn, fn_args in ((_lapack.svd, (a,)), (_lapack.svdvals, (a,)),
+                                (_lapack.solve, (a, np.ones(4))), (_lapack.inv, (a,)),
+                                (_lapack.cholesky, (sym,)), (_lapack.eigvalsh, (sym,))):
+                fn(*fn_args)
+                assert error_state() == before, fn.__name__
+            with pytest.warns(RuntimeWarning) if not outer else nullcontext():
+                np.sqrt(np.array([-1.0]))
+
+
 class TestMissingNumpyKernel:
     @pytest.mark.parametrize("module,name", [("numpy.linalg._umath_linalg", "no_such_gufunc"),
                                              ("numpy._no_such_module", "c_einsum")])
@@ -202,6 +271,18 @@ class TestMissingNumpyKernel:
         with pytest.raises(ImportError) as info:
             _lapack._numpy_kernel(module, name)
         assert f"numpy {np.__version__} has no {module}.{name}" in str(info.value)
+
+    @pytest.mark.parametrize("name", ["_make_extobj", "_extobj_contextvar"])
+    def test_import_fails_without_an_error_state_name(self, name):
+        out = fresh_python("import numpy as np\n"
+                           "import numpy._core.umath as umath\n"
+                           f"del umath.{name}\n"
+                           "try:\n"
+                           "    import clfqp._lapack\n"
+                           "except ImportError as exc:\n"
+                           "    print(str(exc) == f'numpy {np.__version__} has no '\n"
+                           f"          'numpy._core.umath.{name}')\n")
+        assert out.split() == ["True"]
 
     def test_import_fails_without_a_gufunc(self):
         out = fresh_python("import numpy as np\n"

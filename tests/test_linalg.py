@@ -263,3 +263,76 @@ class TestEye:
             ident = linalg.eye(n)
             assert linalg.eye(n) is ident
             assert same_bits(ident, np.eye(n)) and not ident.flags.writeable
+
+
+BIG = 1e308
+FINITENESS_CASES = {
+    "finite": np.arange(6.0),
+    "nan": np.array([1.0, np.nan, 2.0]),
+    "inf": np.array([np.inf, 1.0]),
+    "-inf": np.array([-2.0, -np.inf]),
+    "both infs": np.array([np.inf, -np.inf]),
+    "sum overflows up": np.array([BIG, BIG, 1.0]),
+    "sum overflows down": np.array([-BIG, -BIG]),
+    "sum overflows, then comes back": np.array([BIG, BIG, -BIG, -BIG]),
+    "empty": np.zeros(0),
+    "empty rows": np.zeros((0, 3)),
+    "rows": np.arange(12.0).reshape(4, 3),
+    "rows, one nan": np.where(np.arange(12).reshape(4, 3) == 7, np.nan, 1.0),
+    "rows overflowing": np.full((3, 2), -BIG),
+    "scalar": np.array(3.0),
+    "scalar nan": np.array(np.nan),
+}
+
+
+def entrywise(*arrays):
+    return all(np.isfinite(a).all() for a in arrays)
+
+
+class TestAllFinite:
+    """all_finite answers what the entrywise test answers, warns of nothing
+    (pytest makes warnings errors) and leaves numpy's error state as it
+    was."""
+
+    @pytest.mark.parametrize("name", FINITENESS_CASES)
+    def test_one_array(self, name):
+        a = FINITENESS_CASES[name]
+        before = np.geterr()
+        assert linalg.all_finite(a) is bool(entrywise(a))
+        assert np.geterr() == before
+
+    def test_every_pair(self):
+        for a in FINITENESS_CASES.values():
+            for b in FINITENESS_CASES.values():
+                assert linalg.all_finite(a, b) is bool(entrywise(a, b))
+        assert linalg.all_finite() is True
+
+    def test_under_a_raising_error_state(self):
+        with np.errstate(all="raise"):
+            assert linalg.all_finite(FINITENESS_CASES["sum overflows up"])
+            assert not linalg.all_finite(FINITENESS_CASES["both infs"])
+            assert np.geterr()["over"] == "raise"
+
+    def test_checks_keep_their_texts(self):
+        from clfqp.clf import TaskError
+        from clfqp.multibody import RobotState
+        from clfqp.qp import PsdHessian, QpProblem
+
+        big = np.array([BIG, BIG])
+        RobotState(big, -big)
+        TaskError(big, big)
+        QpProblem(np.eye(2), big)
+        PsdHessian.make(np.diag(np.full(3, 0.7 * BIG)))    # the sum overflows, h + h' not
+        bad = np.array([1.0, np.nan])
+        with pytest.raises(ValueError, match="^state entries must be finite$"):
+            RobotState(np.zeros(2), bad)
+        with pytest.raises(ValueError, match="^task error must be finite$"):
+            TaskError(np.array([np.inf, 0.0]), np.zeros(2))
+        with pytest.raises(ValueError, match="^H contains non-finite entries$"):
+            PsdHessian.make(np.diag(bad))
+        for name, blocks in (("f", dict(f=bad)),
+                             ("b_eq", dict(A_eq=np.eye(2), b_eq=bad)),
+                             ("A_in", dict(A_in=np.diag(bad), b_in=np.zeros(2)))):
+            args = {"H": np.eye(2), "f": np.zeros(2), **blocks}
+            with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+                QpProblem(**args)

@@ -6,6 +6,9 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 QP_LAWS = ["clf-qp", "soft-id-clf-qp", "ic-qp"]
@@ -46,5 +49,24 @@ def test_a_changed_solution_is_a_mismatch():
         sol = qp_replay.qp.solve_qp(prob, warm_start=warm_start)
         return dataclasses.replace(sol, x_star=sol.x_star + 1e-15 * (1 + abs(sol.x_star)))
 
-    assert qp_replay.replay(records, 1)["mismatches"] == 0
-    assert qp_replay.replay(records, 2, solve=nudged)["mismatches"] == len(records)
+    assert qp_replay.replay({"ic-qp": records}, 1)["ic-qp"]["mismatches"] == 0
+    assert qp_replay.replay({"ic-qp": records}, 2, solve=nudged)["ic-qp"]["mismatches"] == \
+        len(records)
+
+
+def test_each_pass_goes_over_every_law():
+    solution = SimpleNamespace(x_star=np.zeros(1), status=qp_replay.qp.QpStatus.OPTIMAL,
+                               active_set=(), iterations=1)
+    by_law = {law: [qp_replay.Record(prob=(law, i), warm_start=None, solution=solution)
+                    for i in range(n)] for law, n in (("clf-qp", 2), ("ic-qp", 3))}
+    order = []
+
+    def stub(prob, warm_start=None):
+        order.append(prob)
+        return solution
+
+    result = qp_replay.replay(by_law, 3, solve=stub)
+    one_pass = [("clf-qp", 0), ("clf-qp", 1), ("ic-qp", 0), ("ic-qp", 1), ("ic-qp", 2)]
+    assert order == one_pass * 3
+    assert {law: (r["solves"], r["mismatches"]) for law, r in result.items()} == {
+        "clf-qp": (2, 0), "ic-qp": (3, 0)}

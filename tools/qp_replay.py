@@ -2,10 +2,12 @@
 
 Records every QP that one round of a benchmark workload solves (the plan
 comes from ``bench/workloads.py``, unchanged), with the warm start it was
-given and the solution it got, then solves each law's QPs again in
-process, in order, REPEATS times. A law's time is the mean over its QPs
-of each one's fastest solve, in microseconds, so host noise that moves a
-whole benchmark run's per-layer times barely moves it.
+given and the solution it got, then solves them again in process in
+REPEATS passes, each pass over every law's QPs in turn, in order. A law's
+time is the mean over its QPs of each one's fastest solve, in
+microseconds, so host noise that moves a whole benchmark run's per-layer
+times barely moves it, and a slow phase of the host lands on every law
+alike rather than on the law whose passes it overlaps.
 
 Every replayed solution must equal the recorded one bit for bit (x_star
 with its signs, status, active set, iterations); the exit status is 1
@@ -80,22 +82,26 @@ def same(a: qp.QpSolution, b: qp.QpSolution) -> bool:
             and a.iterations == b.iterations)
 
 
-def replay(records: list[Record], repeats: int, solve=qp.solve_qp) -> dict:
-    """Each record solved ``repeats`` times with ``solve``: the mean over
-    the records of each one's fastest solve, in microseconds, and the
-    solves not bitwise equal to their record (counted in the first pass)."""
-    best = np.full(len(records), np.inf)
-    mismatches = 0
+def replay(by_law: dict[str, list[Record]], repeats: int, solve=qp.solve_qp) -> dict:
+    """Every law's records solved ``repeats`` times with ``solve``, in
+    ``repeats`` passes that each go over every law's records in turn. Per
+    law: the mean over its records of each one's fastest solve, in
+    microseconds, and the solves not bitwise equal to their record (counted
+    in the first pass)."""
+    best = {law: np.full(len(records), np.inf) for law, records in by_law.items()}
+    mismatches = dict.fromkeys(by_law, 0)
     for r in range(repeats):
-        for i, rec in enumerate(records):
-            t0 = time.perf_counter()
-            sol = solve(rec.prob, warm_start=rec.warm_start)
-            best[i] = min(best[i], time.perf_counter() - t0)
-            if r == 0:
-                mismatches += not same(sol, rec.solution)
-    return {"solves": len(records), "us": float(best.mean()) * 1e6,
-            "iters_mean": float(np.mean([rec.solution.iterations for rec in records])),
-            "mismatches": mismatches}
+        for law, records in by_law.items():
+            for i, rec in enumerate(records):
+                t0 = time.perf_counter()
+                sol = solve(rec.prob, warm_start=rec.warm_start)
+                best[law][i] = min(best[law][i], time.perf_counter() - t0)
+                if r == 0:
+                    mismatches[law] += not same(sol, rec.solution)
+    return {law: {"solves": len(records), "us": float(best[law].mean()) * 1e6,
+                  "iters_mean": float(np.mean([rec.solution.iterations for rec in records])),
+                  "mismatches": mismatches[law]}
+            for law, records in by_law.items()}
 
 
 def main(argv=None) -> int:
@@ -108,8 +114,7 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
 
-    laws = {law: replay(records, args.repeats)
-            for law, records in record(args.workload, args.seed, args.scale).items()}
+    laws = replay(record(args.workload, args.seed, args.scale), args.repeats)
     for law, r in laws.items():
         print(f"{law:>15}: solve_qp.us = {r['us']:.1f} us over {r['solves']} solves "
               f"(each the fastest of {args.repeats}), iters_mean {r['iters_mean']:.3f}, "
