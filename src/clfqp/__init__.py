@@ -17,11 +17,13 @@ Library layout:
   ic-qp), each a function ``law(ctrl, state, ref)`` of the ``Controller``
   that runs it by name: one full-body QP builder with or without the
   Lyapunov row and one impedance step, each reading which form from the
-  controller's name.
+  controller's name. A law's constants are made once per model, law and
+  gain set and shared by its controllers.
 - ``robots``: benchmark robot descriptions (finger, helix, spirob) loaded
   from YAML spec files.
 - ``sim``: fixed-step zero-order-hold integration: one step over rows of
-  states that names each row's end, and the one loop over every episode.
+  states that names each row's end, and the one loop over every episode,
+  which checks each state once.
 - ``experiments``: set-point and trajectory benchmarks, metrics, CSV export.
 - ``cli``: command-line entry point.
 """

@@ -108,6 +108,9 @@ class RobotState:
     """Joint positions [rad], velocities [rad/s], and time [s], all finite,
     of one state (shape (n,)) or of several at one time, as rows (..., n).
 
+    ``unchecked`` builds the state of rows already held to that rule
+    without checking them again.
+
     ``evaluation`` may carry a ``controllers.Evaluation`` made beforehand
     for exactly this state; it is used only while its ``state`` is this very
     object. ``sim.run`` attaches the one it made to each state it hands a
@@ -124,6 +127,15 @@ class RobotState:
         object.__setattr__(self, "dq", np.asarray(self.dq, dtype=float))
         if not all_finite(self.q, self.dq):
             raise ValueError("state entries must be finite")
+
+    @classmethod
+    def unchecked(cls, q: np.ndarray, dq: np.ndarray, t: float = 0.0) -> "RobotState":
+        """The state of float arrays q and dq already held to the rule, such
+        as rows of states that passed it: built without converting or
+        checking them again."""
+        state = object.__new__(cls)
+        state.__dict__.update(q=q, dq=dq, t=t, evaluation=None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -258,6 +270,14 @@ class RobotModel:
     @cached_property
     def _chain(self) -> "_CompiledChain":
         return _compile_chain(self)
+
+    @cached_property
+    def derived(self) -> dict:
+        """Memo of what other layers make from this model once (the
+        controllers' law constants), each entry keyed by the contents of
+        every field it is made from, so a field swapped with
+        ``object.__setattr__`` or changed in place misses."""
+        return {}
 
     def rest_state(self) -> RobotState:
         return RobotState(q=np.zeros(self.n), dq=np.zeros(self.n), t=0.0)
@@ -407,7 +427,6 @@ class ChainMotion:
     domega: np.ndarray      # (n, 3) angular accelerations for qdd = 0
     v_origin: np.ndarray    # (n, 3) joint-origin velocities
     a_origin: np.ndarray    # (n, 3) joint-origin accelerations for qdd = 0
-    v_com: np.ndarray       # (n, 3)
     a_com: np.ndarray       # (n, 3)
 
 
@@ -427,10 +446,9 @@ def chain_motion(pose: ChainPose, dq: np.ndarray) -> ChainMotion:
 
     arm = pose.com_w - pose.origins
     w_arm = cross3(omega, arm)
-    v_com = v_origin + w_arm
     a_com = a_origin + cross3(domega, arm) + cross3(omega, w_arm)
     return ChainMotion(omega=omega, domega=domega, v_origin=v_origin,
-                       a_origin=a_origin, v_com=v_com, a_com=a_com)
+                       a_origin=a_origin, a_com=a_com)
 
 
 # Row-major entries of [v]x: the component of v each takes (3 is a zero

@@ -68,6 +68,7 @@ small without changing a bit of the result:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -231,21 +232,37 @@ class QpProblem:
         return float(0.5 * x @ self.H @ x + self.f @ x)
 
 
+_RESCALE_ABOVE = 2.0 ** 500
+
+
 def _check_symmetric_psd(h: np.ndarray):
     """Reject a finite h unless it is symmetric to 1e-12 of its scale and
     its symmetric part has lambda_min >= -PSD_TOL * scale, scale being
     max(1, max|h_ij|). A completed Cholesky factorisation certifies the
     eigenvalue rule up to PSD_CERT_MAX_DIM (module docstring); otherwise the
-    eigenvalues decide."""
+    eigenvalues decide, and a non-finite one rejects h.
+
+    An h with an entry above _RESCALE_ABOVE, near which h - h', h + h' or
+    the eigenvalues can overflow, is checked as h and scale times 2^-s, the
+    even power of two that brings the largest entry into [1/4, 1): an exact
+    scaling (sqrt(2^-s) is a power of two too), so every difference, sum
+    and Cholesky pivot only moves by 2^-s and the rule keeps its verdict."""
     scale = max(1.0, float(np.abs(h).max()))
+    shift = 0
+    if scale > _RESCALE_ABOVE:
+        exp = math.frexp(scale)[1]
+        shift = exp + (exp & 1)
+        h, scale = np.ldexp(h, -shift), math.ldexp(scale, -shift)
     if np.abs(h - h.T).max() > 1e-12 * scale:
         raise ValueError("H must be symmetric (1e-12 relative)")
     h_sym = 0.5 * (h + h.T)
     if h_sym.shape[0] <= PSD_CERT_MAX_DIM and dpotrf(h_sym)[1] == 0:
         return
     w = eigvalsh(h_sym)
-    if w[0] < -PSD_TOL * scale:
-        raise ValueError(f"H must be positive semidefinite (min eig {w[0]:.3e})")
+    if not (all_finite(w) and w[0] >= -PSD_TOL * scale):
+        with np.errstate(over="ignore"):
+            low = np.ldexp(w[0], shift)
+        raise ValueError(f"H must be positive semidefinite (min eig {low:.3e})")
 
 
 @dataclass

@@ -29,6 +29,14 @@ An evaluation points back at its state, so the attachment is cleared once
 the controller has stepped, and the pair is freed without waiting for the
 cyclic collector.
 
+Each state is checked once. The start state is a checked RobotState, and
+every stepped row passes ``_failures`` (finite entries of at most 1e12),
+which settles the common case with one maximum magnitude per array; the
+per-row states handed to the controllers, the stacked state of an
+evaluation and the states episodes end at are built from those rows with
+``RobotState.unchecked``, without checking them again. The RK4 stage
+states are checked as they are formed.
+
 An RK4 step forms the joint force B u once. Each later stage (k2 to k4)
 is a pair of plain arrays held to the rule RobotState enforces, finite
 entries, and computes only its accelerations (``multibody.accelerations``):
@@ -98,14 +106,23 @@ class SimConfig:
 SIM_DEFAULTS = {f.name: f.default for f in fields(SimConfig) if f.name != "initial_state"}
 
 
+def _largest(a: np.ndarray) -> float:
+    """max |a_ij| over every entry (0 for none): NaN when an entry is NaN,
+    inf when one is infinite and none is NaN."""
+    return np.maximum.reduce(np.absolute(a), None, initial=0.0)
+
+
 def _failures(q: np.ndarray, dq: np.ndarray, t: float) -> list[str]:
     """The reason each stepped row of q and dq ends on, "" for a row that
-    may go on."""
-    finite = np.isfinite(q).all(-1) & np.isfinite(dq).all(-1)
+    may go on. The common case, every entry of every row finite and at most
+    1e12 in magnitude, is settled by one maximum magnitude per array, which
+    a NaN makes NaN and an inf makes inf, so neither passes; otherwise each
+    row gets the entrywise rule."""
     # Abort runaway states before squared terms overflow downstream.
-    huge = np.maximum(np.abs(q).max(-1), np.abs(dq).max(-1)) > 1e12
-    if finite.all() and not huge.any():
+    if _largest(q) <= 1e12 >= _largest(dq):
         return [""] * len(q)
+    finite = np.isfinite(q).all(-1) & np.isfinite(dq).all(-1)
+    huge = np.maximum(np.abs(q).max(-1), np.abs(dq).max(-1)) > 1e12
     return np.where(finite, np.where(huge, f"state magnitude exceeded 1e12 at t={t:.6f}", ""),
                     f"non-finite state at t={t:.6f}").tolist()
 
@@ -352,7 +369,7 @@ def _evaluate_rows(model: RobotModel, states: list[RobotState], q: np.ndarray,
             ev = evaluate(model, state)
             object.__setattr__(state, "evaluation", ev)
             return ev.terms
-        rows = RobotState(q, dq)
+        rows = RobotState.unchecked(q, dq)
         terms = bias_terms(model, rows)
         ts = task_state(model, rows, pose=terms.pose, motion=terms.motion)
         for state, row_terms, *row_ts in zip(states, terms.rows, ts.y, ts.dy, ts.J, ts.dJ,
@@ -385,12 +402,12 @@ def _run_episodes(model, controllers, references, cfgs, stops, metadata) -> list
     t = start.t
     k = 0
     while True:
-        done = {j: (RobotState(q=q[j], dq=dq[j], t=t),) for j, i in enumerate(live)
+        done = {j: (RobotState.unchecked(q[j], dq[j], t),) for j, i in enumerate(live)
                 if len(trajs[i]) == k}
         live, q, dq = _drop(trajs, live, done, q, dq)
         if not live:
             return trajs
-        states = [RobotState(q=row_q, dq=row_dq, t=t) for row_q, row_dq in zip(q, dq)]
+        states = [RobotState.unchecked(row_q, row_dq, t) for row_q, row_dq in zip(q, dq)]
         terms, reasons = _evaluate_rows(model, states, q, dq, t)
         ends, inputs = {}, np.zeros((len(live), model.m))
         for j, (i, state, reason) in enumerate(zip(live, states, reasons)):
@@ -420,7 +437,7 @@ def _run_episodes(model, controllers, references, cfgs, stops, metadata) -> list
                 break
             q_next, dq_next, reasons = step(model, q, dq, t, inputs, cfg, terms)
             terms = None
-            ends = {j: (RobotState(q=q[j], dq=dq[j], t=t), reason, k + 1)
+            ends = {j: (RobotState.unchecked(q[j], dq[j], t), reason, k + 1)
                     for j, reason in enumerate(reasons) if reason}
             t += cfg.dt_physics
             live, q, dq, inputs = _drop(trajs, live, ends, q_next, dq_next, inputs)

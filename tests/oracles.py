@@ -200,10 +200,9 @@ def ten_cross_chain_motion(pose, dq):
     a_origin = np.cumsum(
         np.cross(domega_prev, d) + np.cross(omega_prev, np.cross(omega_prev, d)), axis=0)
     arm = pose.com_w - pose.origins
-    v_com = v_origin + np.cross(omega, arm)
     a_com = a_origin + np.cross(domega, arm) + np.cross(omega, np.cross(omega, arm))
     return {"omega": omega, "domega": domega, "v_origin": v_origin,
-            "a_origin": a_origin, "v_com": v_com, "a_com": a_com}
+            "a_origin": a_origin, "a_com": a_com}
 
 
 def two_pass_inverse_dynamics(pose, motion, with_gravity):
@@ -471,3 +470,18 @@ def row_by_row_trajectory_csv(traj, path, columns):
             text.append(traj.qp_status[i])
             text.append(repr(float(traj.solve_time[i] * 1000.0)))
             fh.write(",".join(text) + "\n")
+
+
+def entrywise_failures(q, dq, t):
+    """The reason each row of q and dq ends on, "" for a row that may go
+    on, from one finiteness and one magnitude test per row: non-finite
+    first, then beyond 1e12."""
+    reasons = []
+    for q_row, dq_row in zip(q, dq):
+        if not (np.all(np.isfinite(q_row)) and np.all(np.isfinite(dq_row))):
+            reasons.append(f"non-finite state at t={t:.6f}")
+        elif max(np.max(np.abs(q_row)), np.max(np.abs(dq_row))) > 1e12:
+            reasons.append(f"state magnitude exceeded 1e12 at t={t:.6f}")
+        else:
+            reasons.append("")
+    return reasons

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -625,6 +626,57 @@ class TestConstantsMadeOnce:
             ctrl.step(RobotState(0.3 * rng.standard_normal(model.n),
                                  rng.standard_normal(model.n), 0.01 * k), ref)
         assert all(same_bits(a, b) for a, b in zip(constants(), before))
+
+
+PIECES = ("clf", "saturation_edges", "consts", "split", "maps", "task_ridge")
+
+
+class TestSharedConstants:
+    """Controllers of one model, law and gain set share that law's
+    constants, each keeping its own warm start and held input; a change to
+    anything the constants are made from gets new ones."""
+
+    @pytest.mark.parametrize("name", CONTROLLER_NAMES)
+    def test_shared_constants_own_episode_state(self, name):
+        model, gains, ref = finger_case()
+        a = make_controller(name, model, gains[name])
+        b = make_controller(name, model, gains[name])
+        assert all(getattr(a, p) is getattr(b, p) for p in PIECES)
+        assert a._u_hold is not b._u_hold
+        rng = np.random.default_rng(21)
+        a.step(RobotState(0.3 * rng.standard_normal(model.n), rng.standard_normal(model.n)),
+               ref)
+        assert b._warm is None and same_bits(b._u_hold, np.clip(0.0, model.u_min, model.u_max))
+        assert not same_bits(a._u_hold, b._u_hold)
+        # equal gains, made apart, share too; other gains or another law do not
+        c = make_controller(name, model, GainSet(**dataclasses.asdict(gains[name])))
+        assert all(getattr(a, p) is getattr(c, p) for p in PIECES)
+        other = dataclasses.replace(gains[name], eps=2.0 * gains[name].eps)
+        assert make_controller(name, model, other).clf is not a.clf
+        law = "ic" if name != "ic" else "uic"
+        assert make_controller(law, model, gains[name]).clf is not a.clf
+
+    @pytest.mark.parametrize("name", CONTROLLER_NAMES)
+    def test_swapped_fields_get_new_constants(self, name):
+        model = straight_chain(n_links=4)
+        before = make_controller(name, model, gset())
+        b = np.array([[0.5, 0.0], [0.5, 0.0], [0.0, 0.5], [0.0, 0.5]])
+        object.__setattr__(model, "B", b)
+        object.__setattr__(model, "u_min", np.array([-5.0, -5.0]))
+        object.__setattr__(model, "u_max", np.array([5.0, 5.0]))
+        after = make_controller(name, model, gset())
+        assert after.saturation_edges is not before.saturation_edges
+        assert same_bits(after.saturation_edges[1], np.full(2, 5.0) - 1e-9 * np.full(2, 10.0))
+        if name in ("ic", "uic"):
+            assert same_bits(after.maps[0], pinv(b))
+        else:
+            assert after.consts.bounds.lb.shape != before.consts.bounds.lb.shape
+        if name in ("soft-id-clf-qp", "ic-qp"):
+            assert same_bits(after.split.S, collocated_split(b).S)
+        # a field changed in place, not swapped, misses as well
+        model.u_max[:] = 4.0
+        assert same_bits(make_controller(name, model, gset()).saturation_edges[1],
+                         np.full(2, 4.0) - 1e-9 * np.full(2, 9.0))
 
 
 class TestOneLawForm:

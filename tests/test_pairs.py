@@ -148,3 +148,44 @@ def test_incorrect_run_exits_1(monkeypatch, capsys, tmp_path):
     fake = FakeBench({"parent": [1.0], "change": [2.0]}, correct=False)
     code, result = run_fake(monkeypatch, capsys, tmp_path, fake, 1)
     assert code == 1 and result["correct"] is False
+
+
+def test_several_workloads_in_one_run(monkeypatch, capsys, tmp_path):
+    # each workload runs its own pairs in turn and ends on its summary and
+    # its JSON line; one incorrect workload makes the exit status 1
+    seen = []
+
+    def bench(checkout, workload, seed, seconds, scale):
+        seen.append((workload, checkout.name, seed))
+        value = {"parent": 10.0, "change": 9.0}[checkout.name] * (1 + len(workload))
+        metrics = {name: {"value": value, "unit": "u"} for name in METRICS}
+        return {"correct": workload != "bad", "attempted": 1, "failed": 0, "metrics": metrics}
+
+    probe = FakeProbe()
+    monkeypatch.setattr(pairs, "run_bench", bench)
+    monkeypatch.setattr(pairs, "probe_setup", probe)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "change")
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "table",
+            "--workload", "w2", "--pairs", "2", "--seed", "3"]
+    assert pairs.main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert seen == [(w, side, seed) for w in ("table", "w2")
+                    for seed, order in ((3, ("parent", "change")), (4, ("change", "parent")))
+                    for side in order]
+    assert len(probe.calls) == 2 * 2 * 4
+    results = [json.loads(line) for line in lines if line.startswith("{")]
+    assert [r["workload"] for r in results] == ["table", "w2"]
+    assert json.loads(lines[-1]) == results[-1]
+    for r, scale in zip(results, (6, 3)):
+        assert r["correct"] is True and r["pairs"] == 2 and list(r["metrics"]) == METRICS
+        assert r["metrics"]["wall_s"]["parent"] == [10.0 * scale] * 2
+        assert r["metrics"]["wall_s"]["wins"] == 2
+    # each summary precedes its JSON line
+    heads = [i for i, line in enumerate(lines) if "pairs of" in line]
+    jsons = [i for i, line in enumerate(lines) if line.startswith("{")]
+    assert len(heads) == 2 and heads[0] < jsons[0] < heads[1] < jsons[1]
+    assert pairs.main(argv[:2] + ["--workload", "w2", "--workload", "bad", "--pairs", "1"]) == 1
+    result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert result["workload"] == "bad" and result["correct"] is False

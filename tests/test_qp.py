@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,61 @@ class TestPsdCertificate:
         with pytest.raises(ValueError, match="positive semidefinite"):
             QpProblem(np.diag(np.r_[-1.0, np.ones(d - 1)]), np.zeros(d))
         assert seen == ["eigvalsh", "eigvalsh"]
+
+
+class TestPsdNearFloatMax:
+    """Hessians with entries near the float maximum are checked by the same
+    rule, on an exact power-of-two scaling, without an overflow warning."""
+
+    @pytest.mark.parametrize("h", [
+        np.diag([1e308, -1e308]),
+        np.diag([1e308, -1e300]),        # lambda_min below -1e-10 * 1e308
+        np.array([[1e308, 5e307], [5e307, -1e308]]),
+    ])
+    def test_indefinite_rejected(self, h):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                qp.PsdHessian.make(h)
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                QpProblem(h, np.zeros(2))
+
+    @pytest.mark.parametrize("h", [
+        np.full((2, 2), 1e308),
+        np.diag([1e308, 0.0]),
+        np.diag([1e308, -1.0]),           # lambda_min -1 is within -1e-10 * 1e308
+    ])
+    def test_within_the_rule_accepted(self, h):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(qp.PsdHessian.make(h).H, h)
+
+    def test_asymmetric_rejected_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="symmetric"):
+                qp.PsdHessian.make(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+
+    def test_scaled_cases_keep_their_verdicts(self):
+        # 2^600 moves the cases above the rescaling threshold, exactly
+        for h in TestPsdCertificate()._cases():
+            if np.abs(h).max() <= 1.0:
+                continue       # the rule's scale is max(1, max|h_ij|), not homogeneous below 1
+            big = np.ldexp(h, 600)
+            assert np.abs(big).max() > qp._RESCALE_ABOVE
+            accept = eigvalsh_psd_rule(h)
+            if accept:
+                qp.PsdHessian.make(big)
+            else:
+                with pytest.raises(ValueError, match="positive semidefinite"):
+                    qp.PsdHessian.make(big)
+
+    def test_recorded_controller_hessians_keep_their_verdicts(self, controller_qps):
+        for prob, _ in controller_qps:
+            h = np.array(prob.H)
+            assert np.abs(h).max() <= qp._RESCALE_ABOVE
+            qp._check_symmetric_psd(h)
+            qp._check_symmetric_psd(np.ldexp(h, 600))
 
 
 class TestPsdHessian:

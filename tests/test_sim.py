@@ -12,7 +12,7 @@ from clfqp.multibody import RobotState, bias_terms, forward_dynamics
 from clfqp.robots import builtin_registry
 from clfqp.sim import SimConfig, run
 
-from oracles import rk4_step
+from oracles import entrywise_failures, rk4_step
 from toys import ball_chain, two_link
 
 LOGGED = ("t", "q", "dq", "y", "dy", "y_ref", "u", "mu", "delta", "V", "Vdot",
@@ -219,6 +219,61 @@ class TestRk4Step:
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match="state entries must be finite"):
                 sim.step(model, q, dq, 0.0, u, SimConfig(), terms=terms)
+
+
+class TestFailures:
+    """sim._failures gives the entrywise rule's reason for every row, for
+    one row and for four, whichever entries make a row end."""
+
+    HUGE, NON_FINITE = ("state magnitude exceeded 1e12 at t=0.125000",
+                        "non-finite state at t=0.125000")
+    ENTRIES = {"finite": (0.5, ""), "big": (1e12, ""), "huge": (2e12, HUGE),
+               "neg-huge": (-1e300, HUGE), "nan": (np.nan, NON_FINITE),
+               "inf": (np.inf, NON_FINITE), "neg-inf": (-np.inf, NON_FINITE)}
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("where", ["q", "dq"])
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_entrywise_reasons(self, rows, where, entry):
+        value, reason = self.ENTRIES[entry]
+        rng = np.random.default_rng(23)
+        for bad_row in range(rows):
+            q, dq = rng.standard_normal((rows, 5)), rng.standard_normal((rows, 5))
+            (q if where == "q" else dq)[bad_row, 3] = value
+            if rows > 1:     # another row ends on inf, another on magnitude
+                q[(bad_row + 1) % rows, 0] = -np.inf
+                dq[(bad_row + 2) % rows, 4] = 5e12
+            got = sim._failures(q, dq, 0.125)
+            assert got == entrywise_failures(q, dq, 0.125)
+            assert got[bad_row] == reason
+
+    def test_nan_beside_an_inf_or_a_huge_entry(self):
+        q = np.array([[np.nan, 1e13], [1.0, 2.0], [np.inf, np.nan]])
+        dq = np.array([[0.0, 0.0], [3e12, np.nan], [0.0, 0.0]])
+        assert sim._failures(q, dq, 0.0) == entrywise_failures(q, dq, 0.0)
+        assert sim._failures(q, dq, 0.0) == ["non-finite state at t=0.000000"] * 3
+
+
+class TestStatesCheckedOnce:
+    """run checks the start state once and every stepped row once (in
+    sim._failures); it builds no RobotState that checks the rows again."""
+
+    @pytest.mark.parametrize("episodes", [1, 3])
+    def test_no_state_is_checked_again(self, monkeypatch, episodes):
+        model, gains, ref = finger()
+        cfgs = [SimConfig(t_end=0.006 + 0.002 * i, control_decimation=2)
+                for i in range(episodes)]
+        ctrls = [make_controller("ic", model, gains["ic"]) for _ in range(episodes)]
+        checked, failures = [], []
+        post_init, failures_of = RobotState.__post_init__, sim._failures
+        monkeypatch.setattr(RobotState, "__post_init__",
+                            lambda state: checked.append(state.q.shape) or post_init(state))
+        monkeypatch.setattr(sim, "_failures",
+                            lambda q, dq, t: failures.append(q.shape) or failures_of(q, dq, t))
+        trajs = run(model, ctrls, [ref] * episodes, cfgs)
+        assert checked == [(model.n,)]     # model.rest_state(), the start state
+        assert len(failures) == 2 * len(trajs[-1])    # one per physics step
+        assert all(not traj.failed for traj in trajs)
 
 
 class TestSimConfigValidation:

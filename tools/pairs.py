@@ -18,13 +18,17 @@ setup_s and their raw values go in the JSON line under ``setup_probe``.
 
 A speed claim here needs the change to win at least 9 of 10 pairs and the
 median gap to exceed the parent's spread, on an unchanged fingerprint.
-Pair i runs both sides with benchmark seed SEED + i. The last line of
-standard output is one JSON object with the raw values; the exit status is
-1 when a run failed or reported ``correct: false``.
+Pair i runs both sides with benchmark seed SEED + i. ``--workload`` may be
+given several times: the workloads are compared one after another, each
+ending on its summary and one line holding a JSON object with its raw
+values, so "the claimed metric is better and no other is worse" takes one
+command. The exit status is 1 when a run failed or reported
+``correct: false``.
 
 Usage, from anywhere:
-    python3 tools/pairs.py PARENT_DIR CHANGE_DIR --workload spirob-qp-track \\
-        --pairs 10 --seconds 35 [--seed 0] [--scale smoke]
+    python3 tools/pairs.py PARENT_DIR CHANGE_DIR --workload table \\
+        [--workload spirob-qp-track ...] --pairs 10 --seconds 35 [--seed 0] \\
+        [--scale smoke]
 """
 
 from __future__ import annotations
@@ -88,36 +92,24 @@ def report(name: str, s: dict, unit: str, direction: str, n: int) -> None:
           f"gap beyond parent IQR: {'yes' if s['gap_beyond_iqr'] else 'no'}")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
-    parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=35.0)
-    parser.add_argument("--seed", type=int, default=0, help="benchmark seed of the first pair")
-    parser.add_argument("--scale", choices=("full", "smoke"), default="full")
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-
-    declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+def compare(args, workload: str, better: dict) -> bool:
+    """Run ``args.pairs`` pairs of ``workload``, print their summary and its
+    JSON line; returns whether every run was correct."""
     runs = {"parent": [], "change": []}
     probes = {"parent": [], "change": []}
     correct = True
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_bench(getattr(args, side), args.workload, args.seed + i,
+            result = run_bench(getattr(args, side), workload, args.seed + i,
                                args.seconds, args.scale)
             correct &= result["correct"] is True and result["failed"] == 0
             runs[side].append(result)
         for side in order + order[::-1]:
-            probes[side].append(probe_setup(getattr(args, side), args.workload,
+            probes[side].append(probe_setup(getattr(args, side), workload,
                                             args.seed + i, args.scale))
         values = {side: runs[side][-1]["metrics"] for side in runs}
-        print(f"pair {i + 1}/{args.pairs} seed {args.seed + i} first={order[0]}: "
+        print(f"{workload} pair {i + 1}/{args.pairs} seed {args.seed + i} first={order[0]}: "
               + " ".join(f"{name} {values['parent'][name]['value']:.4g}"
                          f"->{values['change'][name]['value']:.4g}" for name in better)
               + " setup probes " + " ".join(
@@ -128,7 +120,7 @@ def main(argv=None) -> int:
     summary = {}
     setup_probe = dict(summarize(probes["parent"], probes["change"], "lower"),
                        unit="s", better="lower", **probes)
-    print(f"\n{args.workload}, {n} pairs of {args.seconds:g} s (median [q1, q3]; "
+    print(f"\n{workload}, {n} pairs of {args.seconds:g} s (median [q1, q3]; "
           "wins = pairs where the change is better)")
     for name, direction in better.items():
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
@@ -139,9 +131,29 @@ def main(argv=None) -> int:
         if name == "setup_s":
             report("setup probe", setup_probe, "s", "lower", 2 * n)
     print(f"correct: {str(correct).lower()}")
-    print(json.dumps({"workload": args.workload, "pairs": n, "correct": correct,
-                      "metrics": summary, "setup_probe": setup_probe}))
-    return 0 if correct else 1
+    print(json.dumps({"workload": workload, "pairs": n, "correct": correct,
+                      "metrics": summary, "setup_probe": setup_probe}), flush=True)
+    return correct
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True, action="append",
+                        help="a workload to compare; repeat to compare several in turn")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=35.0)
+    parser.add_argument("--seed", type=int, default=0, help="benchmark seed of the first pair")
+    parser.add_argument("--scale", choices=("full", "smoke"), default="full")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    correct = [compare(args, workload, better) for workload in args.workload]
+    return 0 if all(correct) else 1
 
 
 if __name__ == "__main__":
