@@ -32,19 +32,6 @@ def _full_jacobian(pose) -> np.ndarray:
     return cross3(pose.axes_w, pose.ee[..., None, :] - pose.origins).swapaxes(-1, -2)
 
 
-def jacobian(model: RobotModel, q: np.ndarray) -> np.ndarray:
-    """Task-space positional Jacobian (task_dim x n)."""
-    pose = chain_pose(model, np.asarray(q, dtype=float))
-    return _full_jacobian(pose).take(task_rows(model), -2)
-
-
-def jacobian_dot(model: RobotModel, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
-    """Time derivative of the task Jacobian along (q, dq)."""
-    pose = chain_pose(model, np.asarray(q, dtype=float))
-    motion = chain_motion(pose, np.asarray(dq, dtype=float))
-    return _dj_full(pose, motion).take(task_rows(model), -2)
-
-
 def _dj_full(pose, motion) -> np.ndarray:
     # d/dt [a_k x (ee - p_k)] with the axis carried by its link.
     v_ee = (motion.v_origin[..., -1, :]

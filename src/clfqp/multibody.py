@@ -22,9 +22,14 @@ composite-rigid-body pass and a single Newton-Euler pass that carries the
 Coriolis and the gravity loads side by side on a leading axis; each is a
 fixed handful of array operations, whatever the chain length (the pose
 pass's running product of the joint rotations is the one loop over the
-elements). ``bias_terms`` packages the result as ``DynamicsTerms``;
-``accelerations``, which an integrator stage calls, runs the same sequence
-and keeps only M and h, for the guarded factor and the solve.
+elements). Each pass is one function of plain arrays. ``bias_terms``
+wraps their results as ``ChainPose``, ``ChainMotion`` and ``DynamicsTerms``,
+with the end effector and M mirrored. ``accelerations``, an integrator
+stage, calls the same passes and keeps only M and h: no objects, no end
+effector, and M's upper triangle left unmirrored, as the guarded factor
+reads only the lower one. For one row it runs the frame product in the
+model's frame buffer, which only a stage call writes and nothing it returns
+points into, so one model's stages must not run in two threads at once.
 
 The recursions take leading batch axes: ``chain_pose``, ``chain_motion``,
 the mass matrix, the Newton-Euler pass, ``bias_terms`` and
@@ -300,6 +305,12 @@ class _CompiledChain:
     f_gravity: np.ndarray      # (n, 3) gravity load -m g on each body
     spatial_rest: np.ndarray   # (n, 6, 6) zeros but m I in the lower-right block
     lower: np.ndarray          # (n, n) bool, lower triangle with the diagonal
+    # The frame buffer of a one-row stage: its elementary rotations and the
+    # frames they chain into (identity first), and per element the
+    # (parent, elementary, child) row views the running product takes.
+    rotations: np.ndarray      # (n, 3, 3)
+    frames: np.ndarray         # (n + 1, 3, 3)
+    frame_steps: tuple
 
 
 def _compile_chain(model: RobotModel) -> _CompiledChain:
@@ -321,6 +332,9 @@ def _compile_chain(model: RobotModel) -> _CompiledChain:
     axes = np.array(axes)
     mass = np.array(mass)
     gravity = np.asarray(model.gravity, dtype=float)
+    rotations = np.empty((len(axes), 3, 3))
+    frames = np.empty((len(axes) + 1, 3, 3))
+    frames[0] = _EYE3
     return _CompiledChain(
         offsets=np.array(offsets), axes=axes, mass=mass,
         com_local=np.array(com), inertia_local=np.array(inertia),
@@ -328,7 +342,8 @@ def _compile_chain(model: RobotModel) -> _CompiledChain:
         axis_outer=axes[:, :, None] * axes[:, None, :], axis_skew=_skew(axes),
         f_gravity=-mass[:, None] * gravity[None, :],
         spatial_rest=np.pad(mass[:, None, None] * np.eye(3), ((0, 0), (3, 0), (3, 0))),
-        lower=np.tri(len(axes), dtype=bool))
+        lower=np.tri(len(axes), dtype=bool), rotations=rotations, frames=frames,
+        frame_steps=tuple(zip(frames, rotations, frames[1:])))
 
 
 _NEXT = np.array([1, 2, 0])
@@ -354,18 +369,18 @@ def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 _EYE3 = np.eye(3)
 
 
-def _rodrigues_stack(ch: _CompiledChain, angles: np.ndarray) -> np.ndarray:
-    """Elementary rotation of every element, (..., n, 3, 3): R = c I
-    + (1 - c) a a' + s [a]x about each element's axis a.
+def _rodrigues_stack(ch: _CompiledChain, angles: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Elementary rotation of every element, written to the C-ordered
+    ``out`` of shape (..., n, 3, 3): R = c I + (1 - c) a a' + s [a]x about
+    each element's axis a.
 
     Each entry is (a_i a_j) (1 - c) + [a]x_ij s, plus c on the diagonal:
     the products and sums of the per-entry Rodrigues formula, so the result
     is bitwise that of evaluating the formula one DOF at a time."""
     c, s = np.cos(angles), np.sin(angles)
-    # rot is C-ordered whatever the layout of angles, so the reshape below
-    # is a view, whose entries 0, 4 and 8 per element are the diagonal
-    rot = np.multiply(ch.axis_outer, (1.0 - c)[..., None, None],
-                      out=np.empty(c.shape + (3, 3)))
+    # rot is C-ordered, so the reshape below is a view, whose entries 0, 4
+    # and 8 per element are the diagonal
+    rot = np.multiply(ch.axis_outer, (1.0 - c)[..., None, None], out=out)
     rot += ch.axis_skew * s[..., None, None]
     rot.reshape(c.shape + (9,))[..., ::4] += c[..., None]
     return rot
@@ -387,20 +402,26 @@ class ChainPose:
     offsets_w: np.ndarray = field(default=None)  # (n, 3) origin[k] - origin[k-1]
 
 
-def chain_pose(model: RobotModel, q: np.ndarray) -> ChainPose:
-    """Forward pass: world placement of every element at configuration q,
-    of shape (..., n); every field gains the same leading axes."""
-    ch = model._chain
+def _pose_pass(ch: _CompiledChain, q: np.ndarray, buffer: bool = False) -> tuple:
+    """The pose pass at q, of shape (..., n): the arrays rot, axes_w,
+    origins, offsets_w, com_w and inertia_w of ``ChainPose``. With
+    ``buffer`` (one row only) the pass writes the chain's frame buffer
+    through its prebuilt row views, and rot is a view of it."""
     # Only the running product stays sequential; its order fixes the rounding.
     # It steps along the elements (first axis after the swap), each product
     # covering every leading index; the swap back restores the axis order.
-    rots = _rodrigues_stack(ch, q).swapaxes(0, -3)
-    frames = np.empty((len(rots) + 1,) + rots.shape[1:])
-    frames[0] = _EYE3      # the identity frame, over every leading index
+    if buffer:
+        rots = _rodrigues_stack(ch, q, ch.rotations)
+        frames, steps = ch.frames, ch.frame_steps
+    else:
+        rots = _rodrigues_stack(ch, q, np.empty(q.shape + (3, 3))).swapaxes(0, -3)
+        frames = np.empty((len(rots) + 1,) + rots.shape[1:])
+        frames[0] = _EYE3      # the identity frame, over every leading index
+        steps = zip(frames, rots, frames[1:])
     # For one state ndarray.dot makes the same BLAS dgemm call as matmul,
     # with less overhead per call; stacked states need matmul's loop over them.
     product = np.matmul if rots.ndim > 3 else np.ndarray.dot
-    for parent, elementary, child in zip(frames, rots, frames[1:]):
+    for parent, elementary, child in steps:
         product(parent, elementary, out=child)
     frames = np.ascontiguousarray(frames.swapaxes(0, -3))
     rot = frames[..., 1:, :, :]
@@ -409,10 +430,18 @@ def chain_pose(model: RobotModel, q: np.ndarray) -> ChainPose:
     origins = (rot_prev @ ch.offsets[:, :, None])[..., 0].cumsum(-2)
     com_w = origins + c_einsum("...kij,kj->...ki", rot, ch.com_local)
     inertia_w = c_einsum("...kij,kj,...klj->...kil", rot, ch.inertia_local, rot)
-    ee = origins[..., -1, :] + rot[..., -1, :, :] @ ch.ee_local
     offsets_w = np.empty_like(origins)    # np.diff from a zero origin
     offsets_w[..., 0, :] = origins[..., 0, :]
     np.subtract(origins[..., 1:, :], origins[..., :-1, :], out=offsets_w[..., 1:, :])
+    return rot, axes_w, origins, offsets_w, com_w, inertia_w
+
+
+def chain_pose(model: RobotModel, q: np.ndarray) -> ChainPose:
+    """Forward pass: world placement of every element at configuration q,
+    of shape (..., n); every field gains the same leading axes."""
+    ch = model._chain
+    rot, axes_w, origins, offsets_w, com_w, inertia_w = _pose_pass(ch, q)
+    ee = origins[..., -1, :] + rot[..., -1, :, :] @ ch.ee_local
     return ChainPose(axes_w=axes_w, origins=origins, rot=rot, com_w=com_w,
                      inertia_w=inertia_w, mass=ch.mass, ee=ee,
                      gravity=ch.gravity, offsets_w=offsets_w)
@@ -430,25 +459,29 @@ class ChainMotion:
     a_com: np.ndarray       # (n, 3)
 
 
-def chain_motion(pose: ChainPose, dq: np.ndarray) -> ChainMotion:
-    """Velocity pass at the pose's configuration with velocities dq, (..., n)."""
-    spin = pose.axes_w * dq[..., None]
+def _motion_pass(axes_w, offsets_w, origins, com_w, dq: np.ndarray) -> tuple:
+    """The velocity pass with velocities dq, (..., n), over a pose's arrays:
+    the arrays omega, domega, v_origin, a_origin and a_com of ``ChainMotion``."""
+    spin = axes_w * dq[..., None]
     omega = spin.cumsum(-2)
     omega_prev = omega - spin
     w_spin = cross3(omega_prev, spin)
     domega = w_spin.cumsum(-2)
     domega_prev = domega - w_spin
 
-    d = pose.offsets_w
-    w_d = cross3(omega_prev, d)
+    w_d = cross3(omega_prev, offsets_w)
     v_origin = w_d.cumsum(-2)
-    a_origin = (cross3(domega_prev, d) + cross3(omega_prev, w_d)).cumsum(-2)
+    a_origin = (cross3(domega_prev, offsets_w) + cross3(omega_prev, w_d)).cumsum(-2)
 
-    arm = pose.com_w - pose.origins
+    arm = com_w - origins
     w_arm = cross3(omega, arm)
     a_com = a_origin + cross3(domega, arm) + cross3(omega, w_arm)
-    return ChainMotion(omega=omega, domega=domega, v_origin=v_origin,
-                       a_origin=a_origin, a_com=a_com)
+    return omega, domega, v_origin, a_origin, a_com
+
+
+def chain_motion(pose: ChainPose, dq: np.ndarray) -> ChainMotion:
+    """Velocity pass at the pose's configuration with velocities dq, (..., n)."""
+    return ChainMotion(*_motion_pass(pose.axes_w, pose.offsets_w, pose.origins, pose.com_w, dq))
 
 
 # Row-major entries of [v]x: the component of v each takes (3 is a zero
@@ -463,52 +496,58 @@ def _skew(v: np.ndarray) -> np.ndarray:
     return (padded.take(_SKEW_SRC, -1) * _SKEW_SIGN).reshape(v.shape[:-1] + (3, 3))
 
 
-def _mass_matrix_from_pose(pose: ChainPose, ch: _CompiledChain) -> np.ndarray:
-    s_motion = np.concatenate((pose.axes_w, cross3(pose.origins, pose.axes_w)), axis=-1)
+def _mass_lower(ch: _CompiledChain, axes_w, origins, com_w, inertia_w) -> np.ndarray:
+    """The composite-rigid-body pass over a pose's arrays: a matrix whose
+    lower triangle, with the diagonal, is M's; the upper one is left as the
+    product made it. + 0.0 turns a -0.0 entry into +0.0."""
+    s_motion = np.concatenate((axes_w, cross3(origins, axes_w)), axis=-1)
 
-    cx = _skew(pose.com_w)
-    m = pose.mass[:, None, None]
+    cx = _skew(com_w)
+    m = ch.mass[:, None, None]
     m_cx = m * cx
     spatial = np.empty(cx.shape[:-2] + (6, 6))
     spatial[...] = ch.spatial_rest      # m I already in the lower-right block
-    np.add(pose.inertia_w, m * c_einsum("...kij,...klj->...kil", cx, cx),
+    np.add(inertia_w, m * c_einsum("...kij,...klj->...kil", cx, cx),
            out=spatial[..., :3, :3])
     spatial[..., :3, 3:] = m_cx
     np.negative(m_cx, out=spatial[..., 3:, :3])
 
     composite = spatial[..., ::-1, :, :].cumsum(-3)[..., ::-1, :, :]
     f = c_einsum("...kij,...kj->...ki", composite, s_motion)
-    full = f @ s_motion.swapaxes(-1, -2)
-    # Mirror the lower triangle; + 0.0 turns a -0.0 entry into +0.0.
-    return np.where(ch.lower, full, full.swapaxes(-1, -2)) + 0.0
+    return f @ s_motion.swapaxes(-1, -2) + 0.0
+
+
+def _mirrored(ch: _CompiledChain, low: np.ndarray) -> np.ndarray:
+    """M from ``_mass_lower``: its lower triangle mirrored onto the upper."""
+    return np.where(ch.lower, low, low.swapaxes(-1, -2))
 
 
 def mass_matrix(model: RobotModel, q: np.ndarray) -> np.ndarray:
     """Joint-space inertia matrix via the composite-rigid-body recursion."""
-    return _mass_matrix_from_pose(chain_pose(model, np.asarray(q, dtype=float)),
-                                  model._chain)
+    ch = model._chain
+    _, axes_w, origins, _, com_w, inertia_w = _pose_pass(ch, np.asarray(q, dtype=float))
+    return _mirrored(ch, _mass_lower(ch, axes_w, origins, com_w, inertia_w))
 
 
-def _inverse_dynamics_zero_qdd(pose: ChainPose, motion: ChainMotion,
-                               f_gravity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _newton_euler(ch: _CompiledChain, axes_w, origins, com_w, inertia_w, omega, domega,
+                  a_com) -> tuple[np.ndarray, np.ndarray]:
     """Coriolis and gravity joint torques from one Newton-Euler pass with
-    qdd = 0, run on a leading axis of length 2: the Coriolis half moves with
-    ``motion`` under zero gravity, the gravity half is at rest under the
-    body loads ``f_gravity`` (-m g)."""
-    iw = pose.inertia_w
-    loads = np.empty((2, 2) + iw.shape[:-2] + (3,))   # (force, moment) x (Coriolis, gravity)
+    qdd = 0 over a pose's and a motion's arrays, run on a leading axis of
+    length 2: the Coriolis half moves under zero gravity, the gravity half
+    is at rest under the body loads ``ch.f_gravity`` (-m g)."""
+    # (force, moment) x (Coriolis, gravity)
+    loads = np.empty((2, 2) + inertia_w.shape[:-2] + (3,))
     f_body, moment_origin = loads
-    np.multiply(pose.mass[:, None], motion.a_com, out=f_body[0])
-    f_body[1] = f_gravity
-    moment_origin[...] = cross3(pose.com_w, f_body)
-    moment_origin[0] += (c_einsum("...kij,...kj->...ki", iw, motion.domega)
-                         + cross3(motion.omega,
-                                  c_einsum("...kij,...kj->...ki", iw, motion.omega)))
+    np.multiply(ch.mass[:, None], a_com, out=f_body[0])
+    f_body[1] = ch.f_gravity
+    moment_origin[...] = cross3(com_w, f_body)
+    moment_origin[0] += (c_einsum("...kij,...kj->...ki", inertia_w, domega)
+                         + cross3(omega, c_einsum("...kij,...kj->...ki", inertia_w, omega)))
     moment_origin[1] += 0.0    # the rest pass adds a zero body moment
     f_sub, m_sub = loads[..., ::-1, :].cumsum(-2)[..., ::-1, :]
-    n_joint = m_sub - cross3(pose.origins, f_sub)
-    return (c_einsum("...ki,...ki->...k", pose.axes_w, n_joint[0]),
-            c_einsum("...ki,...ki->...k", pose.axes_w, n_joint[1]))
+    n_joint = m_sub - cross3(origins, f_sub)
+    return (c_einsum("...ki,...ki->...k", axes_w, n_joint[0]),
+            c_einsum("...ki,...ki->...k", axes_w, n_joint[1]))
 
 
 def bias_terms(model: RobotModel, state: RobotState) -> DynamicsTerms:
@@ -519,47 +558,42 @@ def bias_terms(model: RobotModel, state: RobotState) -> DynamicsTerms:
     zero gravity, gravity from a rest pass (both in one stacked pass);
     damping and stiffness are the diagonal restoring forces D_s qd and K_s q.
     """
-    pose, motion, mass, c_vec, g_vec = _chain_passes(model, state.q, state.dq)
+    ch = model._chain
+    pose = chain_pose(model, state.q)
+    motion = chain_motion(pose, state.dq)
+    axes_w, origins, com_w, inertia_w = pose.axes_w, pose.origins, pose.com_w, pose.inertia_w
+    mass = _mirrored(ch, _mass_lower(ch, axes_w, origins, com_w, inertia_w))
+    c_vec, g_vec = _newton_euler(ch, axes_w, origins, com_w, inertia_w, motion.omega,
+                                 motion.domega, motion.a_com)
     return DynamicsTerms(M=mass, c_vec=c_vec, d_vec=model.D_s * state.dq,
                          k_vec=model.K_s * state.q, g_vec=g_vec, pose=pose, motion=motion)
-
-
-def _chain_passes(model: RobotModel, q: np.ndarray, dq: np.ndarray) -> tuple:
-    """The passes of one state evaluation at (q, dq), in their order: pose,
-    motion, the mass matrix, then the Coriolis and gravity forces."""
-    ch = model._chain
-    pose = chain_pose(model, q)
-    motion = chain_motion(pose, dq)
-    mass = _mass_matrix_from_pose(pose, ch)
-    c_vec, g_vec = _inverse_dynamics_zero_qdd(pose, motion, ch.f_gravity)
-    return pose, motion, mass, c_vec, g_vec
 
 
 def accelerations(model: RobotModel, q: np.ndarray, dq: np.ndarray,
                   force: np.ndarray) -> np.ndarray:
     """Joint accelerations M^-1 (force - h) at (q, dq), of shape (..., n),
-    for a joint force such as B u of the same shape.
+    for a joint force such as B u of the same shape: an integrator stage.
 
-    The chain passes, h summed ((c + d) + k) + g as ``DynamicsTerms.h`` sums
-    it, the inertia guard once per evaluated M and a Cholesky solve per row:
-    the bits of a solve with ``bias_terms`` at (q, dq), without building the
-    terms.
+    The passes of ``bias_terms`` on plain arrays, h summed ((c + d) + k) + g
+    as ``DynamicsTerms.h`` sums it, the inertia guard once per M and a
+    Cholesky solve per row: the bits of a solve with ``bias_terms`` at
+    (q, dq), without its objects, end effector or mirrored M.
     """
-    mass, c_vec, g_vec = _chain_passes(model, q, dq)[2:]
+    ch = model._chain
+    one_row = q.ndim == 1
+    _, axes_w, origins, offsets_w, com_w, inertia_w = _pose_pass(ch, q, buffer=one_row)
+    omega, domega, _, _, a_com = _motion_pass(axes_w, offsets_w, origins, com_w, dq)
+    mass = _mass_lower(ch, axes_w, origins, com_w, inertia_w)
+    c_vec, g_vec = _newton_euler(ch, axes_w, origins, com_w, inertia_w, omega, domega, a_com)
     rhs = force - (c_vec + model.D_s * dq + model.K_s * q + g_vec)
-    if mass.ndim == 2:
+    if one_row:
         return _potrs(factor_inertia(mass), rhs)
     return np.array([_potrs(factor_inertia(row), b) for row, b in zip(mass, rhs)])
 
 
-def h_vector(model: RobotModel, state: RobotState) -> np.ndarray:
-    """Sum of Coriolis, damping, stiffness, and gravity forces."""
-    return bias_terms(model, state).h
-
-
 def factor_inertia(mass: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor L of M (upper triangle zero), guarding against a
-    degenerate M.
+    degenerate M; only the lower triangle of M, with the diagonal, is read.
 
     M is rejected with IllConditioned unless it is positive definite with
     condition number at most COND_LIMIT, the rule of the exact eigenvalue

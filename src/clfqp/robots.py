@@ -6,10 +6,10 @@ built-in finger, helix, and spirob files) whose top-level keys are those of
 matrix may be given explicitly or through a tendon-routing shorthand that is
 expanded at load time; everything else maps directly onto RobotModel fields.
 
-The optional ``workspace_scale`` (a number above 1/8, 1 by default; the spirob
-sets 0.75) is the share of the arclength L at which the benchmark ellipse is
-centered (``experiments.EllipseParams.for_robot``). It and the optional
-``sim`` section, a mapping of ``sim.SimConfig``'s protocol keys but
+The optional ``workspace_scale`` (a finite number above 1/8, 1 by default;
+the spirob sets 0.75) is the share of the arclength L at which the benchmark
+ellipse is centered (``experiments.EllipseParams.for_robot``). It and the
+optional ``sim`` section, a mapping of ``sim.SimConfig``'s protocol keys but
 ``t_end``, which each experiment sets (``experiments.sim_config_for``), are
 the spec's protocol keys:
 ``serialize_robot`` writes them back when it is given the spec.
@@ -22,6 +22,7 @@ files, never in code.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from importlib import resources
@@ -94,13 +95,13 @@ class RobotSpecFile:
 
     @property
     def workspace_scale(self) -> float:
-        """The spec's ``workspace_scale``, 1 unless it sets a number above
-        1/8: the ellipse is centred s L - L/8 from the base, so a scale of
-        1/8 or less would put its centre at or behind the base."""
+        """The spec's ``workspace_scale``, 1 unless it sets a finite number
+        above 1/8: the ellipse is centred s L - L/8 from the base, so a scale
+        of 1/8 or less would put its centre at or behind the base."""
         scale = self.data.get("workspace_scale", 1.0)
-        if type(scale) not in (int, float) or not scale > 0.125:
+        if type(scale) not in (int, float) or not 0.125 < scale < math.inf:
             raise ValidationError(f"{self.source or self.name}: bad workspace_scale {scale!r}"
-                                  " (a number above 1/8)")
+                                  " (a finite number above 1/8)")
         return float(scale)
 
 
@@ -402,10 +403,6 @@ def resolve_spec(robot) -> RobotSpecFile:
         return RobotSpecFile(name=path.stem, text=text,
                              data=_parse_document(text, source=str(path)), source=str(path))
     raise KeyError(f"unknown robot {robot!r}; built-ins: {sorted(registry)}")
-
-
-def load_builtin(name: str) -> tuple[RobotModel, dict[str, GainSet]]:
-    return resolve_spec(name).load()
 
 
 def unactuated_stiffness_margin(model: RobotModel, q: np.ndarray,

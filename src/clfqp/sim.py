@@ -39,11 +39,10 @@ states are checked as they are formed.
 
 An RK4 step forms the joint force B u once. Each later stage (k2 to k4)
 is a pair of plain arrays held to the rule RobotState enforces, finite
-entries, and computes only its accelerations (``multibody.accelerations``):
-the chain passes, M and h, the guarded factor of M and the solve. It builds
-no state object and no dynamics terms, and its velocity is formed once and
-serves as its position slope. A first stage without given terms is
-computed the same way.
+entries, and computes only M and h (``multibody.accelerations``), then the
+guarded factor of M's lower triangle and the solve: no state object, terms,
+end effector or mirrored M. Its velocity is formed once and serves as its
+position slope. A first stage without given terms is computed the same way.
 
 The states of the live episodes are the rows of one (B, n) array. Several
 rows are evaluated in one stacked chain pass and advanced in one ``step``,

@@ -267,6 +267,26 @@ class TestUnknownSpecKey:
         assert not (tmp_path / "out").exists()
 
 
+class TestInfiniteWorkspaceScale:
+    @pytest.mark.parametrize("experiment", ["setpoint", "tracking"])
+    def test_exits_as_validation_error(self, experiment, tmp_path, capsys):
+        from clfqp import cli
+
+        path = tmp_path / "spirob.yaml"
+        assert cli.main(["export-spec", "--robot", "spirob", "--out", str(path)]) == 0
+        text = path.read_text(encoding="utf-8")
+        assert text.count("workspace_scale: 0.75\n") == 1
+        path.write_text(text.replace("workspace_scale: 0.75\n", "workspace_scale: .inf\n"),
+                        encoding="utf-8")
+        capsys.readouterr()
+        code = cli.main(["run", "--robot", str(path), "--controller", "ic",
+                         "--experiment", experiment, "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_VALIDATION == 65
+        assert capsys.readouterr().err == (f"validation error: {path}: bad workspace_scale inf"
+                                           " (a finite number above 1/8)\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestMalformedSpecValue:
     @pytest.mark.parametrize("old,new,message", [
         ("symmetric: 1.0", "symmetric: abc", "bounds: could not convert string to float: 'abc'"),

@@ -9,7 +9,7 @@ import pytest
 
 from clfqp import experiments
 from clfqp.multibody import RobotState
-from clfqp.robots import RobotSpecFile, builtin_registry, resolve_spec
+from clfqp.robots import RobotSpecFile, ValidationError, builtin_registry, resolve_spec
 from oracles import row_by_row_trajectory_csv
 from test_lockstep import assert_same_episode
 
@@ -345,7 +345,7 @@ class TestReach:
         assert code == cli.EXIT_VALIDATION
         assert "exceeds reach 0.240 m" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scale", ["0.0", "-1", "true", "wide"])
+    @pytest.mark.parametrize("scale", ["0.0", "-1", "true", "wide", ".inf", "-.inf", ".nan"])
     def test_bad_scale_is_validation_error(self, tmp_path, scale):
         from clfqp.robots import ValidationError
 
@@ -368,6 +368,13 @@ class TestReach:
                          "setpoint", "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_VALIDATION
         assert "bad workspace_scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [".inf", ".nan"])
+    def test_non_finite_scale_is_validation_error(self, tmp_path, scale):
+        path = self.spec_file(tmp_path, "spirob", "workspace_scale: 0.75\n",
+                              f"workspace_scale: {scale}\n")
+        with pytest.raises(ValidationError, match=f"{path}: bad workspace_scale .* finite"):
+            resolve_spec(path).workspace_scale
 
     def test_scale_just_above_an_eighth_is_accepted(self, tmp_path):
         path = self.spec_file(tmp_path, "spirob", "workspace_scale: 0.75\n",

@@ -2,8 +2,6 @@ import numpy as np
 
 from clfqp.kinematics import (
     forward_kinematics,
-    jacobian,
-    jacobian_dot,
     null_projector,
     task_rows,
     task_state,
@@ -11,7 +9,8 @@ from clfqp.kinematics import (
 from clfqp.multibody import RobotState
 
 from oracles import fd_jacobian
-from toys import ball_chain, pendulum, rk4_rollout, straight_chain, two_link
+from toys import (ball_chain, jacobian, jacobian_dot, pendulum, rk4_rollout, straight_chain,
+                  two_link)
 
 
 class TestForwardKinematics:

@@ -169,18 +169,20 @@ class TestStackedStep:
         # lowered, so that row's step raises IllConditioned, stacked or
         # alone; the stacked step is redone row by row, names that row and
         # keeps its state, and every other row is bitwise its one-row step.
+        # The M is told by its lower triangle, all the guard reads: an RK4
+        # stage leaves the upper one unmirrored.
         model = load_model("finger")
         q, dq = random_rows(model, 3, seed=15)
         u = np.random.default_rng(16).uniform(-0.5, 0.5, (3, model.m))
         cfg = SimConfig(integrator=integrator)
         clean = [step_alone(model, q, dq, 0.125, u, cfg, i) for i in (0, 2)]
         terms = bias_terms(model, RobotState(q, dq)) if given_terms else None
-        marked = bias_terms(model, RobotState(q[1], dq[1])).M
+        marked = np.tril(bias_terms(model, RobotState(q[1], dq[1])).M)
         original = multibody.factor_inertia
 
         def factor_inertia(mass):
             with monkeypatch.context() as patch:
-                if bitwise_equal(mass, marked):
+                if bitwise_equal(np.tril(mass), marked):
                     patch.setattr(multibody, "COND_LIMIT", 1.0)
                 return original(mass)
 
@@ -480,14 +482,13 @@ class TestLockstepEndings:
 
     def test_one_evaluation_per_control_step_for_all_rows(self, monkeypatch):
         calls = []
-        original = multibody.chain_pose
+        original = multibody._pose_pass   # under chain_pose and every RK4 stage
 
-        def counted(model, q):
+        def counted(ch, q, buffer=False):
             calls.append(q.shape)
-            return original(model, q)
+            return original(ch, q, buffer)
 
-        monkeypatch.setattr(multibody, "chain_pose", counted)
-        monkeypatch.setattr(kinematics, "chain_pose", counted)
+        monkeypatch.setattr(multibody, "_pose_pass", counted)
         cfgs = [SimConfig(t_end=t_end) for t_end in (0.005, 0.003, 0.002, 0.002)]
         trajs = run(self.model, self.controllers(), self.refs, cfgs)
         # the shared evaluation, then RK4 stages k2..k4, each over every live

@@ -18,7 +18,6 @@ from clfqp.multibody import (
     factor_inertia,
     forward_dynamics,
     gravitational_potential,
-    h_vector,
     mass_matrix,
     solve_inertia,
     total_energy,
@@ -34,7 +33,8 @@ from oracles import (
     two_link_mass_matrix,
     two_pass_inverse_dynamics,
 )
-from toys import ball_chain, pendulum, rk4_rollout, two_link, two_link_params
+from toys import (ball_chain, evaluated_accelerations, h_vector, pendulum, rk4_rollout,
+                  straight_chain, two_link, two_link_params)
 
 MODELS = ["finger", "helix", "spirob", "ball_chain", "two_link"]
 
@@ -253,6 +253,72 @@ class TestForwardDynamics:
     def test_ill_conditioned_raises(self):
         with pytest.raises(IllConditioned):
             solve_inertia(np.diag([1.0, 1e-14]), np.ones(2))
+
+
+class TestStageAccelerations:
+    """multibody.accelerations, which an integrator stage calls, against the
+    solve of a state evaluation (bias_terms' terms and their factor): the
+    same bits, signed zeros included, for one row and for rows stacked,
+    though the stage builds no terms and leaves the upper triangle of M
+    unmirrored."""
+
+    MODELS = {"finger": None, "helix": None, "spirob": None, "ball_chain": ball_chain,
+              "two_link": lambda: two_link(k_s=(0.4, 0.2), d_s=(0.1, 0.05)),
+              "pendulum": lambda: pendulum(k_s=0.3, d_s=0.1), "straight_chain": straight_chain}
+
+    def states(self, model, rows):
+        """(q, dq, force): at rest with zeros of both signs and no force, then
+        at a random state with -0.0 entries under a random input."""
+        rng = np.random.default_rng(21)
+        shape = (rows, model.n) if rows > 1 else (model.n,)
+        rest = np.zeros(shape)
+        rest[..., ::2] = -0.0
+        yield rest, -rest, multibody.matvec(model.B, np.zeros(shape[:-1] + (model.m,)))
+        q = 0.6 * rng.standard_normal(shape)
+        dq = 1.5 * rng.standard_normal(shape)
+        q[..., ::3] = -0.0
+        dq[..., 1::3] = -0.0
+        u = np.clip(rng.standard_normal(shape[:-1] + (model.m,)), model.u_min, model.u_max)
+        yield q, dq, multibody.matvec(model.B, u)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_bitwise_the_evaluation(self, name, rows):
+        toy = self.MODELS[name]
+        model = toy() if toy is not None else builtin_registry()[name].load()[0]
+        for q, dq, force in self.states(model, rows):
+            assert bitwise_equal(multibody.accelerations(model, q, dq, force),
+                                 evaluated_accelerations(model, q, dq, force))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_guarded_triangle_is_the_evaluations(self, monkeypatch, name, rows):
+        # the guard reads only M's lower triangle, with the diagonal: the
+        # stage's has the evaluation's bits
+        toy = self.MODELS[name]
+        model = toy() if toy is not None else builtin_registry()[name].load()[0]
+        seen = []
+        original = multibody.factor_inertia
+        monkeypatch.setattr(multibody, "factor_inertia",
+                            lambda mass: seen.append(mass) or original(mass))
+        for q, dq, force in self.states(model, rows):
+            multibody.accelerations(model, q, dq, force)
+            stage = np.array(seen[-rows:]).reshape(q.shape + (model.n,))
+            want = bias_terms(model, RobotState(q, dq)).M
+            assert bitwise_equal(np.tril(stage), np.tril(want))
+
+    def test_evaluation_keeps_its_own_frames(self):
+        # the stage's frame buffer is the chain's; a pose kept on terms never
+        # shares it, so a later stage changes no bit of it
+        model = builtin_registry()["spirob"].load()[0]
+        rng = np.random.default_rng(22)
+        q, dq = rng.standard_normal((2, model.n))
+        terms = bias_terms(model, RobotState(q, dq))
+        kept = {f.name: getattr(terms.pose, f.name).copy() for f in dataclasses.fields(ChainPose)}
+        multibody.accelerations(model, -q, dq, np.zeros(model.n))
+        assert not np.shares_memory(terms.pose.rot, model._chain.frames)
+        for name, value in kept.items():
+            assert bitwise_equal(getattr(terms.pose, name), value), name
 
 
 class TestInertiaGuard:

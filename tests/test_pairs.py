@@ -144,6 +144,39 @@ def test_setup_probes_follow_every_pair(monkeypatch, capsys, tmp_path):
     assert names[:2] == ["setup_s", "setup probe"]
 
 
+@pytest.mark.parametrize("dont_write", ["1", ""])
+def test_bytecode_state_beside_setup_s(monkeypatch, capsys, tmp_path, dont_write):
+    # whether setup_s held compile time: the children's bytecode setting and
+    # each checkout's __pycache__ before the first run and after the last
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", dont_write)
+    fake = FakeBench({"parent": [10.0], "change": [10.0]})
+
+    def bench(checkout, *args):
+        (tmp_path / "change" / "src" / "clfqp" / "__pycache__").mkdir(parents=True, exist_ok=True)
+        return fake(checkout, *args)
+
+    code, result = run_fake(monkeypatch, capsys, tmp_path, bench, 1)
+    assert code == 0
+    assert result["bytecode"] == {"writes_bytecode": not dont_write,
+                                  "pycache_before": {"parent": False, "change": False},
+                                  "pycache_after": {"parent": False, "change": True}}
+
+
+def test_bytecode_line_follows_the_setup_probe(monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(pairs, "run_bench", FakeBench({"parent": [1.0], "change": [1.0]}))
+    monkeypatch.setattr(pairs, "probe_setup", FakeProbe())
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "change")
+    pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+                "--pairs", "1"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.strip().startswith("setup probe ["))
+    assert lines[at + 1].strip() == ("bytecode: child runs write it: no; src/clfqp/__pycache__"
+                                     " before/after: parent no/no, change no/no")
+
+
 def test_incorrect_run_exits_1(monkeypatch, capsys, tmp_path):
     fake = FakeBench({"parent": [1.0], "change": [2.0]}, correct=False)
     code, result = run_fake(monkeypatch, capsys, tmp_path, fake, 1)

@@ -11,13 +11,14 @@ from clfqp.robots import (
     RobotSpecFile,
     ValidationError,
     builtin_registry,
-    load_builtin,
     load_robot,
     loads_robot,
     resolve_spec,
     serialize_robot,
     unactuated_stiffness_margin,
 )
+
+from toys import load_builtin
 
 MINIMAL = """
 schema_version: 1

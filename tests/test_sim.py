@@ -4,16 +4,16 @@ import gc
 import numpy as np
 import pytest
 
-from clfqp import kinematics, multibody, sim
+from clfqp import multibody, sim
 from clfqp.controllers import ControlStepLog, Evaluation, make_controller
 from clfqp.experiments import EllipseParams, ellipse_trajectory, sim_config_for
 from clfqp.kinematics import task_state
-from clfqp.multibody import RobotState, bias_terms, forward_dynamics
+from clfqp.multibody import RobotState, bias_terms
 from clfqp.robots import builtin_registry
 from clfqp.sim import SimConfig, run
 
 from oracles import entrywise_failures, rk4_step
-from toys import ball_chain, two_link
+from toys import ball_chain, evaluated_accelerations, two_link
 
 LOGGED = ("t", "q", "dq", "y", "dy", "y_ref", "u", "mu", "delta", "V", "Vdot",
           "solve_time", "saturated")
@@ -129,14 +129,13 @@ class TestSharedEvaluation:
     def test_four_chain_poses_per_control_step(self, monkeypatch):
         model, gains, ref = finger()
         calls = []
-        original = multibody.chain_pose
+        original = multibody._pose_pass   # under chain_pose and every RK4 stage
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(multibody, "chain_pose", counted)
-        monkeypatch.setattr(kinematics, "chain_pose", counted)
+        monkeypatch.setattr(multibody, "_pose_pass", counted)
         cfg = SimConfig(t_end=0.01, initial_state=start_state(model))
         (traj,) = run(model, [make_controller("clf-qp", model, gains["clf-qp"])], [ref], [cfg])
         # one evaluation shared by controller, log and RK4 k1, then k2..k4
@@ -145,10 +144,11 @@ class TestSharedEvaluation:
 
 
 class TestRk4Step:
-    """sim.step against the RK4 body it replaced (oracles.rk4_step), whose
-    every stage ran the full forward dynamics: the same bits, signed zeros
-    included, for one row (stepped on the shapes of one state) or several
-    stacked, with or without the first stage's terms given."""
+    """sim.step against the RK4 body it replaced (oracles.rk4_step), every
+    stage of it solved through a state evaluation (the terms bias_terms
+    makes and their factor): the same bits, signed zeros included, for one
+    row (stepped on the shapes of one state) or several stacked, with or
+    without the first stage's terms given."""
 
     MODELS = {"finger": None, "helix": None, "spirob": None,
               "ball_chain": ball_chain, "two_link": lambda: two_link(k_s=(0.4, 0.2),
@@ -174,8 +174,9 @@ class TestRk4Step:
         cfg = SimConfig(dt_physics=2e-3)
         terms = bias_terms(model, state) if given_terms else None
         q_next, dq_next, reasons = sim.step(model, q, dq, 0.25, u, cfg, terms=terms)
+        force = multibody.matvec(model.B, held)
         want_q, want_dq = rk4_step(
-            lambda qq, dd: forward_dynamics(model, RobotState(qq, dd), held), state.q, state.dq,
+            lambda qq, dd: evaluated_accelerations(model, qq, dd, force), state.q, state.dq,
             2e-3)
         assert reasons == [""] * rows
         assert same_bits(q_next, want_q.reshape(q.shape))

@@ -1,8 +1,12 @@
-"""Small hand-checkable robot models shared across test modules."""
+"""Small hand-checkable robot models, and shorthands built on the
+package's public functions, shared across test modules."""
 
 import numpy as np
 
-from clfqp.multibody import Joint, Link, RobotModel
+from clfqp.kinematics import task_state
+from clfqp.multibody import (Joint, Link, RobotModel, RobotState, bias_terms, forward_dynamics,
+                             solve_inertia)
+from clfqp.robots import resolve_spec
 
 Y_AXIS = (0.0, -1.0, 0.0)  # positive rotation swings the tip toward +x
 
@@ -83,8 +87,6 @@ def straight_chain(n_links=4, length=0.06, mass=0.05, k_s=0.2, d_s=0.01,
 
 def rk4_rollout(model, q0, dq0, u_fn, dt, steps):
     """Plain fixed-step RK4 on the open-loop dynamics, for test oracles."""
-    from clfqp.multibody import RobotState, forward_dynamics
-
     q = np.asarray(q0, dtype=float).copy()
     dq = np.asarray(dq0, dtype=float).copy()
     t = 0.0
@@ -105,3 +107,31 @@ def rk4_rollout(model, q0, dq0, u_fn, dt, steps):
         qs.append(q.copy())
         dqs.append(dq.copy())
     return np.array(qs), np.array(dqs)
+
+
+def load_builtin(name):
+    """(model, gains) of the built-in robot ``name``."""
+    return resolve_spec(name).load()
+
+
+def h_vector(model, state):
+    """Sum of Coriolis, damping, stiffness, and gravity forces."""
+    return bias_terms(model, state).h
+
+
+def jacobian(model, q):
+    """Task-space positional Jacobian (task_dim x n) at configuration q."""
+    q = np.asarray(q, dtype=float)
+    return task_state(model, RobotState(q, np.zeros_like(q))).J
+
+
+def jacobian_dot(model, q, dq):
+    """Time derivative of the task Jacobian along (q, dq)."""
+    return task_state(model, RobotState(q, dq)).dJ
+
+
+def evaluated_accelerations(model, q, dq, force):
+    """M^-1 (force - h) at (q, dq) as a state evaluation makes it: the terms
+    ``bias_terms`` builds there and their guarded factor."""
+    terms = bias_terms(model, RobotState(q, dq))
+    return solve_inertia(terms, force - terms.h)

@@ -16,6 +16,14 @@ every pair each side also runs two fresh-process set-up probes
 order first, second, second, first; their summary is printed beside
 setup_s and their raw values go in the JSON line under ``setup_probe``.
 
+Whether ``setup_s`` held the compile time of ``src/clfqp`` is reported
+beside it and in the JSON line under ``bytecode``: whether the child runs
+write bytecode (they inherit this process's environment, and a non-empty
+PYTHONDONTWRITEBYTECODE stops them) and whether each checkout had
+``src/clfqp/__pycache__`` before the workload's first run and after its
+last. A checkout without it, under children that write none, compiles every
+source in every fresh process.
+
 A speed claim here needs the change to win at least 9 of 10 pairs and the
 median gap to exceed the parent's spread, on an unchanged fingerprint.
 Pair i runs both sides with benchmark seed SEED + i. ``--workload`` may be
@@ -68,6 +76,12 @@ def probe_setup(checkout: Path, workload: str, seed: int, scale: str) -> float:
     return float(proc.stdout.split()[-1]) - t0
 
 
+def has_pycache(args) -> dict:
+    """Whether each checkout has compiled sources in src/clfqp/__pycache__."""
+    return {side: (getattr(args, side) / "src" / "clfqp" / "__pycache__").is_dir()
+            for side in ("parent", "change")}
+
+
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
     """Quartiles (q1, median, q3) of each side, the change's win count and
     whether the gap between the medians exceeds the parent's spread."""
@@ -98,6 +112,8 @@ def compare(args, workload: str, better: dict) -> bool:
     runs = {"parent": [], "change": []}
     probes = {"parent": [], "change": []}
     correct = True
+    bytecode = {"writes_bytecode": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
+                "pycache_before": has_pycache(args)}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
@@ -117,6 +133,7 @@ def compare(args, workload: str, better: dict) -> bool:
               flush=True)
 
     n = args.pairs
+    bytecode["pycache_after"] = has_pycache(args)
     summary = {}
     setup_probe = dict(summarize(probes["parent"], probes["change"], "lower"),
                        unit="s", better="lower", **probes)
@@ -130,9 +147,16 @@ def compare(args, workload: str, better: dict) -> bool:
         summary[name] = dict(s, unit=unit, better=direction, **values)
         if name == "setup_s":
             report("setup probe", setup_probe, "s", "lower", 2 * n)
+            before, after = bytecode["pycache_before"], bytecode["pycache_after"]
+            print(f"{'bytecode':>17}: child runs write it: "
+                  f"{'yes' if bytecode['writes_bytecode'] else 'no'}; src/clfqp/__pycache__ "
+                  "before/after: " + ", ".join(
+                      f"{side} {'yes' if before[side] else 'no'}/{'yes' if after[side] else 'no'}"
+                      for side in before))
     print(f"correct: {str(correct).lower()}")
     print(json.dumps({"workload": workload, "pairs": n, "correct": correct,
-                      "metrics": summary, "setup_probe": setup_probe}), flush=True)
+                      "metrics": summary, "setup_probe": setup_probe,
+                      "bytecode": bytecode}), flush=True)
     return correct
 
 
