@@ -3,7 +3,7 @@
 Library layout:
 
 - ``linalg`` / ``qp``: dense numerical layer (checked SVD, pseudoinverse,
-  structured Riccati solve, active-set QP solver).
+  active-set QP solver).
 - ``_lapack``: the compiled kernels behind the linear algebra, bound in
   one place: scipy's LAPACK routines (``dpotrf``, ``dpotrs``, ``dtrtri``,
   ``dgesvd``), loaded from scipy's compiled extension without importing the
@@ -17,8 +17,8 @@ Library layout:
   ic-qp), each a function ``law(ctrl, state, ref)`` of the ``Controller``
   that runs it by name: one full-body QP builder with or without the
   Lyapunov row and one impedance step, each reading which form from the
-  controller's name. A law's constants are made once per model, law and
-  gain set and shared by its controllers.
+  controller's name. A controller makes its law's constants once, when it
+  is built.
 - ``robots``: benchmark robot descriptions (finger, helix, spirob) loaded
   from YAML spec files.
 - ``sim``: fixed-step zero-order-hold integration: one step over rows of

@@ -3,7 +3,9 @@ task-error dynamics, with its decrease condition expressed as a row that is
 linear in the virtual task acceleration.
 
 V(eta) = eta' P_eps eta with P_eps = S P S, S = blockdiag(I/eps, I), where P
-solves the double-integrator Riccati equation. Along eta_dot = F eta + G mu,
+solves the double-integrator Riccati equation F'P + PF - PGG'P + I = 0, in
+closed form (Ames, Galloway, Sreenath and Grizzle, IEEE TAC 59(4), 2014).
+Along eta_dot = F eta + G mu,
 
     Vdot(eta, mu) = a0(eta) + a1(eta) mu
 
@@ -18,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import all_finite, double_integrator_blocks, solve_care_double_integrator
+from .linalg import all_finite, double_integrator_blocks
 
 
 @dataclass(frozen=True)
@@ -61,22 +63,17 @@ class ClfData:
         return 2.0 * self.P_eps @ g
 
 
-def build_clf(Q: np.ndarray, R: np.ndarray, eps: float, n_t: int) -> ClfData:
-    """Construct the certificate from diagonal Riccati weights and a rate."""
+def default_clf(eps: float, n_t: int) -> ClfData:
+    """Certificate with identity Riccati weights, whose solution is
+    P = [[sqrt(3) I, I], [I, sqrt(3) I]]; the PD reference carries the
+    error shaping, so P stays robot-independent."""
     if eps <= 0.0:
         raise ValueError("clf rate parameter must be positive")
-    pair = solve_care_double_integrator(Q, R)
-    if pair.n_t != n_t:
-        raise ValueError(f"weights sized for n_t={pair.n_t}, expected {n_t}")
+    root3 = np.sqrt(3.0)
+    p = np.kron([[root3, 1.0], [1.0, root3]], np.eye(n_t))
     scale = np.concatenate([np.full(n_t, 1.0 / eps), np.ones(n_t)])
-    p_eps = scale[:, None] * pair.P * scale[None, :]
-    return ClfData(eps=float(eps), P=pair.P, P_eps=p_eps, n_t=n_t)
-
-
-def default_clf(eps: float, n_t: int) -> ClfData:
-    """Certificate with identity Riccati weights; the PD reference carries
-    the error shaping, so P stays robot-independent."""
-    return build_clf(np.eye(2 * n_t), np.eye(n_t), eps, n_t)
+    p_eps = scale[:, None] * p * scale[None, :]
+    return ClfData(eps=float(eps), P=p, P_eps=p_eps, n_t=n_t)
 
 
 def clf_value(clf: ClfData, err: TaskError) -> float:

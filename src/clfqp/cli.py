@@ -116,6 +116,9 @@ def cmd_run(args) -> int:
         kind = "theta" if args.theta is not None else "omega"
         params = ((args.theta if kind == "theta" else args.omega) * np.pi,)
     else:
+        for flag in ("theta", "omega"):
+            if getattr(args, flag) is not None:
+                raise ValidationError(f"--{flag} needs --experiment single")
         kind = "theta" if args.experiment == "setpoint" else "omega"
         params = experiments.THETA_GRID if kind == "theta" else experiments.OMEGA_GRID
     spec = _apply_gain_overrides(resolve_spec(args.robot), args.controller, gain_over)

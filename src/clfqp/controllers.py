@@ -20,15 +20,12 @@ Closed-form baselines (``impedance_step``):
 - uic: the same law with torque components in unactuated directions removed
   by a null-space correction before clamping.
 
-One ``Controller`` class runs any of the five laws by name. Every piece of
-its law that no state changes (``LawConstants``: the certificate, the edges
-of the saturation mask, the constant blocks of its QP (``QpConstants``) and
-the collocated split, or the maps that depend only on B and the task ridge
-of ic/uic) is made once per model, law and gain set by ``law_constants``
-and kept on the model, so the controllers of one suite's episodes, which
-share the model the suite built, share them; a model field swapped or
-changed since gives new ones. A controller owns only the
-warm-start and hold-previous-input state of one episode. Each law is one
+One ``Controller`` class runs any of the five laws by name. It makes every
+piece of its law that no state changes (the certificate, the edges of the
+saturation mask, the constant blocks of its QP (``QpConstants``) and the
+collocated split, or the maps that depend only on B and the task ridge of
+ic/uic) once, when it is built, and owns the warm-start and
+hold-previous-input state of one episode. Each law is one
 function ``law(ctrl, state, ref)`` returning ``(u, log, sol)`` (``sol`` is
 None for ic and uic): it reads the model, gains, certificate, constant
 blocks or maps, warm start and held input from its controller and never
@@ -42,12 +39,12 @@ integrates from that same evaluation), otherwise one made on the spot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .clf import ClfData, TaskError, clf_row, clf_terms, default_clf
+from .clf import TaskError, clf_row, clf_terms, default_clf
 from .kinematics import TaskState, task_state
 from ._lapack import inv, svdvals
 from .linalg import eye, pinv, svd
@@ -426,10 +423,9 @@ _LAWS = {"clf-qp": clf_qp_step, "soft-id-clf-qp": full_body_qp_step,
          "ic": impedance_step, "uic": impedance_step, "ic-qp": full_body_qp_step}
 
 
-@dataclass(frozen=True)
-class LawConstants:
-    """Every piece of a law that no state changes, for one model and gain
-    set:
+class Controller:
+    """One of the five laws, chosen by ``name``. It makes the pieces of its
+    law that no state changes once, when it is built:
 
     - the certificate ``clf``;
     - the ``saturation_edges`` the logged saturation mask compares u with;
@@ -438,54 +434,9 @@ class LawConstants:
     - for ic/uic, the actuation ``maps`` B^+ and I - B B^+, and the
       ``task_ridge`` LAMBDA_REG I added to the task-space inverse inertia.
 
-    The pieces a law does not use are None."""
-
-    clf: ClfData
-    saturation_edges: tuple[np.ndarray, np.ndarray]
-    consts: QpConstants | None = None
-    split: CollocatedSplit | None = None
-    maps: tuple[np.ndarray, np.ndarray] | None = None
-    task_ridge: np.ndarray | None = None
-
-
-def law_constants(name: str, model: RobotModel, gains) -> LawConstants:
-    """The ``LawConstants`` of law ``name`` with ``gains`` on ``model``, made
-    once and kept in ``model.derived``. The key holds the bytes of every
-    value they are made from (task_dim, B, u_min, u_max and the gains), so
-    the constants of one model, law and gain set are shared by every
-    controller that runs them, and a model whose fields were swapped or
-    changed gets new ones."""
-    values = np.array([getattr(gains, f.name) for f in fields(gains)], dtype=float)
-    key = (name, model.task_dim, model.B.shape,
-           *(a.tobytes() for a in (model.B, model.u_min, model.u_max, values)))
-    made = model.derived.get(key)
-    if made is None:
-        made = model.derived[key] = _make_law_constants(name, model, gains)
-    return made
-
-
-def _make_law_constants(name: str, model: RobotModel, gains) -> LawConstants:
-    clf = default_clf(gains.eps, model.task_dim)
-    edges = saturation_edges(model)
-    if name == "clf-qp":
-        return LawConstants(clf, edges, consts=clf_qp_constants(model, gains))
-    if name in ("soft-id-clf-qp", "ic-qp"):
-        split = collocated_split(model.B)
-        return LawConstants(clf, edges, consts=full_body_constants(model, gains, name, split),
-                            split=split)
-    ridge = LAMBDA_REG * eye(model.task_dim)
-    ridge.setflags(write=False)
-    return LawConstants(clf, edges, maps=actuation_maps(model.B), task_ridge=ridge)
-
-
-class Controller:
-    """One of the five laws, chosen by ``name``. Takes the pieces of its law
-    that no state changes (``LawConstants``: ``clf``, ``saturation_edges``,
-    ``consts``, ``split``, ``maps`` and ``task_ridge``) from
-    ``law_constants``, which makes them once per model, law and gain set.
-
-    It owns only the warm-start and hold-previous-input state of one episode
-    at a time; ``reset`` clears it between episodes."""
+    The pieces its law does not use are None. It also owns the warm-start
+    and hold-previous-input state of one episode at a time; ``reset``
+    clears it between episodes."""
 
     def __init__(self, name: str, model: RobotModel, gains):
         if name not in CONTROLLER_NAMES:
@@ -493,13 +444,18 @@ class Controller:
         self.name = name
         self.model = model
         self.gains = gains
-        constants = law_constants(name, model, gains)
-        self.clf = constants.clf
-        self.saturation_edges = constants.saturation_edges
-        self.consts = constants.consts
-        self.split = constants.split
-        self.maps = constants.maps
-        self.task_ridge = constants.task_ridge
+        self.clf = default_clf(gains.eps, model.task_dim)
+        self.saturation_edges = saturation_edges(model)
+        self.consts = self.split = self.maps = self.task_ridge = None
+        if name == "clf-qp":
+            self.consts = clf_qp_constants(model, gains)
+        elif name in ("soft-id-clf-qp", "ic-qp"):
+            self.split = collocated_split(model.B)
+            self.consts = full_body_constants(model, gains, name, self.split)
+        else:
+            self.maps = actuation_maps(model.B)
+            self.task_ridge = LAMBDA_REG * eye(model.task_dim)
+            self.task_ridge.setflags(write=False)
         self.reset()
 
     def reset(self):

@@ -230,7 +230,7 @@ def _episode_stop(model: RobotModel, cfg: SimConfig):
 
 def _reachable_setpoint(model: RobotModel, params: EllipseParams, theta: float) -> Reference:
     target = np.linalg.norm(ellipse_point(params, theta))
-    if target > model.L + 1e-9:
+    if not target <= model.L + 1e-9:
         raise ValidationError(f"set point at {target:.3f} m exceeds reach {model.L:.3f} m")
     return setpoint_reference(params, theta, model.task_dim)
 
@@ -252,8 +252,14 @@ def _suite(robot, controller: str, experiment: str, key: str, grid, sim_override
     """One episode per grid value, all in one lockstep ``run``: its reference
     is ``reference(model, params, value)``, its protocol length
     ``t_end(value)``, its stop ``_episode_stop`` and its score
-    ``metric(traj, reference)``; a score that is not finite fails it."""
+    ``metric(traj, reference)``; a score that is not finite fails it. A
+    theta that is not finite, or an omega that is not finite and positive,
+    is a ValidationError raised before the model is built."""
     grid = tuple(grid)
+    for value in grid:
+        if not (math.isfinite(value) and (key == "theta" or value > 0.0)):
+            rule = "finite" if key == "theta" else "finite and positive"
+            raise ValidationError(f"{key} must be {rule}, got {float(value)!r}")
     spec = resolve_spec(robot)
     model, gains = spec.load()
     params = EllipseParams.for_robot(model, spec.workspace_scale)

@@ -1,6 +1,6 @@
 """Dense linear-algebra helpers: a checked SVD, the tolerant pseudoinverse
-built on it, and the structured continuous-time algebraic Riccati solve
-used to shape the quadratic Lyapunov certificate.
+built on it, and the task-error double integrator's state matrices, which
+the quadratic Lyapunov certificate is made for.
 
 Every SVD whose factors are used goes through ``svd``. LAPACK's gesdd
 (what ``np.linalg.svd`` calls) can return finite singular values with
@@ -17,16 +17,11 @@ adds ``matrix_rank`` on the singular values alone, ``eye``, the read-only
 identity the per-step projectors subtract from, made once per size, and
 ``all_finite``, the check that every entry of whole arrays is finite, which
 states, task errors, QP blocks and SVD factors go through.
-
-The Riccati solve is specialised to task-error dynamics that are a stack of
-decoupled double integrators, so it reduces to a per-axis closed form
-instead of a general Schur method.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -58,10 +53,6 @@ def all_finite(*arrays: np.ndarray) -> bool:
         return True
     finally:
         extobj_contextvar.reset(token)
-
-
-class NonPositiveWeight(ValueError):
-    """A Riccati weight that must be strictly positive is not."""
 
 
 class SvdFailure(LinAlgError):
@@ -166,74 +157,3 @@ def double_integrator_blocks(n_t: int) -> tuple[np.ndarray, np.ndarray]:
     g = np.zeros((2 * n_t, n_t))
     g[n_t:, :] = eye
     return f, g
-
-
-@dataclass(frozen=True)
-class CarePair:
-    """Diagonal Riccati weights and the positive-definite solution P.
-
-    Q weighs the stacked error state (position block first, then velocity),
-    R weighs the virtual task acceleration. P solves
-    F'P + PF - PGR^-1G'P + Q = 0 for the double-integrator (F, G).
-    """
-
-    Q: np.ndarray
-    R: np.ndarray
-    P: np.ndarray
-
-    @property
-    def n_t(self) -> int:
-        return self.R.shape[0]
-
-    def residual(self) -> float:
-        """Max-norm residual of the Riccati equation at P."""
-        n_t = self.n_t
-        f, g = double_integrator_blocks(n_t)
-        r_inv = np.diag(1.0 / np.diag(self.R))
-        res = f.T @ self.P + self.P @ f - self.P @ g @ r_inv @ g.T @ self.P + self.Q
-        return float(np.max(np.abs(res)))
-
-
-def solve_care_double_integrator(Q: np.ndarray, R: np.ndarray) -> CarePair:
-    """Solve the Riccati equation for stacked double-integrator dynamics.
-
-    Q must be diagonal (2*n_t x 2*n_t) with strictly positive entries on the
-    position block; R diagonal positive definite (n_t x n_t). Per axis i,
-    with Q = diag(q1, q2) and R = r the solution blocks are
-
-        p2 = sqrt(q1 * r)
-        p3 = sqrt(r * (q2 + 2 * p2))
-        p1 = p2 * p3 / r
-
-    assembled into P = [[diag(p1), diag(p2)], [diag(p2), diag(p3)]].
-
-    Raises NonPositiveWeight if any q1 <= 0 or r <= 0 (P would be singular).
-    """
-    Q = np.asarray(Q, dtype=float)
-    R = np.asarray(R, dtype=float)
-    n_t = R.shape[0]
-    if Q.shape != (2 * n_t, 2 * n_t):
-        raise ValueError(f"Q must be {2 * n_t}x{2 * n_t}, got {Q.shape}")
-    if np.any(Q != np.diag(np.diag(Q))) or np.any(R != np.diag(np.diag(R))):
-        raise ValueError("Q and R must be diagonal")
-
-    q1 = np.diag(Q)[:n_t].copy()
-    q2 = np.diag(Q)[n_t:].copy()
-    r = np.diag(R).copy()
-    if np.any(q1 <= 0.0):
-        raise NonPositiveWeight("position weights q1 must be strictly positive")
-    if np.any(r <= 0.0):
-        raise NonPositiveWeight("input weights r must be strictly positive")
-    if np.any(q2 < 0.0):
-        raise NonPositiveWeight("velocity weights q2 must be nonnegative")
-
-    p2 = np.sqrt(q1 * r)
-    p3 = np.sqrt(r * (q2 + 2.0 * p2))
-    p1 = p2 * p3 / r
-
-    p = np.zeros((2 * n_t, 2 * n_t))
-    p[:n_t, :n_t] = np.diag(p1)
-    p[:n_t, n_t:] = np.diag(p2)
-    p[n_t:, :n_t] = np.diag(p2)
-    p[n_t:, n_t:] = np.diag(p3)
-    return CarePair(Q=Q, R=R, P=p)

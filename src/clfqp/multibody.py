@@ -276,14 +276,6 @@ class RobotModel:
     def _chain(self) -> "_CompiledChain":
         return _compile_chain(self)
 
-    @cached_property
-    def derived(self) -> dict:
-        """Memo of what other layers make from this model once (the
-        controllers' law constants), each entry keyed by the contents of
-        every field it is made from, so a field swapped with
-        ``object.__setattr__`` or changed in place misses."""
-        return {}
-
     def rest_state(self) -> RobotState:
         return RobotState(q=np.zeros(self.n), dq=np.zeros(self.n), t=0.0)
 

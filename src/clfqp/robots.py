@@ -153,17 +153,6 @@ def _require(data: dict, key: str, source: str):
     return data[key]
 
 
-def load_robot(path) -> tuple[RobotModel, dict[str, GainSet]]:
-    """Load a robot spec file; raises ParseError / ValidationError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read robot spec {path}: {exc}") from exc
-    data = _parse_document(text, source=str(path))
-    return _build_model(data, source=str(path))
-
-
 def loads_robot(text: str, source: str = "<string>") -> tuple[RobotModel, dict[str, GainSet]]:
     """Load a robot spec from a YAML string."""
     return _build_model(_parse_document(text, source), source=source)
@@ -382,11 +371,22 @@ def builtin_registry() -> dict[str, RobotSpecFile]:
     registry = {}
     for entry in resources.files("clfqp.specs").iterdir():
         if entry.name.endswith(".yaml"):
-            text = entry.read_text(encoding="utf-8")
             name = entry.name[: -len(".yaml")]
-            registry[name] = RobotSpecFile(name=name, text=text,
-                                           data=_parse_document(text, source=name))
+            registry[name] = _read_spec(entry, name)
     return registry
+
+
+def _read_spec(entry, name: str, source: str = "") -> RobotSpecFile:
+    """The spec document in file ``entry`` (a path or a package resource);
+    a file that cannot be read or is not UTF-8 is a ParseError naming
+    ``source``, the file's path, or for a built-in its name."""
+    where = source or name
+    try:
+        text = entry.read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise ParseError(f"{where}: cannot read spec: {exc}") from exc
+    return RobotSpecFile(name=name, text=text, data=_parse_document(text, source=where),
+                         source=source)
 
 
 def resolve_spec(robot) -> RobotSpecFile:
@@ -399,9 +399,7 @@ def resolve_spec(robot) -> RobotSpecFile:
         return registry[robot]
     path = Path(robot)
     if path.is_file():
-        text = path.read_text(encoding="utf-8")
-        return RobotSpecFile(name=path.stem, text=text,
-                             data=_parse_document(text, source=str(path)), source=str(path))
+        return _read_spec(path, path.stem, source=str(path))
     raise KeyError(f"unknown robot {robot!r}; built-ins: {sorted(registry)}")
 
 

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from clfqp.clf import TaskError, build_clf, clf_row, clf_value, default_clf, vdot_coeffs
-from clfqp.linalg import NonPositiveWeight, double_integrator_blocks, solve_care_double_integrator
+from clfqp.clf import TaskError, clf_row, clf_value, default_clf, vdot_coeffs
+from clfqp.linalg import double_integrator_blocks
 
 
 def err_from_eta(eta):
@@ -10,40 +12,35 @@ def err_from_eta(eta):
     return TaskError(e=eta[:n_t], de=eta[n_t:])
 
 
-class TestBuild:
-    def test_unit_rate_is_identity_scaling(self):
-        clf = build_clf(np.eye(4), np.eye(2), eps=1.0, n_t=2)
-        assert np.array_equal(clf.P_eps, clf.P)
+def riccati_residual(p, q, r_scale, n_t):
+    """Max-norm residual of F'P + PF - P G G' P / r_scale + Q = 0."""
+    f, g = double_integrator_blocks(n_t)
+    return np.abs(f.T @ p + p @ f - p @ g @ g.T @ p / r_scale + q).max()
 
-    def test_scaled_scalar_axis(self):
-        clf = build_clf(np.eye(2), np.eye(1), eps=0.5, n_t=1)
-        expected = np.array([[4.0 * np.sqrt(3.0), 2.0], [2.0, np.sqrt(3.0)]])
-        assert np.allclose(clf.P_eps, expected, atol=1e-12)
+
+class TestBuild:
+    def test_closed_form_solves_riccati(self):
+        for eps, n_t in itertools.product((0.01, 0.05, 0.5, 1.0, 1.7), (1, 2, 3)):
+            clf = default_clf(eps, n_t)
+            eye = np.eye(n_t)
+            expected = np.block([[np.sqrt(3.0) * eye, eye], [eye, np.sqrt(3.0) * eye]])
+            assert clf.P.tobytes() == expected.tobytes()
+            assert riccati_residual(clf.P, np.eye(2 * n_t), 1.0, n_t) <= 1e-15
+            # P_eps = S P S solves the equation for weights (S S / eps, eps I)
+            s = np.concatenate([np.full(n_t, 1.0 / eps), np.ones(n_t)])
+            q_eps = np.diag(s ** 2 / eps)
+            assert riccati_residual(clf.P_eps, q_eps, eps, n_t) <= 1e-14 * q_eps.max()
+            if eps == 1.0:
+                assert np.array_equal(clf.P_eps, clf.P)
 
     def test_p_eps_positive_definite(self):
         for eps in (0.01, 0.05, 1.0):
             clf = default_clf(eps, 3)
             assert np.linalg.eigvalsh(clf.P_eps)[0] > 0.0
 
-    def test_propagates_weight_errors(self):
-        with pytest.raises(NonPositiveWeight):
-            build_clf(np.diag([0.0, 1.0]), np.eye(1), eps=0.1, n_t=1)
-
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             default_clf(0.0, 2)
-
-    def test_p_eps_solves_scaled_riccati(self):
-        # P_eps is itself the Riccati solution for weights (S Q S / eps, eps R).
-        for eps, n_t in ((0.05, 2), (0.3, 3), (1.7, 1)):
-            q = np.diag(np.arange(1.0, 2 * n_t + 1.0))
-            r = np.diag(np.arange(1.0, n_t + 1.0))
-            clf = build_clf(q, r, eps, n_t)
-            s = np.concatenate([np.full(n_t, 1.0 / eps), np.ones(n_t)])
-            q_eps = np.diag(s ** 2 * np.diag(q) / eps)
-            pair = solve_care_double_integrator(q_eps, eps * r)
-            assert np.allclose(pair.P, clf.P_eps, rtol=1e-10, atol=1e-12)
-            assert pair.residual() < 1e-9
 
 
 class TestValue:
@@ -52,7 +49,7 @@ class TestValue:
         assert clf_value(clf, TaskError(np.zeros(2), np.zeros(2))) == 0.0
 
     def test_unit_direction(self):
-        clf = build_clf(np.eye(2), np.eye(1), eps=1.0, n_t=1)
+        clf = default_clf(1.0, 1)
         # P = [[sqrt(3), 1], [1, sqrt(3)]]; eta = (1, 0) -> V = sqrt(3)
         v = clf_value(clf, TaskError(np.array([1.0]), np.array([0.0])))
         assert v == pytest.approx(np.sqrt(3.0))
@@ -77,7 +74,7 @@ class TestVdotCoeffs:
 
     def test_scalar_expansion(self):
         # a1 = 2 (p2 e + p3 de) for P_eps = [[p1, p2], [p2, p3]].
-        clf = build_clf(np.eye(2), np.eye(1), eps=0.4, n_t=1)
+        clf = default_clf(0.4, 1)
         p2 = clf.P_eps[0, 1]
         p3 = clf.P_eps[1, 1]
         e, de = 0.7, -0.3

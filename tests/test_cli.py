@@ -84,6 +84,34 @@ class TestSingleExperiment:
         assert not any(tmp_path.iterdir())
 
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--theta", "nan", "theta must be finite, got nan"),
+        ("--theta", "inf", "theta must be finite, got inf"),
+        ("--omega", "0", "omega must be finite and positive, got 0.0"),
+        ("--omega", "-1", f"omega must be finite and positive, got {-np.pi!r}"),
+        ("--omega", "nan", "omega must be finite and positive, got nan")])
+    def test_bad_parameter_is_validation_error(self, flag, value, message, tmp_path, capsys):
+        from clfqp import cli
+
+        code = cli.main(["run", "--robot", "finger", "--controller", "ic",
+                         "--experiment", "single", flag, value, "--out", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("experiment", ["setpoint", "tracking"])
+    @pytest.mark.parametrize("flag", ["--theta", "--omega"])
+    def test_parameter_needs_single(self, experiment, flag, tmp_path, capsys):
+        from clfqp import cli
+
+        code = cli.main(["run", "--robot", "finger", "--controller", "ic",
+                         "--experiment", experiment, flag, "0.5", "--out", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"validation error: {flag} needs --experiment single\n")
+        assert not any(tmp_path.iterdir())
+
+
 class TestRobotArgument:
     def test_unknown_robot_is_validation_error(self, tmp_path, capsys):
         from clfqp import cli
@@ -94,6 +122,15 @@ class TestRobotArgument:
         assert capsys.readouterr().err == (
             "validation error: unknown robot 'no-such-robot'; "
             "built-ins: ['finger', 'helix', 'spirob']\n")
+
+    def test_non_utf8_spec_is_validation_error(self, tmp_path, capsys):
+        from clfqp import cli
+
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"schema_version: 1\n# \xff\n")
+        assert cli.main(["list", "gains", "--robot", str(path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            f"validation error: {path}: cannot read spec: 'utf-8' codec can't decode byte 0xff")
 
     def test_exported_spec_path_runs_like_the_built_in(self, tmp_path, capsys):
         from clfqp import cli

@@ -52,6 +52,27 @@ class TestSpecLoads:
         assert load_calls == []
 
 
+class TestGridValues:
+    """A theta that is not finite, or an omega that is not finite and
+    positive, is a ValidationError naming the value, raised before the model
+    is built."""
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_setpoint_theta_must_be_finite(self, load_calls, theta):
+        with pytest.raises(ValidationError, match=f"^theta must be finite, got {theta!r}$"):
+            experiments.setpoint_suite("finger", "ic", thetas=(0.0, theta),
+                                       sim_overrides=SHORT)
+        assert load_calls == []
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, 0.0, -0.0, -1.0])
+    def test_tracking_omega_must_be_finite_and_positive(self, load_calls, omega):
+        with pytest.raises(ValidationError,
+                           match=f"^omega must be finite and positive, got {omega!r}$"):
+            experiments.tracking_suite("finger", "ic", omegas=(0.5, omega),
+                                       sim_overrides=SHORT)
+        assert load_calls == []
+
+
 def same_bits(a, b) -> bool:
     """Equal values, NaN included, and equal sign bits (so -0.0 != 0.0)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)

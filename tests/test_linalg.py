@@ -5,15 +5,7 @@ import scipy.linalg
 from pathlib import Path
 
 from clfqp import linalg
-from clfqp.linalg import (
-    CarePair,
-    NonPositiveWeight,
-    SvdFailure,
-    double_integrator_blocks,
-    pinv,
-    solve_care_double_integrator,
-    svd,
-)
+from clfqp.linalg import SvdFailure, pinv, svd
 
 from oracles import penrose_defect, svd_pinv
 
@@ -187,61 +179,6 @@ def svd_pinv_from(u, s, vt, tol=linalg.DEFAULT_PINV_TOL):
     s = np.divide(1, s, where=large, out=s.copy())
     s[~large] = 0
     return vt.swapaxes(-1, -2) @ (s[..., None] * u.swapaxes(-1, -2))
-
-
-class TestCare:
-    def test_unit_weights_scalar_axis(self):
-        pair = solve_care_double_integrator(np.eye(2), np.eye(1))
-        expected = np.array([[np.sqrt(3.0), 1.0], [1.0, np.sqrt(3.0)]])
-        assert np.allclose(pair.P, expected, atol=1e-12)
-        assert pair.residual() < 1e-12
-
-    def test_position_only_weight(self):
-        pair = solve_care_double_integrator(np.diag([4.0, 0.0]), np.eye(1))
-        assert np.allclose(pair.P, np.array([[4.0, 2.0], [2.0, 2.0]]), atol=1e-12)
-        assert pair.residual() < 1e-12
-
-    def test_zero_r_rejected(self):
-        with pytest.raises(NonPositiveWeight):
-            solve_care_double_integrator(np.diag([1.0, 0.0]), np.zeros((1, 1)))
-
-    def test_zero_q1_rejected(self):
-        with pytest.raises(NonPositiveWeight):
-            solve_care_double_integrator(np.diag([0.0, 1.0]), np.eye(1))
-
-    def test_block_assembly_multi_axis(self):
-        q = np.diag([1.0, 4.0, 2.0, 0.5, 0.0, 3.0])
-        r = np.diag([1.0, 2.0, 0.7])
-        pair = solve_care_double_integrator(q, r)
-        assert pair.residual() < 1e-9
-        assert np.all(np.linalg.eigvalsh(pair.P) > 0)
-
-    def test_matches_schur_solver(self):
-        # scipy solves the same equation by an independent Schur method.
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            n_t = int(rng.integers(1, 4))
-            q = np.diag(rng.uniform(0.1, 100.0, 2 * n_t))
-            r = np.diag(rng.uniform(0.1, 100.0, n_t))
-            pair = solve_care_double_integrator(q, r)
-            f, g = double_integrator_blocks(n_t)
-            p_ref = scipy.linalg.solve_continuous_are(f, g, q, r)
-            assert np.allclose(pair.P, p_ref, rtol=1e-8, atol=1e-9)
-
-    def test_random_weights_residual_and_definiteness(self):
-        rng = np.random.default_rng(19)
-        for _ in range(1000):
-            n_t = int(rng.integers(1, 4))
-            q = np.diag(rng.uniform(0.1, 100.0, 2 * n_t))
-            r = np.diag(rng.uniform(0.1, 100.0, n_t))
-            pair = solve_care_double_integrator(q, r)
-            assert pair.residual() <= 1e-9
-            assert np.linalg.eigvalsh(pair.P)[0] > 0.0
-
-    def test_carepair_reports_dims(self):
-        pair = solve_care_double_integrator(np.eye(4), np.eye(2))
-        assert pair.n_t == 2
-        assert isinstance(pair, CarePair)
 
 
 class TestMatrixRank:

@@ -11,7 +11,6 @@ from clfqp.robots import (
     RobotSpecFile,
     ValidationError,
     builtin_registry,
-    load_robot,
     loads_robot,
     resolve_spec,
     serialize_robot,
@@ -126,15 +125,35 @@ class TestResolveSpec:
             resolve_spec(str(path))
 
     def test_model_error_names_the_path(self, tmp_path):
-        # as load_robot does, not the file's stem
+        # the path, not the file's stem
         path = tmp_path / "badmass.yaml"
         path.write_text(MINIMAL.replace("mass: 0.1", "mass: -0.1"), encoding="utf-8")
-        message = f"{path}: link masses must be positive"
-        with pytest.raises(ValidationError) as via_resolver:
+        with pytest.raises(ValidationError) as info:
             resolve_spec(str(path)).load()
-        with pytest.raises(ValidationError) as via_loader:
-            load_robot(path)
-        assert str(via_resolver.value) == str(via_loader.value) == message
+        assert str(info.value) == f"{path}: link masses must be positive"
+
+    def test_non_utf8_file_names_the_path(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(MINIMAL.encode() + b"# \xff\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: cannot read spec: "
+                                             "'utf-8' codec can't decode byte 0xff"):
+            resolve_spec(str(path))
+
+    def test_unreadable_file_names_the_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "locked.yaml"
+        path.write_text(MINIMAL, encoding="utf-8")
+
+        read = type(path).read_text
+
+        def refuse(self, *args, **kwargs):
+            if self == path:
+                raise PermissionError(13, "Permission denied", str(self))
+            return read(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(path), "read_text", refuse)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: cannot read spec: "
+                                             r"\[Errno 13\] Permission denied"):
+            resolve_spec(str(path))
 
     def test_unknown_name_lists_the_built_ins(self):
         with pytest.raises(KeyError) as info:
@@ -143,8 +162,11 @@ class TestResolveSpec:
                                    "['finger', 'helix', 'spirob']",)
 
     def test_directory_is_not_a_spec(self, tmp_path):
-        with pytest.raises(KeyError, match="unknown robot"):
-            resolve_spec(str(tmp_path))
+        # nor is a path where no file is
+        for path in (tmp_path, tmp_path / "nope.yaml"):
+            with pytest.raises(KeyError) as info:
+                resolve_spec(str(path))
+            assert info.value.args[0].startswith(f"unknown robot {str(path)!r}; built-ins: ")
 
 
 class TestParsing:
@@ -240,10 +262,6 @@ class TestParsing:
         expected = f"f.yaml: gains[{ctrl}]: {message}"
         with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
             loads_robot(yaml.safe_dump(data), source="f.yaml")
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ParseError):
-            load_robot(tmp_path / "nope.yaml")
 
     def test_validation_error_names_invariant(self):
         bad = MINIMAL.replace("mass: 0.1", "mass: -0.1")
