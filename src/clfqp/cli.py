@@ -114,7 +114,9 @@ def cmd_run(args) -> int:
         if (args.theta is None) == (args.omega is None):
             raise ValidationError("single experiment needs exactly one of --theta/--omega")
         kind = "theta" if args.theta is not None else "omega"
-        params = ((args.theta if kind == "theta" else args.omega) * np.pi,)
+        value = args.theta if kind == "theta" else args.omega
+        experiments._check_parameter(kind, value)   # as typed, in units of pi
+        params = (value * np.pi,)
     else:
         for flag in ("theta", "omega"):
             if getattr(args, flag) is not None:

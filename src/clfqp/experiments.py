@@ -247,19 +247,24 @@ def _mean_squared_error_cm2(traj: Trajectory, reference: Reference) -> float:
     return float(np.mean(np.sum(err ** 2, axis=1)))
 
 
+def _check_parameter(key: str, value: float) -> None:
+    """A ValidationError naming ``value`` unless it is a finite theta or a
+    finite and positive omega."""
+    if not (math.isfinite(value) and (key == "theta" or value > 0.0)):
+        rule = "finite" if key == "theta" else "finite and positive"
+        raise ValidationError(f"{key} must be {rule}, got {float(value)!r}")
+
+
 def _suite(robot, controller: str, experiment: str, key: str, grid, sim_overrides,
            reference, t_end, metric) -> tuple[MetricSummary, list[Trajectory]]:
     """One episode per grid value, all in one lockstep ``run``: its reference
     is ``reference(model, params, value)``, its protocol length
     ``t_end(value)``, its stop ``_episode_stop`` and its score
-    ``metric(traj, reference)``; a score that is not finite fails it. A
-    theta that is not finite, or an omega that is not finite and positive,
-    is a ValidationError raised before the model is built."""
+    ``metric(traj, reference)``; a score that is not finite fails it. Each
+    value is checked by ``_check_parameter`` before the model is built."""
     grid = tuple(grid)
     for value in grid:
-        if not (math.isfinite(value) and (key == "theta" or value > 0.0)):
-            rule = "finite" if key == "theta" else "finite and positive"
-            raise ValidationError(f"{key} must be {rule}, got {float(value)!r}")
+        _check_parameter(key, value)
     spec = resolve_spec(robot)
     model, gains = spec.load()
     params = EllipseParams.for_robot(model, spec.workspace_scale)

@@ -33,7 +33,7 @@ points into, so one model's stages must not run in two threads at once.
 
 The recursions take leading batch axes: ``chain_pose``, ``chain_motion``,
 the mass matrix, the Newton-Euler pass, ``bias_terms`` and
-``forward_dynamics`` accept q and dq of shape (..., n), so the states of
+``accelerations`` accept q and dq of shape (..., n), so the states of
 several episodes (one ``RobotState`` row each) are evaluated in one pass,
 and without a leading axis they run on the shapes of one state. The passes
 stay the composite-rigid-body and Newton-Euler recursions (Featherstone,
@@ -65,6 +65,7 @@ integrators in ``sim`` run the guard once per evaluated M.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -222,6 +223,19 @@ class RobotModel:
     def validate(self):
         if len(self.links) != len(self.joints):
             raise ValueError("need one joint per link")
+        for name in ("K_s", "D_s", "B", "u_min", "u_max"):
+            if not all_finite(getattr(self, name)):
+                raise ValueError(f"{name} entries must be finite")
+        vectors = [("gravity", self.gravity)]
+        for i, link in enumerate(self.links):
+            for name in ("mass", "length"):
+                value = getattr(link, name)
+                if not math.isfinite(value):
+                    raise ValueError(f"links[{i}] {name} must be finite, got {value!r}")
+            vectors += [(f"links[{i}] com", link.com), (f"links[{i}] inertia", link.inertia)]
+        for name, value in vectors:
+            if len(value) != 3 or not all(map(math.isfinite, value)):
+                raise ValueError(f"{name} must be 3 finite numbers, got {value!r}")
         n = self.n
         if self.K_s.shape != (n,) or self.D_s.shape != (n,):
             raise ValueError(f"K_s and D_s must have {n} entries")
@@ -514,13 +528,6 @@ def _mirrored(ch: _CompiledChain, low: np.ndarray) -> np.ndarray:
     return np.where(ch.lower, low, low.swapaxes(-1, -2))
 
 
-def mass_matrix(model: RobotModel, q: np.ndarray) -> np.ndarray:
-    """Joint-space inertia matrix via the composite-rigid-body recursion."""
-    ch = model._chain
-    _, axes_w, origins, _, com_w, inertia_w = _pose_pass(ch, np.asarray(q, dtype=float))
-    return _mirrored(ch, _mass_lower(ch, axes_w, origins, com_w, inertia_w))
-
-
 def _newton_euler(ch: _CompiledChain, axes_w, origins, com_w, inertia_w, omega, domega,
                   a_com) -> tuple[np.ndarray, np.ndarray]:
     """Coriolis and gravity joint torques from one Newton-Euler pass with
@@ -630,33 +637,3 @@ def _potrs(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of potrs")
     return x
-
-
-def forward_dynamics(model: RobotModel, state: RobotState, u: np.ndarray,
-                     terms: DynamicsTerms | None = None) -> np.ndarray:
-    """Joint accelerations qdd = M^-1 (B u - h).
-
-    Input bounds are the controllers' business, not enforced here. Passing
-    precomputed terms avoids re-evaluating the chain and reuses their
-    guarded factor of M. A state stacked along a leading axis takes one
-    input row per state row.
-    """
-    force = matvec(model.B, np.asarray(u, dtype=float))
-    if terms is None:
-        return accelerations(model, state.q, state.dq, force)
-    return solve_inertia(terms, force - terms.h)
-
-
-def gravitational_potential(model: RobotModel, q: np.ndarray) -> float:
-    """Potential energy of gravity (zero with all COMs at the origin)."""
-    pose = chain_pose(model, np.asarray(q, dtype=float))
-    return float(-np.sum(pose.mass[:, None] * pose.gravity[None, :] * pose.com_w))
-
-
-def total_energy(model: RobotModel, state: RobotState) -> float:
-    """Kinetic plus gravitational plus elastic energy; conserved when the
-    robot is undamped and unforced."""
-    mass = mass_matrix(model, state.q)
-    kinetic = 0.5 * state.dq @ mass @ state.dq
-    elastic = 0.5 * state.q @ (model.K_s * state.q)
-    return kinetic + gravitational_potential(model, state.q) + elastic

@@ -11,8 +11,7 @@ the spirob sets 0.75) is the share of the arclength L at which the benchmark
 ellipse is centered (``experiments.EllipseParams.for_robot``). It and the
 optional ``sim`` section, a mapping of ``sim.SimConfig``'s protocol keys but
 ``t_end``, which each experiment sets (``experiments.sim_config_for``), are
-the spec's protocol keys:
-``serialize_robot`` writes them back when it is given the spec.
+the spec's protocol keys.
 
 All numeric values of the built-in robots (masses, stiffness, damping,
 moment arms, bounds) are desk-scale stand-ins recorded only in the spec
@@ -21,9 +20,8 @@ files, never in code.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -64,6 +62,10 @@ class GainSet:
     d_null: float = 1.0
 
     def __post_init__(self):
+        for name in GAIN_DEFAULTS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"gain {name} must be finite, got {value!r}")
         for name in ("kp", "eps", "rho"):
             if getattr(self, name) <= 0.0:
                 raise ValidationError(f"gain {name} must be positive")
@@ -329,43 +331,6 @@ def _spiral_cable_matrix(cfg: dict, joints, source) -> np.ndarray:
     return b
 
 
-def serialize_robot(model: RobotModel, gains: dict[str, GainSet],
-                    spec: RobotSpecFile | None = None) -> str:
-    """Serialize a model back to spec-file YAML (B always explicit).
-
-    Floats are written with full repr precision, so load(serialize(...))
-    reproduces B, bounds, and gains bit-for-bit. The benchmark protocol's
-    keys (``PROTOCOL_KEYS``: the ``sim`` section and ``workspace_scale``)
-    belong to the spec, not to the model or the gains; given the ``spec``
-    the model came from, they are written as it sets them.
-    """
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "name": model.name,
-        "task_dim": int(model.task_dim),
-        "gravity": [float(v) for v in model.gravity],
-        "links": [dict(mass=float(l.mass), com=[float(v) for v in l.com],
-                       inertia=[float(v) for v in l.inertia], length=float(l.length))
-                  for l in model.links],
-        "joints": [(dict(type="revolute", axis=[float(v) for v in j.axis])
-                    if j.kind == "revolute" else dict(type="ball"))
-                   for j in model.joints],
-        "stiffness": [float(v) for v in model.K_s],
-        "damping": [float(v) for v in model.D_s],
-        "actuation": {"matrix": [[float(v) for v in row] for row in model.B]},
-        "bounds": {"min": [float(v) for v in model.u_min],
-                   "max": [float(v) for v in model.u_max]},
-        "gains": {ctrl: asdict(g) for ctrl, g in gains.items()},
-    }
-    if model.ee_offset is not None:
-        doc["ee_offset"] = [float(v) for v in model.ee_offset]
-    if spec is not None:
-        doc.update((key, spec.data[key]) for key in PROTOCOL_KEYS if key in spec.data)
-    out = io.StringIO()
-    yaml.safe_dump(doc, out, sort_keys=False)
-    return out.getvalue()
-
-
 def builtin_registry() -> dict[str, RobotSpecFile]:
     """Embedded default specs for the three benchmark robots."""
     registry = {}
@@ -401,32 +366,3 @@ def resolve_spec(robot) -> RobotSpecFile:
     if path.is_file():
         return _read_spec(path, path.stem, source=str(path))
     raise KeyError(f"unknown robot {robot!r}; built-ins: {sorted(registry)}")
-
-
-def unactuated_stiffness_margin(model: RobotModel, q: np.ndarray,
-                                fd_step: float = 1e-6) -> float:
-    """Smallest eigenvalue of W (K_s + dg/dq) W' at a configuration, where W
-    spans the unactuated directions (null space of B').
-
-    Positive means joint stiffness dominates the gravity gradient along
-    every unactuated direction there, the numerical proxy for stable zero
-    dynamics. Stand-in parameters may violate this locally; callers report
-    rather than assert.
-    """
-    from .controllers import collocated_split
-    from .multibody import RobotState, bias_terms
-
-    n = model.n
-    w = collocated_split(model.B).W
-    if w.shape[0] == 0:
-        return np.inf
-    dg = np.zeros((n, n))
-    zero = np.zeros(n)
-    for k in range(n):
-        dqk = np.zeros(n)
-        dqk[k] = fd_step
-        g_plus = bias_terms(model, RobotState(q + dqk, zero)).g_vec
-        g_minus = bias_terms(model, RobotState(q - dqk, zero)).g_vec
-        dg[:, k] = (g_plus - g_minus) / (2.0 * fd_step)
-    stiff = np.diag(model.K_s) + 0.5 * (dg + dg.T)
-    return float(np.linalg.eigvalsh(w @ stiff @ w.T)[0])

@@ -4,8 +4,8 @@ package's public functions, shared across test modules."""
 import numpy as np
 
 from clfqp.kinematics import task_state
-from clfqp.multibody import (Joint, Link, RobotModel, RobotState, bias_terms, forward_dynamics,
-                             solve_inertia)
+from clfqp.multibody import (Joint, Link, RobotModel, RobotState, accelerations, bias_terms,
+                             chain_pose, solve_inertia)
 from clfqp.robots import resolve_spec
 
 Y_AXIS = (0.0, -1.0, 0.0)  # positive rotation swings the tip toward +x
@@ -92,10 +92,10 @@ def rk4_rollout(model, q0, dq0, u_fn, dt, steps):
     t = 0.0
     qs, dqs = [q.copy()], [dq.copy()]
     for _ in range(steps):
-        u = u_fn(t, q, dq)
+        force = model.B @ u_fn(t, q, dq)
 
         def deriv(qq, dd):
-            return dd, forward_dynamics(model, RobotState(qq, dd, t), u)
+            return dd, accelerations(model, qq, dd, force)
 
         k1q, k1d = deriv(q, dq)
         k2q, k2d = deriv(q + 0.5 * dt * k1q, dq + 0.5 * dt * k1d)
@@ -112,6 +112,26 @@ def rk4_rollout(model, q0, dq0, u_fn, dt, steps):
 def load_builtin(name):
     """(model, gains) of the built-in robot ``name``."""
     return resolve_spec(name).load()
+
+
+def mass_matrix(model, q):
+    """Joint-space inertia matrix M(q)."""
+    q = np.asarray(q, dtype=float)
+    return bias_terms(model, RobotState(q, np.zeros_like(q))).M
+
+
+def gravitational_potential(model, q):
+    """Potential energy of gravity (zero with all COMs at the origin)."""
+    pose = chain_pose(model, np.asarray(q, dtype=float))
+    return float(-np.sum(pose.mass[:, None] * pose.gravity[None, :] * pose.com_w))
+
+
+def total_energy(model, state):
+    """Kinetic plus gravitational plus elastic energy; conserved when the
+    robot is undamped and unforced."""
+    kinetic = 0.5 * state.dq @ mass_matrix(model, state.q) @ state.dq
+    elastic = 0.5 * state.q @ (model.K_s * state.q)
+    return kinetic + gravitational_potential(model, state.q) + elastic
 
 
 def h_vector(model, state):
