@@ -12,10 +12,10 @@ from clfqp.multibody import (
     DynamicsTerms,
     IllConditioned,
     RobotState,
+    accelerations,
     bias_terms,
     chain_pose,
     cross3,
-    accelerations,
     factor_inertia,
     solve_inertia,
 )
