@@ -12,7 +12,8 @@ Library layout:
   behind ``np.linalg``'s svd, solve, inv, cholesky and eigvalsh, called
   without their wrappers' fixed cost per call.
 - ``multibody`` / ``kinematics``: serial-chain dynamics and task-space maps.
-- ``clf``: quadratic Lyapunov certificate and its per-step inequality row.
+- ``clf``: quadratic Lyapunov certificate, its one evaluation at a task
+  error (``clf_terms``) and the per-step inequality row made from it.
 - ``controllers``: the five control laws (clf-qp, soft-id-clf-qp, ic, uic,
   ic-qp), each a function ``law(ctrl, state, ref)`` of the ``Controller``
   that runs it by name: one full-body QP builder with or without the

@@ -10,17 +10,20 @@ Along eta_dot = F eta + G mu,
     Vdot(eta, mu) = a0(eta) + a1(eta) mu
 
 which makes the softened decrease condition Vdot <= -V/eps + delta a single
-linear inequality in (mu, delta) per control step.
+linear inequality in (mu, delta) per control step. F = [[0, I], [0, 0]] and
+G = [[0], [I]] hold only 0/1 blocks, so with P_eps = [[A, B], [B', C]] the
+operators of Vdot are blocks of P_eps, bit for bit:
+F'P_eps + P_eps F = [[0, A], [A, B + B']] and 2 P_eps G = 2 [B; C].
+``clf_terms`` is the certificate's one evaluation at an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .linalg import all_finite, double_integrator_blocks
+from .linalg import all_finite
 
 
 @dataclass(frozen=True)
@@ -42,70 +45,53 @@ class TaskError:
 
 @dataclass(frozen=True)
 class ClfData:
-    """Certificate data: rate parameter, Riccati solution, and the scaled
-    quadratic form P_eps with cached derivative operators."""
+    """Certificate data: rate parameter, Riccati solution, the scaled
+    quadratic form P_eps, and the operators of Vdot: ``drift_form``
+    F'P_eps + P_eps F, its state-only part, and ``input_map`` 2 P_eps G,
+    mapping eta to its mu-coefficient row."""
 
     eps: float
     P: np.ndarray
     P_eps: np.ndarray
-    n_t: int
-
-    @cached_property
-    def drift_form(self) -> np.ndarray:
-        """F' P_eps + P_eps F, the state-only part of Vdot."""
-        f, _ = double_integrator_blocks(self.n_t)
-        return f.T @ self.P_eps + self.P_eps @ f
-
-    @cached_property
-    def input_map(self) -> np.ndarray:
-        """2 P_eps G, mapping eta to the mu-coefficient row of Vdot."""
-        _, g = double_integrator_blocks(self.n_t)
-        return 2.0 * self.P_eps @ g
+    drift_form: np.ndarray
+    input_map: np.ndarray
 
 
 def default_clf(eps: float, n_t: int) -> ClfData:
     """Certificate with identity Riccati weights, whose solution is
     P = [[sqrt(3) I, I], [I, sqrt(3) I]]; the PD reference carries the
-    error shaping, so P stays robot-independent."""
+    error shaping, so P stays robot-independent. The operators of Vdot are
+    written from the blocks of P_eps (module docstring)."""
     if eps <= 0.0:
         raise ValueError("clf rate parameter must be positive")
     root3 = np.sqrt(3.0)
     p = np.kron([[root3, 1.0], [1.0, root3]], np.eye(n_t))
     scale = np.concatenate([np.full(n_t, 1.0 / eps), np.ones(n_t)])
     p_eps = scale[:, None] * p * scale[None, :]
-    return ClfData(eps=float(eps), P=p, P_eps=p_eps, n_t=n_t)
-
-
-def clf_value(clf: ClfData, err: TaskError) -> float:
-    """V = eta' P_eps eta, nonnegative and zero only at eta = 0."""
-    eta = err.eta
-    return float(eta @ clf.P_eps @ eta)
-
-
-def vdot_coeffs(clf: ClfData, err: TaskError) -> tuple[float, np.ndarray]:
-    """Exact linear decomposition Vdot(eta, mu) = a0 + a1 mu."""
-    eta = err.eta
-    a0 = float(eta @ clf.drift_form @ eta)
-    a1 = eta @ clf.input_map
-    return a0, a1
+    a, b = p_eps[:n_t, :n_t], p_eps[:n_t, n_t:]
+    drift = np.zeros_like(p_eps)
+    drift[:n_t, n_t:] = drift[n_t:, :n_t] = a
+    drift[n_t:, n_t:] = b + b.T
+    return ClfData(eps=float(eps), P=p, P_eps=p_eps, drift_form=drift,
+                   input_map=2.0 * p_eps[:, n_t:])
 
 
 def clf_terms(clf: ClfData, err: TaskError) -> tuple[float, float, np.ndarray]:
-    """(V, a0, a1) at ``err``: the value and the decomposition of Vdot, which
-    a step's decrease row and its logged V and Vdot share."""
-    a0, a1 = vdot_coeffs(clf, err)
-    return clf_value(clf, err), a0, a1
+    """(V, a0, a1) at ``err``: V = eta' P_eps eta, nonnegative and zero only
+    at eta = 0, and the exact linear decomposition Vdot(eta, mu) = a0 + a1 mu,
+    which a step's decrease row and its logged V and Vdot share."""
+    eta = err.eta
+    return (float(eta @ clf.P_eps @ eta), float(eta @ clf.drift_form @ eta),
+            eta @ clf.input_map)
 
 
-def clf_row(clf: ClfData, err: TaskError,
-            terms: tuple[float, float, np.ndarray] | None = None
-            ) -> tuple[np.ndarray, float]:
-    """The decrease condition as an inequality row over (mu, delta).
+def clf_row(clf: ClfData, terms: tuple[float, float, np.ndarray]) -> tuple[np.ndarray, float]:
+    """The decrease condition as an inequality row over (mu, delta), from
+    the ``clf_terms`` (V, a0, a1) of ``clf`` at an error.
 
     Returns (row, rhs) with row @ [mu; delta] <= rhs encoding
-    a1 mu - delta <= -a0 - V/eps. ``terms`` are ``clf_terms(clf, err)``,
-    when known.
+    a1 mu - delta <= -a0 - V/eps.
     """
-    v, a0, a1 = clf_terms(clf, err) if terms is None else terms
+    v, a0, a1 = terms
     row = np.concatenate([a1, [-1.0]])
     return row, -a0 - v / clf.eps

@@ -264,7 +264,7 @@ def clf_qp_step(ctrl: Controller, state: RobotState, ref: Reference
     a_eq[:, m:m + n_t] = -g_pinv
     b_eq = g_pinv @ (-lf2y + data.ddy_ref)
 
-    row, rhs = clf_row(ctrl.clf, data.err, data.certificate)
+    row, rhs = clf_row(ctrl.clf, data.certificate)
     a_in = np.zeros((1, d))
     a_in[0, m:] = row
     b_in = np.array([rhs])
@@ -332,7 +332,7 @@ def full_body_qp_step(ctrl: Controller, state: RobotState, ref: Reference
 
     a_in = b_in = None
     if certify:
-        row, rhs = clf_row(ctrl.clf, data.err, data.certificate)     # over (mu, delta)
+        row, rhs = clf_row(ctrl.clf, data.certificate)     # over (mu, delta)
         a1 = row[:n_t]
         a_in = np.zeros((1, d))
         a_in[0, :n] = a1 @ jac
@@ -349,10 +349,9 @@ def full_body_qp_step(ctrl: Controller, state: RobotState, ref: Reference
 def _finish_qp_step(ctrl, data, sol, read):
     """Applied input and log of a solved QP; ``read(x)`` gives the input,
     mu and delta of a solution. An infeasible QP holds the controller's
-    input."""
+    input as it is: it was clamped when it was first applied."""
     if sol.status is QpStatus.INFEASIBLE:
-        u = _clamp(ctrl._u_hold, ctrl.model)
-        mu, delta = None, np.nan
+        u, mu, delta = ctrl._u_hold, None, np.nan
     else:
         u_cmd, mu, delta = read(sol.x_star)
         u, delta = _clamp(u_cmd, ctrl.model), float(delta)

@@ -374,10 +374,10 @@ def export_summary(summaries: list[MetricSummary], path) -> None:
         for s in summaries:
             fh.write(f"[{s.robot} / {s.controller} / {s.experiment}]\n")
             unit = "cm" if s.experiment == "setpoint" else "cm^2"
-            kind = "theta" if s.experiment == "setpoint" else "omega"
+            kind, per = ("theta", "rad") if s.experiment == "setpoint" else ("omega", "rad/s")
             for ep in s.episodes:
                 status = f"FailedConvergence({ep.failure_reason})" if ep.failed else "ok"
-                fh.write(f"  {kind}={ep.parameter!r} rad: metric={ep.metric!r} {unit}"
+                fh.write(f"  {kind}={ep.parameter!r} {per}: metric={ep.metric!r} {unit}"
                          f" status={status}\n")
             mean = s.mean
             if mean is None:

@@ -1,5 +1,5 @@
 """Task-space maps: forward kinematics, positional Jacobian, its analytic
-time derivative, and the null-space projector.
+time derivative, and the null-space projector I - J^+ J.
 
 Planar robots control (x, z); spatial robots control (x, y, z). The
 Jacobian derivative is assembled from the body-velocity recursion rather
@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import eye, pinv
-from .multibody import (ChainMotion, ChainPose, RobotModel, RobotState, chain_motion,
-                        chain_pose, cross3, matvec)
+# chain_motion stays a name of this module: bench/tracer.py patches it here
+from .multibody import (ChainMotion, ChainPose, RobotModel, RobotState,  # noqa: F401
+                        chain_motion, chain_pose, cross3, matvec)
 
 
 def task_rows(model: RobotModel) -> np.ndarray:
@@ -42,14 +43,6 @@ def _dj_full(pose, motion) -> np.ndarray:
     return (cross3(da, arm) + cross3(pose.axes_w, darm)).swapaxes(-1, -2)
 
 
-def null_projector(jac: np.ndarray, jac_pinv: np.ndarray | None = None) -> np.ndarray:
-    """N = I - J^+ J, the projector onto task-redundant joint motion.
-    ``jac_pinv`` is J^+ when already known."""
-    if jac_pinv is None:
-        jac_pinv = pinv(jac)
-    return eye(jac.shape[-1]) - jac_pinv @ jac
-
-
 @dataclass(frozen=True)
 class TaskState:
     """Task-space snapshot: position, velocity (J qd by construction),
@@ -64,22 +57,16 @@ class TaskState:
     J_pinv: np.ndarray
 
 
-def task_state(model: RobotModel, state: RobotState, pose: ChainPose | None = None,
-               motion: ChainMotion | None = None) -> TaskState:
-    """Evaluate the full task-space snapshot at a robot state.
-
-    ``pose`` and ``motion`` may carry the chain passes already made at this
-    state (for example those kept by ``bias_terms``); missing ones are
-    computed here. A state whose q and dq have leading axes, with passes
-    made for it, gives a snapshot whose fields have the same leading axes.
+def task_state(model: RobotModel, state: RobotState, pose: ChainPose,
+               motion: ChainMotion) -> TaskState:
+    """The full task-space snapshot at a robot state, from the pose and
+    motion passes made at it (those ``bias_terms`` keeps). A state whose q
+    and dq have leading axes, with passes made for it, gives a snapshot
+    whose fields have the same leading axes.
     """
-    if pose is None:
-        pose = chain_pose(model, state.q)
-    if motion is None:
-        motion = chain_motion(pose, state.dq)
     rows = task_rows(model)
     jac = _full_jacobian(pose).take(rows, -2)
     dj = _dj_full(pose, motion).take(rows, -2)
     jac_pinv = pinv(jac)
-    return TaskState(y=pose.ee[..., rows], dy=matvec(jac, state.dq), J=jac,
-                     dJ=dj, N=null_projector(jac, jac_pinv), J_pinv=jac_pinv)
+    return TaskState(y=pose.ee[..., rows], dy=matvec(jac, state.dq), J=jac, dJ=dj,
+                     N=eye(jac.shape[-1]) - jac_pinv @ jac, J_pinv=jac_pinv)

@@ -1,6 +1,5 @@
-"""Dense linear-algebra helpers: a checked SVD, the tolerant pseudoinverse
-built on it, and the task-error double integrator's state matrices, which
-the quadratic Lyapunov certificate is made for.
+"""Dense linear-algebra helpers: a checked SVD and the tolerant
+pseudoinverse built on it.
 
 Every SVD whose factors are used goes through ``svd``. LAPACK's gesdd
 (what ``np.linalg.svd`` calls) can return finite singular values with
@@ -144,16 +143,3 @@ def pinv(a: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
     s[~large] = 0
     return vt.swapaxes(-1, -2) @ (s[..., None] * u.swapaxes(-1, -2))
 
-
-def double_integrator_blocks(n_t: int) -> tuple[np.ndarray, np.ndarray]:
-    """State matrices of the stacked task-error double integrator.
-
-    Returns (F, G) with F = [[0, I], [0, 0]] and G = [[0], [I]], each block
-    of size n_t.
-    """
-    eye = np.eye(n_t)
-    f = np.zeros((2 * n_t, 2 * n_t))
-    f[:n_t, n_t:] = eye
-    g = np.zeros((2 * n_t, n_t))
-    g[n_t:, :] = eye
-    return f, g

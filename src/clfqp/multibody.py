@@ -45,7 +45,7 @@ and a matrix-vector product over rows is written ``matvec(a, x)``, i.e.
 an einsum over the batch do not).
 
 The inertia guard and the Cholesky factorisation run once per evaluated M:
-the terms keep the guarded factor, and every ``solve_inertia`` given those
+the terms keep the guarded factor, and every ``solve_inertia`` with those
 terms reuses it. Both call LAPACK (``dpotrf``, ``dpotrs``, ``dtrtri``)
 directly, and for terms stacked along a leading axis they run row by row.
 The routines are scipy's, taken from its compiled LAPACK extension by
@@ -618,15 +618,14 @@ def factor_inertia(mass: np.ndarray) -> np.ndarray:
     return factor
 
 
-def solve_inertia(mass: np.ndarray | DynamicsTerms, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs by Cholesky, guarding against a degenerate M.
-
-    ``mass`` is M itself or the DynamicsTerms holding it; terms keep their
-    guarded factor, so repeated solves with one evaluation skip the guard
-    and the factorisation. Terms stacked along one leading axis solve each
-    row of ``rhs`` with that row's factor.
+def solve_inertia(terms: DynamicsTerms, rhs: np.ndarray) -> np.ndarray:
+    """Solve M x = rhs by Cholesky with the guarded factor of M that
+    ``terms`` keep (``factor_inertia``, made on first use), so repeated
+    solves with one evaluation skip the guard and the factorisation. Terms
+    stacked along one leading axis solve each row of ``rhs`` with that
+    row's factor.
     """
-    factor = mass.factor if isinstance(mass, DynamicsTerms) else factor_inertia(mass)
+    factor = terms.factor
     if isinstance(factor, list):
         return np.array([_potrs(row, b) for row, b in zip(factor, rhs)])
     return _potrs(factor, rhs)

@@ -165,10 +165,10 @@ class PsdHessian:
 class QpProblem:
     """Standard-form dense convex QP.
 
-    H must be symmetric positive semidefinite; lb/ub entries may be +-inf.
-    Missing constraint blocks may be passed as None. Instead of lb/ub a
-    caller may pass ``bounds`` made once by ``Bounds.make``, and instead of
-    an array H a ``PsdHessian``, whose matrix becomes H unchecked.
+    H must be symmetric positive semidefinite. Missing constraint blocks may
+    be passed as None. The box lb <= x <= ub is ``bounds``, made once by
+    ``Bounds.make``, or None for no box. Instead of an array H a caller may
+    pass a ``PsdHessian``, whose matrix becomes H unchecked.
     """
 
     H: np.ndarray | PsdHessian
@@ -177,8 +177,6 @@ class QpProblem:
     b_eq: np.ndarray | None = None
     A_in: np.ndarray | None = None
     b_in: np.ndarray | None = None
-    lb: np.ndarray | None = None
-    ub: np.ndarray | None = None
     bounds: Bounds | None = None
     hessian: PsdHessian | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -204,12 +202,10 @@ class QpProblem:
         else:
             self.A_in = np.atleast_2d(np.asarray(self.A_in, dtype=float))
             self.b_in = np.asarray(self.b_in, dtype=float).ravel()
-        if self.bounds is not None:
-            if self.lb is not None or self.ub is not None:
-                raise ValueError("pass lb/ub or bounds, not both")
-            if self.bounds.lb.shape != (d,):
-                raise ValueError(f"bounds must have {d} entries, got {self.bounds.lb.shape}")
-            self.lb, self.ub = self.bounds.lb, self.bounds.ub
+        if self.bounds is None:
+            self.bounds = Bounds.make(None, None, d)
+        elif self.bounds.lb.shape != (d,):
+            raise ValueError(f"bounds must have {d} entries, got {self.bounds.lb.shape}")
         self.validate()
 
     @property
@@ -224,9 +220,6 @@ class QpProblem:
                     raise ValueError(f"{name} contains non-finite entries")
         if self.hessian is None or self.H is not self.hessian.H:
             _check_symmetric_psd(self.H)
-        if self.bounds is None or self.bounds.lb is not self.lb or self.bounds.ub is not self.ub:
-            self.bounds = Bounds.make(self.lb, self.ub, self.dim)
-            self.lb, self.ub = self.bounds.lb, self.bounds.ub
 
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.H @ x + self.f @ x)

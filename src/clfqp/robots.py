@@ -162,6 +162,10 @@ def loads_robot(text: str, source: str = "<string>") -> tuple[RobotModel, dict[s
 
 def _build_model(data: dict, source: str) -> tuple[RobotModel, dict[str, GainSet]]:
     name = _require(data, "name", source)
+    # output file names are built from it
+    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ValidationError(f"{source}: name must be one plain file-name component, "
+                              f"got {name!r}")
     task_dim = _require(data, "task_dim", source)
     with _Section(source, "gravity"):
         gravity = tuple(float(v) for v in data.get("gravity", (0.0, 0.0, -9.81)))

@@ -17,9 +17,10 @@ ends at its t_end, or failed, with the rows it logged and a named reason:
 on its stop condition, which sees each row it logs and that row's
 ``ControlStepLog`` (the benchmark suites stop on divergence and on a QP
 that stays infeasible); on a non-finite input or state; or on a
-LinAlgError or IllConditioned raised by its evaluation, its controller or
-its physics step. At each control step the simulator evaluates every live
-episode's state once and attaches the evaluation to a fresh ``RobotState``
+LinAlgError, IllConditioned or FloatingPointError (a non-finite RK4 stage
+state) raised by its evaluation, its controller or its physics step. At
+each control step the simulator evaluates every live episode's state once
+and attaches the evaluation to a fresh ``RobotState``
 (``RobotState.evaluation``), which it hands the episode's controller. The
 logged task position and velocity come from that evaluation, and the first
 physics step after the control update reuses its dynamics terms (RK4 stage
@@ -35,7 +36,8 @@ which settles the common case with one maximum magnitude per array; the
 per-row states handed to the controllers, the stacked state of an
 evaluation and the states episodes end at are built from those rows with
 ``RobotState.unchecked``, without checking them again. The RK4 stage
-states are checked as they are formed.
+states are checked as they are formed, and one that is not finite ends its
+row keeping its state.
 
 An RK4 step forms the joint force B u once. Each later stage (k2 to k4)
 is a pair of plain arrays held to the rule RobotState enforces, finite
@@ -130,13 +132,14 @@ def _raised(exc: Exception, t: float) -> str:
     return f"{type(exc).__name__} at t={t:.6f}: {exc}"
 
 
-_NUMERICAL = (LinAlgError, IllConditioned)
+_NUMERICAL = (LinAlgError, IllConditioned, FloatingPointError)
 
 
 def _by_row(call: Callable, rows: int, t: float) -> tuple:
     """``call(None)``, one call over every row, and no reasons; if it raises
-    a LinAlgError or IllConditioned, the results of ``call(j)`` for each row
-    j alone, None where it raised, and the reason each row ends on."""
+    a LinAlgError, IllConditioned or FloatingPointError, the results of
+    ``call(j)`` for each row j alone, None where it raised, and the reason
+    each row ends on."""
     try:
         return call(None), None
     except _NUMERICAL:
@@ -169,8 +172,9 @@ def step(model: RobotModel, q: np.ndarray, dq: np.ndarray, t: float, u: np.ndarr
     finite range ("non-finite state at t=..." or "state magnitude exceeded
     1e12 at t=...", t after the step) or, keeping its state, on a
     LinAlgError or IllConditioned its step raises ("<ExceptionName> at
-    t=...: <message>", t before it). A non-finite RK4 stage state raises
-    ValueError for any row, as constructing a RobotState from it would.
+    t=...: <message>", t before it), or on a non-finite RK4 stage state
+    ("FloatingPointError at t=...: RK4 stage state entries must be
+    finite", t before it).
     """
     def advance(j):
         if j is None and len(q) > 1:
@@ -196,7 +200,7 @@ def _stage(model: RobotModel, q: np.ndarray, dq: np.ndarray, force: np.ndarray) 
     """Joint accelerations at an RK4 stage state, held first to the rule
     RobotState enforces on every state, for every row at once."""
     if not all_finite(q, dq):
-        raise ValueError("state entries must be finite")
+        raise FloatingPointError("RK4 stage state entries must be finite")
     return multibody.accelerations(model, q, dq, force)
 
 
@@ -282,10 +286,11 @@ def run(model: RobotModel, controllers: list, references: list[Reference],
     logs, with its state, task error y - y_ref and ControlStepLog; a reason
     it returns ends the episode failed at that row. A non-finite input ends
     it keeping that row, unapplied ("non-finite input at t=..."). A
-    LinAlgError (``linalg.SvdFailure`` among them) or IllConditioned ends it
-    with the rows logged before ("<ExceptionName> at t=...: <message>", t
-    that of the control step or of the physics step's start); any other
-    exception propagates.
+    LinAlgError (``linalg.SvdFailure`` among them), IllConditioned or
+    FloatingPointError (a non-finite RK4 stage state) ends it with the rows
+    logged before ("<ExceptionName> at t=...: <message>", t that of the
+    control step or of the physics step's start); any other exception
+    propagates.
     """
     n = len(controllers)
     stop_conditions, metadata = stop_conditions or [None] * n, metadata or [None] * n

@@ -296,8 +296,8 @@ def assembled_kkt_qp(prob, warm_start=None, max_iter=None):
     """The dual active-set solver as it was before its fixed costs were cut:
     the bound rows stacked per call, one matrix_rank test per warm-start
     candidate, an unconditional first solve with H, and every KKT system
-    assembled with np.block. Reads H, f, A_eq, b_eq, A_in, b_in, lb, ub of
-    ``prob`` (all present, lb/ub possibly infinite) and returns
+    assembled with np.block. Reads H, f, A_eq, b_eq, A_in, b_in and the box
+    of ``prob`` (all present, lb/ub possibly infinite) and returns
     (x, active_set, iterations, status, multipliers) with status "Optimal",
     "Infeasible" or "MaxIter", and the multiplier of every stacked
     inequality row (zero off the working set, and all zero when
@@ -305,9 +305,10 @@ def assembled_kkt_qp(prob, warm_start=None, max_iter=None):
     feas_tol, dual_tol, zero_dir_tol, eq_rank_tol = 1e-8, 1e-10, 1e-11, 1e-12
     d = prob.f.shape[0]
     eye = np.eye(d)
-    lo, hi = np.isfinite(prob.lb), np.isfinite(prob.ub)
+    lb, ub = prob.bounds.lb, prob.bounds.ub
+    lo, hi = np.isfinite(lb), np.isfinite(ub)
     g_all = np.vstack([prob.A_in, -eye[lo], eye[hi]])
-    h_all = np.concatenate([prob.b_in, -prob.lb[lo], prob.ub[hi]])
+    h_all = np.concatenate([prob.b_in, -lb[lo], ub[hi]])
 
     if prob.A_eq.shape[0] == 0:
         x_p, z_basis, consistent = np.zeros(d), np.eye(d), True

@@ -207,6 +207,35 @@ class TestFailedConvergence:
         data = experiments.read_trajectory_csv(path)
         assert len(data["t"]) == 1100 and "failed" not in data["metadata"]
 
+    @pytest.mark.parametrize("controller,experiment,kind,per", [
+        ("ic", "setpoint", "theta", "rad"), ("uic", "tracking", "omega", "rad/s")])
+    def test_non_finite_stage_ends_episodes_with_its_reason(self, controller, experiment,
+                                                            kind, per, tmp_path):
+        # stiffness 1e306 makes the first RK4 stage state after the first
+        # control step non-finite: each episode ends there, named, and the
+        # run still writes its files
+        from clfqp import cli, experiments
+
+        path = tmp_path / "stiff.yaml"
+        assert cli.main(["export-spec", "--robot", "finger", "--out", str(path)]) == 0
+        text = path.read_text(encoding="utf-8")
+        assert text.count("stiffness:\n" + "- 0.1\n" * 4) == 1
+        path.write_text(text.replace("stiffness:\n" + "- 0.1\n" * 4,
+                                     "stiffness:\n" + "- 1.0e+306\n" * 4), encoding="utf-8")
+        code = cli.main(["run", "--robot", str(path), "--controller", controller,
+                         "--experiment", experiment, "--set", "sim.t_end=0.01",
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_FAILED_CONVERGENCE == 2
+        summary = tmp_path / "out" / f"finger_{controller}_{experiment}_summary.txt"
+        lines = summary.read_text(encoding="utf-8").splitlines()
+        grid = experiments.THETA_GRID if kind == "theta" else experiments.OMEGA_GRID
+        reason = "FloatingPointError at t=0.000000: RK4 stage state entries must be finite"
+        assert len(lines) == len(grid) + 3
+        for value, line in zip(grid, lines[1:]):
+            assert line.startswith(f"  {kind}={value!r} {per}: metric=")
+            assert line.endswith(f" status=FailedConvergence({reason})")
+        assert lines[-2] == "  aggregate: Failed Convergence"
+
     def test_bad_ee_offset_is_validation_error(self, tmp_path, capsys):
         from clfqp import cli
 
@@ -359,7 +388,19 @@ class TestMalformedSpecValue:
          "links[3] inertia must be 3 finite numbers, got (1.53125e-05, 1.53125e-05)"),
         ("- -9.81\n", "", "gravity must be 3 finite numbers, got (0.0, 0.0)"),
         ("length: 0.06\njoints:", "length: .inf\njoints:",
-         "links[3] length must be finite, got inf")])
+         "links[3] length must be finite, got inf"),
+        # output file names are built from the name
+        ("name: finger\n", "name: ../escaped\n",
+         "name must be one plain file-name component, got '../escaped'"),
+        ("name: finger\n", "name: a/b\n",
+         "name must be one plain file-name component, got 'a/b'"),
+        ("name: finger\n", "name: a\\b\n",
+         "name must be one plain file-name component, got 'a\\\\b'"),
+        ("name: finger\n", "name: ''\n", "name must be one plain file-name component, got ''"),
+        ("name: finger\n", "name: .\n", "name must be one plain file-name component, got '.'"),
+        ("name: finger\n", "name: ..\n",
+         "name must be one plain file-name component, got '..'"),
+        ("name: finger\n", "name: 7\n", "name must be one plain file-name component, got 7")])
     def test_exits_as_validation_error_naming_spec_and_section(self, old, new, message,
                                                                tmp_path, capsys):
         from clfqp import cli

@@ -18,7 +18,7 @@ from clfqp.controllers import (
     make_controller,
     mu_ref,
 )
-from clfqp.kinematics import forward_kinematics, task_rows, task_state
+from clfqp.kinematics import forward_kinematics, task_rows
 from clfqp.linalg import pinv
 from clfqp.multibody import RobotModel, RobotState, accelerations, bias_terms, solve_inertia
 from clfqp.qp import QpStatus
@@ -101,7 +101,7 @@ class TestLieTerms:
     def test_velocity_term_vanishes_at_rest(self):
         model = two_link(k_s=(0.4, 0.2))
         state = RobotState(np.array([0.3, -0.2]), np.zeros(2))
-        ts = task_state(model, state)
+        ts = evaluate(model, state).ts
         lf2y, _ = lie_terms(evaluate(model, state))
         # with qd = 0 the dJ qd term is absent: Lf2y = -J M^-1 h exactly
         terms = bias_terms(model, state)
@@ -134,7 +134,7 @@ class TestIoLinearizingU:
             mu = rng.uniform(-2, 2, 2)
             ref = Reference.setpoint(np.zeros(2))
             u = io_linearizing_u(model, state, ref, mu)
-            ts = task_state(model, state)
+            ts = evaluate(model, state).ts
             qdd = accelerations(model, state.q, state.dq, model.B @ u)
             edd = ts.J @ qdd + ts.dJ @ state.dq
             assert np.allclose(edd, mu, atol=1e-9)
@@ -203,11 +203,11 @@ class TestClfQpStep:
             q = rng.uniform(-0.3, 0.3, 2)
             state = RobotState(q, np.zeros(2))
             ref = setpoint_at_fk(model, q + rng.uniform(-0.02, 0.02, 2))
-            ts = task_state(model, state)
+            ts = evaluate(model, state).ts
             err = TaskError(ts.y - ref.y_ref(0.0), ts.dy)
-            from clfqp.clf import clf_row
+            from clfqp.clf import clf_row, clf_terms
 
-            row, rhs = clf_row(clf, err)
+            row, rhs = clf_row(clf, clf_terms(clf, err))
             mu_des = mu_ref(g, err)
             if row[:-1] @ mu_des > rhs - 1e-6:
                 continue  # row would be active; skip this sample
@@ -503,7 +503,6 @@ class TestControllerObjects:
     def test_certificate_made_once_per_step(self, monkeypatch):
         # a step works out V, a0 and a1 once for the decrease row and the
         # logged V and Vdot, with the bits of working them out for each
-        from clfqp import clf as clf_module
         from clfqp import controllers
 
         model = two_link(k_s=(0.4, 0.2), u_lim=2.0)
@@ -513,13 +512,13 @@ class TestControllerObjects:
             calls = []
             ctrl = make_controller(name, model, gset())
             with monkeypatch.context() as m:
-                vdot = clf_module.vdot_coeffs
-                m.setattr(clf_module, "vdot_coeffs", lambda *a: calls.append(1) or vdot(*a))
+                terms = controllers.clf_terms
+                m.setattr(controllers, "clf_terms", lambda *a: calls.append(1) or terms(*a))
                 u, log = ctrl.step(state, ref)
             assert len(calls) == 1, name
             data = controllers._evaluate_step(ctrl, state, ref)
-            a0, a1 = vdot(default_clf(gset().eps, 2), data.err)
-            assert log.V == clf_module.clf_value(default_clf(gset().eps, 2), data.err)
+            v, a0, a1 = terms(default_clf(gset().eps, 2), data.err)
+            assert log.V == v
             assert log.Vdot == a0 + float(a1 @ log.mu)
 
     def test_equivalence_full_actuation(self):

@@ -1,12 +1,8 @@
 import numpy as np
 
-from clfqp.kinematics import (
-    forward_kinematics,
-    null_projector,
-    task_rows,
-    task_state,
-)
-from clfqp.multibody import RobotState
+from clfqp.controllers import evaluate
+from clfqp.kinematics import forward_kinematics, task_rows, task_state
+from clfqp.multibody import RobotState, bias_terms
 
 from oracles import fd_jacobian
 from toys import (ball_chain, jacobian, jacobian_dot, pendulum, rk4_rollout, straight_chain,
@@ -90,28 +86,42 @@ class TestJacobianDot:
                 assert np.max(np.abs(dj - dj_fd)) / denom < 1e-4
 
 
+def snapshot(model, q, dq=None):
+    """The task state at (q, dq), dq zero when not given."""
+    return evaluate(model, RobotState(q, np.zeros_like(q) if dq is None else dq)).ts
+
+
 class TestNullProjector:
     def test_square_full_rank_gives_zero(self):
-        assert np.allclose(null_projector(np.eye(3)), 0.0, atol=1e-12)
+        # the planar two-link arm's J is square and invertible away from q2 = 0
+        model = two_link()
+        ts = snapshot(model, np.array([0.3, 0.9]))
+        assert np.allclose(ts.N, 0.0, atol=1e-12)
 
     def test_single_row(self):
-        n = null_projector(np.array([[1.0, 0.0, 0.0]]))
-        assert np.allclose(n, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
+        # the straight planar chain's J has the one nonzero row d', d_k the
+        # distance from joint k to the end effector, so N = I - d d' / d'd
+        model = straight_chain(n_links=4, length=0.06)
+        ts = snapshot(model, np.zeros(4))
+        d = 0.06 * np.arange(4, 0, -1)
+        assert np.allclose(ts.J, [d, np.zeros(4)], atol=1e-15)
+        assert np.allclose(ts.N, np.eye(4) - np.outer(d, d) / (d @ d), atol=1e-12)
 
     def test_random_properties(self):
+        model = ball_chain()
         rng = np.random.default_rng(3)
         for _ in range(20):
-            j = rng.standard_normal((3, 10))
-            n = null_projector(j)
+            ts = snapshot(model, rng.uniform(-1, 1, model.n), rng.uniform(-1, 1, model.n))
+            n = ts.N
             assert np.max(np.abs(n @ n - n)) < 1e-8
-            assert np.max(np.abs(j @ n)) < 1e-8
+            assert np.max(np.abs(ts.J @ n)) < 1e-8
             assert np.max(np.abs(n - n.T)) < 1e-10
 
     def test_bounded_at_straight_singularity(self):
         # A straight planar chain has rank-1 J; the cutoff keeps N finite.
         model = straight_chain(n_links=4)
-        j = jacobian(model, np.zeros(4))
-        n = null_projector(j)
+        ts = snapshot(model, np.zeros(4))
+        j, n = ts.J, ts.N
         assert np.all(np.isfinite(n))
         assert np.max(np.abs(n @ n - n)) < 1e-8
         assert np.max(np.abs(j @ n)) < 1e-6
@@ -121,15 +131,15 @@ class TestTaskState:
     def test_velocity_constructed_from_jacobian(self):
         model = two_link()
         state = RobotState(np.array([0.3, 0.5]), np.array([-0.2, 0.8]))
-        ts = task_state(model, state)
+        terms = bias_terms(model, state)
+        ts = task_state(model, state, terms.pose, terms.motion)
         assert np.array_equal(ts.dy, ts.J @ state.dq)
 
     def test_projector_invariants(self):
         model = ball_chain()
         rng = np.random.default_rng(4)
         for _ in range(10):
-            state = RobotState(rng.uniform(-1, 1, model.n), rng.uniform(-1, 1, model.n))
-            ts = task_state(model, state)
+            ts = snapshot(model, rng.uniform(-1, 1, model.n), rng.uniform(-1, 1, model.n))
             assert np.max(np.abs(ts.N @ ts.N - ts.N)) < 1e-8
             assert np.max(np.abs(ts.J @ ts.N)) < 1e-8
 
@@ -147,7 +157,7 @@ class TestTaskState:
         for i in range(60, 140, 17):
             ydd_fd = (ys[i + 1] - 2 * ys[i] + ys[i - 1]) / dt ** 2
             state = RobotState(qs[i], dqs[i])
-            ts = task_state(model, state)
+            ts = evaluate(model, state).ts
             qdd = accelerations(model, state.q, state.dq, model.B @ np.array([0.3, -0.2]))
             ydd = ts.J @ qdd + ts.dJ @ state.dq
             assert np.max(np.abs(ydd - ydd_fd)) / max(np.max(np.abs(ydd)), 1e-9) < 1e-3

@@ -87,7 +87,7 @@ class TestStackedEvaluation:
         for i in range(rows):
             state = RobotState(q[i], dq[i])
             one = bias_terms(model, state)
-            one_ts = task_state(model, state)
+            one_ts = task_state(model, state, pose=one.pose, motion=one.motion)
             for f in ("M", "c_vec", "d_vec", "k_vec", "g_vec"):
                 assert bitwise_equal(getattr(terms, f)[i], getattr(one, f)), f
             for f in ("axes_w", "origins", "rot", "com_w", "inertia_w", "ee", "offsets_w"):
@@ -196,16 +196,23 @@ class TestStackedStep:
             assert bitwise_equal(q_next[i], one_q[0]) and bitwise_equal(dq_next[i], one_dq[0])
 
     @pytest.mark.parametrize("rows", [1, 3])
-    def test_non_finite_stage_raises_like_a_state(self, rows):
-        # A stage state that leaves the finite range fails as constructing a
-        # RobotState from it would, in one episode or in any row of several.
+    def test_non_finite_stage_ends_its_row_only(self, rows):
+        # A stage state that leaves the finite range ends its row, which
+        # keeps its state, in one episode or in any row of several; the
+        # other rows step as they do alone.
         model = load_model("finger")
         q, dq = random_rows(model, rows, seed=10)
         u = np.zeros((rows, model.m))
         u[-1] = np.inf
         with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError, match="state entries must be finite"):
-                sim.step(model, q, dq, 0.0, u, SimConfig())
+            q_next, dq_next, reasons = sim.step(model, q, dq, 0.0, u, SimConfig())
+        assert reasons == [""] * (rows - 1) + [
+            "FloatingPointError at t=0.000000: RK4 stage state entries must be finite"]
+        assert bitwise_equal(q_next[-1], q[-1]) and bitwise_equal(dq_next[-1], dq[-1])
+        for i in range(rows - 1):
+            one_q, one_dq, _ = sim.step(model, q[i:i + 1], dq[i:i + 1], 0.0, u[i:i + 1],
+                                        SimConfig())
+            assert bitwise_equal(q_next[i], one_q[0]) and bitwise_equal(dq_next[i], one_dq[0])
 
 
 class TestAttachedEvaluation:

@@ -24,17 +24,18 @@ def random_qp(rng, d=5, n_eq=2, n_in=3, bounded=False):
     b_eq = a_eq @ x_feas if n_eq else None
     a_in = rng.standard_normal((n_in, d)) if n_in else None
     b_in = a_in @ x_feas + rng.uniform(0.0, 1.0, n_in) if n_in else None
-    lb = ub = None
+    bounds = None
     if bounded:
-        lb = x_feas - rng.uniform(0.5, 2.0, d)
-        ub = x_feas + rng.uniform(0.5, 2.0, d)
-    return QpProblem(h, f, a_eq, b_eq, a_in, b_in, lb, ub)
+        bounds = Bounds.make(x_feas - rng.uniform(0.5, 2.0, d),
+                             x_feas + rng.uniform(0.5, 2.0, d), d)
+    return QpProblem(h, f, a_eq, b_eq, a_in, b_in, bounds)
 
 
 class TestWorkedExamples:
     def test_active_bound(self):
         # min x^2 s.t. x >= 1
-        sol = solve_qp(QpProblem(np.array([[2.0]]), np.zeros(1), lb=np.array([1.0])))
+        sol = solve_qp(QpProblem(np.array([[2.0]]), np.zeros(1),
+                                 bounds=Bounds.make([1.0], None, 1)))
         assert sol.status is QpStatus.OPTIMAL
         assert np.allclose(sol.x_star, [1.0], atol=1e-9)
 
@@ -58,7 +59,7 @@ class TestAnalyticSuite:
     def test_box_projection(self):
         # Projection of (3, -3) onto [-1, 1]^2.
         sol = solve_qp(QpProblem(2.0 * np.eye(2), np.array([-6.0, 6.0]),
-                                 lb=-np.ones(2), ub=np.ones(2)))
+                                 bounds=Bounds.make(-np.ones(2), np.ones(2), 2)))
         assert np.allclose(sol.x_star, [1.0, -1.0], atol=1e-9)
 
     def test_single_inequality_active(self):
@@ -78,7 +79,7 @@ class TestAnalyticSuite:
         # min ||x||^2 s.t. x1 + x2 = 4, x1 <= 1  ->  (1, 3)
         sol = solve_qp(QpProblem(2.0 * np.eye(2), np.zeros(2),
                                  A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([4.0]),
-                                 ub=np.array([1.0, np.inf])))
+                                 bounds=Bounds.make(None, [1.0, np.inf], 2)))
         assert np.allclose(sol.x_star, [1.0, 3.0], atol=1e-9)
 
     def test_weighted_distance_to_halfspace(self):
@@ -114,7 +115,7 @@ class TestInfeasibility:
     def test_equality_conflicts_with_bounds(self):
         prob = QpProblem(2.0 * np.eye(2), np.zeros(2),
                          A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([10.0]),
-                         ub=np.array([1.0, 1.0]))
+                         bounds=Bounds.make(None, np.ones(2), 2))
         assert solve_qp(prob).status is QpStatus.INFEASIBLE
 
     def test_inconsistent_equalities(self):
@@ -125,7 +126,7 @@ class TestInfeasibility:
     def test_fully_pinned_infeasible(self):
         prob = QpProblem(2.0 * np.eye(2), np.zeros(2),
                          A_eq=np.eye(2), b_eq=np.array([2.0, 2.0]),
-                         ub=np.ones(2))
+                         bounds=Bounds.make(None, np.ones(2), 2))
         assert solve_qp(prob).status is QpStatus.INFEASIBLE
 
 
@@ -144,7 +145,7 @@ class TestValidation:
 
     def test_crossed_bounds_rejected(self):
         with pytest.raises(ValueError):
-            QpProblem(np.eye(1), np.zeros(1), lb=np.array([2.0]), ub=np.array([1.0]))
+            Bounds.make([2.0], [1.0], 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("block", ["H", "f", "A_eq", "b_eq", "A_in", "b_in"])
@@ -163,32 +164,16 @@ class TestValidation:
         bounds = dict(lb=np.array([-np.inf, 0.0]), ub=np.array([np.inf, 1.0]))
         bounds[side][0] = np.nan
         with pytest.raises(ValueError, match=f"^{side} contains NaN"):
-            QpProblem(2.0 * np.eye(2), np.array([-4.0, 0.0]), **bounds)
+            Bounds.make(d=2, **bounds)
 
     def test_infinite_bounds_allowed(self):
-        sol = solve_qp(QpProblem(2.0 * np.eye(2), np.array([-4.0, 0.0]),
-                                 lb=np.array([-np.inf, 0.0]), ub=np.array([np.inf, 1.0])))
+        bounds = Bounds.make([-np.inf, 0.0], [np.inf, 1.0], 2)
+        sol = solve_qp(QpProblem(2.0 * np.eye(2), np.array([-4.0, 0.0]), bounds=bounds))
         assert sol.status is QpStatus.OPTIMAL
         assert np.allclose(sol.x_star, [2.0, 0.0], atol=1e-9)
 
-    def test_bounds_object_matches_lb_ub(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            base = random_qp(rng, d=5, n_eq=1, n_in=2, bounded=True)
-            lb, ub = base.lb.copy(), base.ub.copy()
-            lb[1], ub[3] = -np.inf, np.inf
-            blocks = (base.H, base.f, base.A_eq, base.b_eq, base.A_in, base.b_in)
-            prob = QpProblem(*blocks, lb, ub)
-            made = Bounds.make(lb, ub, prob.dim)
-            again = QpProblem(*blocks, bounds=made)
-            a, b = solve_qp(prob), solve_qp(again)
-            assert np.array_equal(a.x_star, b.x_star) and a.active_set == b.active_set
-            assert again.lb is made.lb and not made.lb.flags.writeable
-
     def test_bounds_misuse_rejected(self):
         made = Bounds.make(None, np.ones(2), 2)
-        with pytest.raises(ValueError, match="not both"):
-            QpProblem(np.eye(2), np.zeros(2), lb=np.zeros(2), bounds=made)
         with pytest.raises(ValueError, match="entries"):
             QpProblem(np.eye(3), np.zeros(3), bounds=made)
         with pytest.raises(ValueError, match="ub must have 2 entries"):
@@ -399,7 +384,7 @@ class TestAgainstEnumerationOracle:
             sol = solve_qp(prob)
             assert sol.status is QpStatus.OPTIMAL, f"trial {trial}: {sol.status}"
             ref = brute_force_qp(prob.H, prob.f, prob.A_eq, prob.b_eq,
-                                 prob.A_in, prob.b_in, prob.lb, prob.ub)
+                                 prob.A_in, prob.b_in, prob.bounds.lb, prob.bounds.ub)
             assert ref is not None
             assert np.max(np.abs(sol.x_star - ref)) < 1e-6, f"trial {trial}"
             assert sol.kkt_residual < 1e-6
@@ -431,8 +416,8 @@ class TestSolutionQuality:
                         prob.A_eq @ prob.A_eq.T, prob.A_eq @ step, rcond=None)[0]
                 cand = sol.x_star + 1e-3 * step / max(np.linalg.norm(step), 1e-12)
                 if (np.all(prob.A_in @ cand - prob.b_in <= 1e-12)
-                        and np.all(cand >= prob.lb - 1e-12)
-                        and np.all(cand <= prob.ub + 1e-12)):
+                        and np.all(cand >= prob.bounds.lb - 1e-12)
+                        and np.all(cand <= prob.bounds.ub + 1e-12)):
                     tried += 1
                     assert prob.objective(cand) >= base - 1e-9
 
@@ -468,8 +453,8 @@ class TestSolutionQuality:
             assert sol.status is QpStatus.OPTIMAL
             assert np.max(prob.A_eq @ sol.x_star - prob.b_eq, initial=0.0) < 1e-6
             assert np.max(prob.A_in @ sol.x_star - prob.b_in, initial=0.0) < 1e-6
-            assert np.all(sol.x_star >= prob.lb - 1e-6)
-            assert np.all(sol.x_star <= prob.ub + 1e-6)
+            assert np.all(sol.x_star >= prob.bounds.lb - 1e-6)
+            assert np.all(sol.x_star <= prob.bounds.ub + 1e-6)
 
 
 def _record_controller_qps():

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from clfqp import multibody, sim
-from clfqp.controllers import ControlStepLog, Evaluation, make_controller
+from clfqp.controllers import ControlStepLog, Evaluation, evaluate, make_controller
 from clfqp.experiments import EllipseParams, ellipse_trajectory, sim_config_for
-from clfqp.kinematics import task_state
 from clfqp.multibody import RobotState, bias_terms
 from clfqp.robots import builtin_registry
 from clfqp.sim import SimConfig, run
@@ -37,7 +36,7 @@ def reference_loop(model, controller, ref, cfg):
     rows = {name: [] for name in LOGGED}
     for _ in range(int(round(cfg.t_end / (cfg.dt_physics * cfg.control_decimation)))):
         u, log = controller.step(state, ref)
-        ts = task_state(model, state)
+        ts = evaluate(model, state).ts
         values = dict(t=state.t, q=state.q, dq=state.dq, y=ts.y, dy=ts.dy,
                       y_ref=ref.y_ref(state.t), u=u, mu=log.mu, delta=log.delta,
                       V=log.V, Vdot=log.Vdot, solve_time=log.solve_time,
@@ -99,7 +98,7 @@ class TestSharedEvaluation:
             assert not traj.failed and len(traj) == 10
             assert not same_bits(traj.y[0], traj.y[-1])
             for i in range(len(traj)):
-                ts = task_state(model, RobotState(traj.q[i], traj.dq[i], traj.t[i]))
+                ts = evaluate(model, RobotState(traj.q[i], traj.dq[i], traj.t[i])).ts
                 assert same_bits(traj.y[i], ts.y) and same_bits(traj.dy[i], ts.dy)
 
     def test_initial_state_gets_no_evaluation(self):
@@ -208,9 +207,10 @@ class TestRk4Step:
         assert same_bits(q_next, q) and same_bits(dq_next, dq)
 
     @pytest.mark.parametrize("rows", [1, 3])
-    def test_non_finite_stage_with_given_terms_raises(self, rows):
+    def test_non_finite_stage_with_given_terms_ends_its_row(self, rows):
         # the first stage's terms given, the second stage state is the first
-        # to be checked, and fails as a RobotState would
+        # to be checked; only the last row's input is infinite, so only that
+        # row ends, keeping its state, and the others step as they do alone
         model = self.model("two_link")
         q = np.full((rows, model.n), 0.2)
         dq = np.zeros((rows, model.n))
@@ -218,8 +218,15 @@ class TestRk4Step:
         u[-1] = np.inf
         terms = bias_terms(model, RobotState(q, dq) if rows > 1 else RobotState(q[0], dq[0]))
         with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError, match="state entries must be finite"):
-                sim.step(model, q, dq, 0.0, u, SimConfig(), terms=terms)
+            q_next, dq_next, reasons = sim.step(model, q, dq, 0.0, u, SimConfig(), terms=terms)
+        assert reasons == [""] * (rows - 1) + [
+            "FloatingPointError at t=0.000000: RK4 stage state entries must be finite"]
+        assert same_bits(q_next[-1], q[-1]) and same_bits(dq_next[-1], dq[-1])
+        for i in range(rows - 1):
+            one_terms = bias_terms(model, RobotState(q[i], dq[i]))
+            one_q, one_dq, _ = sim.step(model, q[i:i + 1], dq[i:i + 1], 0.0, u[i:i + 1],
+                                        SimConfig(), terms=one_terms)
+            assert same_bits(q_next[i], one_q[0]) and same_bits(dq_next[i], one_dq[0])
 
 
 class TestFailures:

@@ -3,7 +3,7 @@ package's public functions, shared across test modules."""
 
 import numpy as np
 
-from clfqp.kinematics import task_state
+from clfqp.controllers import evaluate
 from clfqp.multibody import (Joint, Link, RobotModel, RobotState, accelerations, bias_terms,
                              chain_pose, solve_inertia)
 from clfqp.robots import resolve_spec
@@ -142,12 +142,12 @@ def h_vector(model, state):
 def jacobian(model, q):
     """Task-space positional Jacobian (task_dim x n) at configuration q."""
     q = np.asarray(q, dtype=float)
-    return task_state(model, RobotState(q, np.zeros_like(q))).J
+    return evaluate(model, RobotState(q, np.zeros_like(q))).ts.J
 
 
 def jacobian_dot(model, q, dq):
     """Time derivative of the task Jacobian along (q, dq)."""
-    return task_state(model, RobotState(q, dq)).dJ
+    return evaluate(model, RobotState(q, dq)).ts.dJ
 
 
 def evaluated_accelerations(model, q, dq, force):
