@@ -46,9 +46,8 @@ class TaskError:
 @dataclass(frozen=True)
 class ClfData:
     """Certificate data: rate parameter, Riccati solution, the scaled
-    quadratic form P_eps, and the operators of Vdot: ``drift_form``
-    F'P_eps + P_eps F, its state-only part, and ``input_map`` 2 P_eps G,
-    mapping eta to its mu-coefficient row."""
+    quadratic form P_eps, and the operators of Vdot: F'P_eps + P_eps F
+    (``drift_form``) and 2 P_eps G (``input_map``)."""
 
     eps: float
     P: np.ndarray
@@ -60,8 +59,7 @@ class ClfData:
 def default_clf(eps: float, n_t: int) -> ClfData:
     """Certificate with identity Riccati weights, whose solution is
     P = [[sqrt(3) I, I], [I, sqrt(3) I]]; the PD reference carries the
-    error shaping, so P stays robot-independent. The operators of Vdot are
-    written from the blocks of P_eps (module docstring)."""
+    error shaping, so P stays robot-independent."""
     if eps <= 0.0:
         raise ValueError("clf rate parameter must be positive")
     root3 = np.sqrt(3.0)

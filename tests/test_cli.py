@@ -211,9 +211,9 @@ class TestFailedConvergence:
         ("ic", "setpoint", "theta", "rad"), ("uic", "tracking", "omega", "rad/s")])
     def test_non_finite_stage_ends_episodes_with_its_reason(self, controller, experiment,
                                                             kind, per, tmp_path):
-        # stiffness 1e306 makes the first RK4 stage state after the first
-        # control step non-finite: each episode ends there, named, and the
-        # run still writes its files
+        # with every stiffness 1e306 an RK4 stage state of the first physics
+        # step is not finite: each episode ends there, named, and the run
+        # still writes its files
         from clfqp import cli, experiments
 
         path = tmp_path / "stiff.yaml"

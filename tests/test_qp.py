@@ -168,9 +168,14 @@ class TestValidation:
 
     def test_infinite_bounds_allowed(self):
         bounds = Bounds.make([-np.inf, 0.0], [np.inf, 1.0], 2)
-        sol = solve_qp(QpProblem(2.0 * np.eye(2), np.array([-4.0, 0.0]), bounds=bounds))
+        prob = QpProblem(2.0 * np.eye(2), np.array([-4.0, 0.0]), bounds=bounds)
+        sol = solve_qp(prob)
         assert sol.status is QpStatus.OPTIMAL
         assert np.allclose(sol.x_star, [2.0, 0.0], atol=1e-9)
+        # a problem keeps the read-only box it is given; without one it has none
+        assert prob.bounds is bounds
+        assert not any(a.flags.writeable for a in (bounds.lb, bounds.ub, bounds.rows, bounds.rhs))
+        assert QpProblem(np.eye(2), np.zeros(2)).bounds.rows.shape == (0, 2)
 
     def test_bounds_misuse_rejected(self):
         made = Bounds.make(None, np.ones(2), 2)
